@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "nn/attention.hpp"
+#include "nn/linear.hpp"
 #include "nn/transformer_layer.hpp"
 #include "obs/trace.hpp"
 #include "tensor/ops.hpp"
@@ -61,6 +62,54 @@ void BM_GemmBatched(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * kBatch * t * t * kHeadDim);
 }
 BENCHMARK(BM_GemmBatched)->Arg(16)->Arg(64)->Arg(128);
+
+// The GEMMs the fine-tuning workloads execute (model::tiny(6, 48, 4, 64,
+// 16), micro-batch 4 x 16 = 64 rows).  Linear forward: x[64, in] W^T + b.
+void BM_LinearForward(benchmark::State& state) {
+  const auto in = state.range(0);
+  const auto out = state.range(1);
+  constexpr std::int64_t kRows = 64;
+  Rng rng(10);
+  nn::Linear linear("bench", in, out, rng);
+  linear.set_context_enabled(false);
+  Tensor x = Tensor::randn({kRows, in}, rng);
+  for (auto _ : state) {
+    Tensor y = linear.forward(x);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * kRows * in * out);
+}
+BENCHMARK(BM_LinearForward)->Args({48, 48})->Args({48, 192})->Args({192, 48});
+
+// Attention at the executed shape: 16 heads (4 sequences x 4 heads) of
+// T = 16, head_dim 12.  Arg 0: scores = q k^T (16x16x12, B transposed);
+// Arg 1: context = probs @ v (16x12x16, neither transposed).
+void BM_AttentionHeadGemm(benchmark::State& state) {
+  const bool probs_v = state.range(0) == 1;
+  constexpr std::int64_t kHeads = 16;
+  constexpr std::int64_t kT = 16;
+  constexpr std::int64_t kHeadDim = 12;
+  Rng rng(11);
+  Tensor q = Tensor::randn({kHeads, kT, kHeadDim}, rng);
+  Tensor kv = Tensor::randn({kHeads, kT, kHeadDim}, rng);
+  Tensor probs = ops::softmax_lastdim(Tensor::randn({kHeads, kT, kT}, rng));
+  Tensor c({kHeads, kT, probs_v ? kHeadDim : kT});
+  for (auto _ : state) {
+    if (probs_v) {
+      ops::gemm_batched(probs.data(), kv.data(), c.data(), kHeads, kT,
+                        kHeadDim, kT, kT * kT, kT * kHeadDim, kT * kHeadDim,
+                        false, false, 1.0F, 0.0F);
+    } else {
+      ops::gemm_batched(q.data(), kv.data(), c.data(), kHeads, kT, kT,
+                        kHeadDim, kT * kHeadDim, kT * kHeadDim, kT * kT,
+                        false, true, 0.28867513F, 0.0F);
+    }
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * kHeads * kT * kT *
+                          kHeadDim);
+}
+BENCHMARK(BM_AttentionHeadGemm)->Arg(0)->Arg(1);
 
 void BM_FusedMaskedSoftmax(benchmark::State& state) {
   // Causal-masked softmax over attention scores, fused mask + softmax pass.
@@ -164,4 +213,12 @@ BENCHMARK(BM_TraceScope)->Arg(0)->Arg(1);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // The tier the GEMM numbers were measured on (see DESIGN.md 5d).
+  benchmark::AddCustomContext("gemm_isa", pac::ops::gemm_isa());
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

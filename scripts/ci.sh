@@ -7,7 +7,11 @@
 # src/ line coverage (gcovr when available, scripts/coverage.py
 # otherwise).
 #
-# Usage: scripts/ci.sh [all|test|stress|tsan|coverage]
+# A portable pass rebuilds the tensor kernels without -march=native, once
+# with AVX2+FMA and once with the scalar fallback, and runs their tests, so
+# every compile-time tier of gemm.cpp stays built and bit-checked.
+#
+# Usage: scripts/ci.sh [all|test|stress|tsan|portable|coverage]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,8 +46,10 @@ run_tests() {
 # service_test adds the multi-tenant dispatcher: concurrent submit/cancel/
 # complete races, worker-pool completion, and the seeded admission
 # property — all of which must hold under shuffle and TSan.
-CONCURRENT_SUITES=(dist_test pipeline_test chaos_test async_comm_test
-                   planner_test obs_test elastic_test
+# common_test carries the ThreadPool dispatch stress case (thousands of
+# short parallel_for calls from several threads), which TSan must see.
+CONCURRENT_SUITES=(common_test dist_test pipeline_test chaos_test
+                   async_comm_test planner_test obs_test elastic_test
                    transport_conformance_test quant_test service_test)
 
 # Extra gtest args per suite under TSan.  The TCP backend's accept/connect
@@ -94,6 +100,24 @@ stress_pass() {
     --gtest_brief=1
 }
 
+# The kernel tests at the AVX2+FMA and scalar tiers (see the header).
+portable_pass() {
+  local tier dir
+  for tier in avx2 scalar; do
+    dir="build-portable-${tier}"
+    echo "=== portable kernels: ${tier} ==="
+    if [[ "$tier" == avx2 ]]; then
+      cmake -B "$dir" -S . -DPAC_NATIVE_KERNELS=OFF \
+            "-DCMAKE_CXX_FLAGS=-mavx2 -mfma"
+    else
+      cmake -B "$dir" -S . -DPAC_NATIVE_KERNELS=OFF
+    fi
+    cmake --build "$dir" -j "$JOBS" --target tensor_test kernel_property_test
+    "${dir}/tests/tensor_test" --gtest_brief=1
+    "${dir}/tests/kernel_property_test" --gtest_brief=1
+  done
+}
+
 case "$MODE" in
   test)
     build build
@@ -109,6 +133,9 @@ case "$MODE" in
   tsan)
     build build-tsan -DPAC_SANITIZE=thread
     tsan_pass
+    ;;
+  portable)
+    portable_pass
     ;;
   coverage)
     build build-cov -DCMAKE_BUILD_TYPE=Debug -DPAC_COVERAGE=ON
@@ -133,9 +160,10 @@ case "$MODE" in
     stress_pass build
     build build-tsan -DPAC_SANITIZE=thread
     tsan_pass
+    portable_pass
     ;;
   *)
-    echo "unknown mode: $MODE (expected all|test|stress|tsan)" >&2
+    echo "unknown mode: $MODE (expected all|test|stress|tsan|portable|coverage)" >&2
     exit 2
     ;;
 esac

@@ -1,7 +1,6 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 namespace pac {
 namespace {
@@ -74,7 +73,11 @@ void ThreadPool::parallel_for(
   const std::int64_t chunks = std::min<std::int64_t>(width, n / grain);
   const std::int64_t per_chunk = (n + chunks - 1) / chunks;
 
-  std::atomic<std::int64_t> remaining{chunks - 1};
+  // All three live on this frame.  A worker decrements `remaining` and
+  // notifies while it holds done_mutex, so the caller (which reads
+  // `remaining` under the same mutex) cannot see zero, return and destroy
+  // them until the last worker has released the lock and is done with them.
+  std::int64_t remaining = chunks - 1;
   std::mutex done_mutex;
   std::condition_variable done_cv;
 
@@ -85,10 +88,8 @@ void ThreadPool::parallel_for(
       const std::int64_t end = std::min(n, begin + per_chunk);
       tasks_.push([&, begin, end] {
         fn(begin, end);
-        if (remaining.fetch_sub(1) == 1) {
-          std::lock_guard<std::mutex> done_guard(done_mutex);
-          done_cv.notify_one();
-        }
+        std::lock_guard<std::mutex> done_guard(done_mutex);
+        if (--remaining == 0) done_cv.notify_one();
       });
     }
   }
@@ -98,7 +99,7 @@ void ThreadPool::parallel_for(
   fn(0, std::min(n, per_chunk));
 
   std::unique_lock<std::mutex> done_lock(done_mutex);
-  done_cv.wait(done_lock, [&] { return remaining.load() == 0; });
+  done_cv.wait(done_lock, [&] { return remaining == 0; });
 }
 
 ThreadPool& ThreadPool::global() {

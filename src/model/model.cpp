@@ -38,10 +38,9 @@ class EmbeddingBlock : public PipelineBlock {
 
   FlowGrad backward(const FlowGrad& dout) override {
     if (dout.d_adapter.defined()) {
-      // Accumulates side_entry grads; the returned backbone gradient is
-      // dropped (side-tuning never backpropagates the backbone).
-      Tensor d_emb = m_->side_entry_->backward(dout.d_adapter);
-      (void)d_emb;
+      // Accumulates side_entry grads only: side-tuning never backpropagates
+      // the backbone, so the embedding gradient is not computed.
+      m_->side_entry_->accumulate_param_grads(dout.d_adapter);
     }
     if (dout.d_hidden.defined()) {
       m_->embedding_->backward(dout.d_hidden);
@@ -358,8 +357,7 @@ void Model::backward_cached(const Tensor& dlogits) {
   for (std::int64_t i = config_.encoder_layers - 1; i >= 0; --i) {
     d_a = side_blocks_[static_cast<std::size_t>(i)]->backward(d_a);
   }
-  Tensor d_b0 = side_entry_->backward(d_a);
-  (void)d_b0;  // backbone stays untouched
+  side_entry_->accumulate_param_grads(d_a);  // backbone stays untouched
 }
 
 nn::ParameterList Model::parameters() {

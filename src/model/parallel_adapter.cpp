@@ -44,11 +44,11 @@ Tensor ParallelAdapterBlock::backward(const Tensor& d_state) {
   Tensor dpre = ops::relu_backward(dmid, pre);
   Tensor du = ln_.backward(w1_.backward(dpre));
   du.add_(d_state);
-  // u = a_{i-1} + down(b_i): the down-projection's input gradient is the
-  // backbone gradient — computed for parameter accumulation, then dropped.
-  Tensor d_backbone = down_.backward(du);
-  (void)d_backbone;  // side-tuning: no backward into the backbone
-  return du;         // d a_{i-1}
+  // u = a_{i-1} + down(b_i): the down-projection's input gradient would be
+  // the backbone gradient, which side-tuning never uses, so only its
+  // parameter gradients are accumulated.
+  down_.accumulate_param_grads(du);
+  return du;  // d a_{i-1}
 }
 
 void ParallelAdapterBlock::collect_parameters(nn::ParameterList& out) {

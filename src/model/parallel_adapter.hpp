@@ -8,9 +8,9 @@
 //     u   = a_{i-1} + down_i(b_i)
 //     a_i = u + W2 · relu(W1 · LN(u))
 // Crucially, backward() produces the gradient w.r.t. a_{i-1} (the dedicated
-// "gradient highway") and *discards* the gradient w.r.t. b_i — the backbone
-// is never backpropagated, which is where the technique's time and memory
-// savings come from.
+// "gradient highway") and never computes the gradient w.r.t. b_i — the
+// backbone is never backpropagated, which is where the technique's time and
+// memory savings come from.
 //
 // Weights are initialized by structural pruning of the corresponding
 // backbone layer weights (paper §6.1): `init_from_backbone` copies the
@@ -35,7 +35,7 @@ class ParallelAdapterBlock {
   // a_i given (b_i, a_{i-1}).
   Tensor forward(const Tensor& backbone_act, const Tensor& prev_state);
   // d a_{i-1} given d a_i; accumulates this block's parameter grads and
-  // drops the backbone gradient (side-tuning semantics).
+  // skips the backbone gradient (side-tuning semantics).
   Tensor backward(const Tensor& d_state);
 
   void collect_parameters(nn::ParameterList& out);

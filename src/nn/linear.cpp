@@ -44,8 +44,9 @@ Tensor Linear::forward(const Tensor& x) {
   const std::int64_t rows = x.numel() / in_features_;
   Tensor x2 = x.reshape({rows, in_features_});
 
-  Tensor y = ops::matmul_nt(x2, weight_.value());  // [rows, out]
-  if (has_bias_) y = ops::add_bias(y, bias_.value());
+  // [rows, out]; the bias add rides on the GEMM's tile store.
+  Tensor y = ops::matmul_nt(x2, weight_.value(),
+                            has_bias_ ? &bias_.value() : nullptr);
 
   Ctx ctx;
   ctx.input = x2;
@@ -63,6 +64,14 @@ Tensor Linear::forward(const Tensor& x) {
 }
 
 Tensor Linear::backward(const Tensor& dy) {
+  return backward_impl(dy, /*want_dx=*/true);
+}
+
+void Linear::accumulate_param_grads(const Tensor& dy) {
+  backward_impl(dy, /*want_dx=*/false);
+}
+
+Tensor Linear::backward_impl(const Tensor& dy, bool want_dx) {
   Ctx ctx = ctx_.pop();
   const std::int64_t rows = ctx.input.size(0);
   PAC_CHECK(dy.numel() == rows * out_features_,
@@ -79,7 +88,8 @@ Tensor Linear::backward(const Tensor& dy) {
   }
 
   // dx = dy W (+ LoRA path).
-  Tensor dx = ops::matmul(dy2, weight_.value());  // [rows, in]
+  Tensor dx;
+  if (want_dx) dx = ops::matmul(dy2, weight_.value());  // [rows, in]
   if (lora_enabled()) {
     // mid = x A^T;  y += scale * mid B^T
     // dB = scale * dy^T mid ; dmid = scale * dy B ; dA = dmid^T x ;
@@ -93,8 +103,11 @@ Tensor Linear::backward(const Tensor& dy) {
     if (lora_a_.trainable()) {
       ops::matmul_acc(lora_a_.grad(), dmid, ctx.input, true, false, 1.0F);
     }
-    ops::matmul_acc(dx, dmid, lora_a_.value(), false, false, 1.0F);
+    if (want_dx) {
+      ops::matmul_acc(dx, dmid, lora_a_.value(), false, false, 1.0F);
+    }
   }
+  if (!want_dx) return Tensor();
   return dx.reshape(ctx.input_shape);
 }
 

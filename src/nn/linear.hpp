@@ -30,6 +30,10 @@ class Linear : public Module {
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& dy) override;
+  // backward() for a layer whose input gradient nobody consumes (a side
+  // network's tap on the frozen backbone): accumulates the parameter
+  // gradients and pops the context, but never computes dx.
+  void accumulate_param_grads(const Tensor& dy);
   void collect_parameters(ParameterList& out) override;
   std::size_t pending_contexts() const override { return ctx_.size(); }
 
@@ -45,6 +49,8 @@ class Linear : public Module {
     Shape input_shape;  // original (possibly 3-D) shape for dx
     Tensor lora_mid;    // x A^T, [rows, r] (LoRA only)
   };
+
+  Tensor backward_impl(const Tensor& dy, bool want_dx);
 
   std::int64_t in_features_;
   std::int64_t out_features_;

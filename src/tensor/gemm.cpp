@@ -1,9 +1,9 @@
 #include "tensor/ops.hpp"
 
 #include <algorithm>
-#include <vector>
+#include <memory>
 
-#if defined(__AVX512F__) || defined(__AVX2__)
+#if defined(__AVX__)
 #include <immintrin.h>
 #endif
 
@@ -25,11 +25,19 @@ std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; 
 // GEMM
 //
 // Cache-blocked, panel-packed SGEMM (see DESIGN.md "Kernel architecture").
-// op(A) row blocks of kMc and op(B) column blocks of kNc are packed, one
-// depth slice of kKc at a time, into contiguous panels of kMr rows / kNr
-// columns; a register micro-kernel accumulates an kMr x kNr tile over the
-// packed panels.  Per-element accumulation order is ascending in k
-// regardless of blocking or threading, so results are bit-deterministic.
+// op(B) column blocks of kNc are packed, one depth slice of kKc at a time,
+// into contiguous panels of kNr columns; a register micro-kernel
+// accumulates an kMr x kNr tile over a packed B panel and kMr rows of
+// op(A), which is read in place when row-major and packed into panels of
+// kMr rows when transposed.  Per-element accumulation order is ascending
+// in k regardless of blocking, threading or where A is read from, so
+// results are bit-deterministic.
+//
+// Arithmetic lock: every output element is an FMA chain from zero over
+// ascending k (products rounded first in the scalar build), then the
+// alpha/beta/bias store.  The blocking constants and flop thresholds below
+// choose which path, and so which arithmetic, each shape takes; changing
+// any of them changes results (DESIGN.md 5d).
 // ---------------------------------------------------------------------------
 
 constexpr std::int64_t kMr = 8;    // micro-tile rows (accumulator rows)
@@ -43,39 +51,79 @@ constexpr std::int64_t kSmallGemmFlops = 8 * 1024;
 // m*n*k above this: worth dispatching row blocks on the pool.
 constexpr std::int64_t kGemmParallelFlops = 1 << 16;
 
-// Pack op(A)[ic:ic+mb, pc:pc+kb] into panels of kMr rows:
-//   dst[(ip * kb + p) * kMr + r] = op(A)(ic + ip*kMr + r, pc + p)
+// Per-thread pack buffers, grown on demand and never shrunk or zeroed: the
+// pack routines write every element the micro-kernel reads, padding
+// included.  The B slot is filled by the thread that calls gemm_impl and
+// read by every row-block worker; the A slot belongs to each worker.
+enum PackSlot { kPackA = 0, kPackB = 1 };
+
+float* pack_workspace(PackSlot slot, std::int64_t floats) {
+  struct Buffer {
+    std::unique_ptr<float[]> data;
+    std::int64_t capacity = 0;
+  };
+  thread_local Buffer buffers[2];
+  Buffer& buf = buffers[slot];
+  if (buf.capacity < floats) {
+    buf.data = std::make_unique_for_overwrite<float[]>(
+        static_cast<std::size_t>(floats));
+    buf.capacity = floats;
+  }
+  return buf.data.get();
+}
+
+// Pack op(A)[ic:ic+mb, pc:pc+kb] = A^T (A stored [k, m]) into panels of kMr
+// rows:
+//   dst[(ip * kb + p) * kMr + r] = A(pc + p, ic + ip*kMr + r)
 // with zero padding for rows past mb (the micro-kernel always runs a full
-// kMr x kNr tile; stores are guarded instead).
-void pack_a_block(float* dst, const float* a, std::int64_t m, std::int64_t k,
-                  bool trans_a, std::int64_t ic, std::int64_t pc,
-                  std::int64_t mb, std::int64_t kb) {
+// kMr x kNr tile; stores are guarded instead).  Row-major A needs no pack.
+void pack_a_transposed(float* dst, const float* a, std::int64_t m,
+                       std::int64_t ic, std::int64_t pc, std::int64_t mb,
+                       std::int64_t kb) {
   const std::int64_t panels = ceil_div(mb, kMr);
   for (std::int64_t ip = 0; ip < panels; ++ip) {
     float* pdst = dst + ip * kb * kMr;
     const std::int64_t rows = std::min<std::int64_t>(kMr, mb - ip * kMr);
-    if (!trans_a) {
-      for (std::int64_t r = 0; r < rows; ++r) {
-        const float* src = a + (ic + ip * kMr + r) * k + pc;
-        for (std::int64_t p = 0; p < kb; ++p) pdst[p * kMr + r] = src[p];
-      }
-    } else {
-      for (std::int64_t p = 0; p < kb; ++p) {
-        const float* src = a + (pc + p) * m + ic + ip * kMr;
-        for (std::int64_t r = 0; r < rows; ++r) pdst[p * kMr + r] = src[r];
-      }
-    }
-    if (rows < kMr) {
-      for (std::int64_t p = 0; p < kb; ++p) {
-        for (std::int64_t r = rows; r < kMr; ++r) pdst[p * kMr + r] = 0.0F;
-      }
+    for (std::int64_t p = 0; p < kb; ++p) {
+      const float* src = a + (pc + p) * m + ic + ip * kMr;
+      for (std::int64_t r = 0; r < rows; ++r) pdst[p * kMr + r] = src[r];
+      for (std::int64_t r = rows; r < kMr; ++r) pdst[p * kMr + r] = 0.0F;
     }
   }
 }
 
+#if defined(__AVX__)
+// dst[i * ldd + j] = src[j * lds + i] for i, j < 8.
+inline void transpose_8x8(const float* src, std::int64_t lds, float* dst,
+                          std::int64_t ldd) {
+  __m256 r[8];
+  for (int j = 0; j < 8; ++j) r[j] = _mm256_loadu_ps(src + j * lds);
+  __m256 t[8];
+  for (int j = 0; j < 8; j += 2) {
+    t[j] = _mm256_unpacklo_ps(r[j], r[j + 1]);
+    t[j + 1] = _mm256_unpackhi_ps(r[j], r[j + 1]);
+  }
+  __m256 u[8];
+  for (int j = 0; j < 8; j += 4) {
+    u[j] = _mm256_shuffle_ps(t[j], t[j + 2], 0x44);
+    u[j + 1] = _mm256_shuffle_ps(t[j], t[j + 2], 0xEE);
+    u[j + 2] = _mm256_shuffle_ps(t[j + 1], t[j + 3], 0x44);
+    u[j + 3] = _mm256_shuffle_ps(t[j + 1], t[j + 3], 0xEE);
+  }
+  for (int i = 0; i < 4; ++i) {
+    _mm256_storeu_ps(dst + i * ldd,
+                     _mm256_permute2f128_ps(u[i], u[i + 4], 0x20));
+    _mm256_storeu_ps(dst + (i + 4) * ldd,
+                     _mm256_permute2f128_ps(u[i], u[i + 4], 0x31));
+  }
+}
+#endif
+
 // Pack op(B)[pc:pc+kb, jc:jc+nb] into panels of kNr columns:
 //   dst[(jp * kb + p) * kNr + j] = op(B)(pc + p, jc + jp*kNr + j)
-// with zero padding for columns past nb.
+// with zero padding for columns past nb.  B^T (every Linear weight) is
+// packed by 8x8 register transposes; the scalar loop covers ragged panels
+// and depth tails.
 void pack_b_block(float* dst, const float* b, std::int64_t n, std::int64_t k,
                   bool trans_b, std::int64_t jc, std::int64_t pc,
                   std::int64_t nb, std::int64_t kb) {
@@ -90,24 +138,58 @@ void pack_b_block(float* dst, const float* b, std::int64_t n, std::int64_t k,
         for (std::int64_t j = 0; j < cols; ++j) row[j] = src[j];
         for (std::int64_t j = cols; j < kNr; ++j) row[j] = 0.0F;
       }
-    } else {
-      for (std::int64_t j = 0; j < cols; ++j) {
-        const float* src = b + (jc + jp * kNr + j) * k + pc;
-        for (std::int64_t p = 0; p < kb; ++p) pdst[p * kNr + j] = src[p];
+      continue;
+    }
+    // Column j of the panel is row jc + jp*kNr + j of the stored B.
+    const float* src = b + (jc + jp * kNr) * k + pc;
+    auto copy_scalar = [&](std::int64_t j0, std::int64_t j1, std::int64_t p0) {
+      for (std::int64_t j = j0; j < j1; ++j) {
+        for (std::int64_t p = p0; p < kb; ++p) {
+          pdst[p * kNr + j] = src[j * k + p];
+        }
       }
-      for (std::int64_t p = 0; p < kb; ++p) {
-        for (std::int64_t j = cols; j < kNr; ++j) pdst[p * kNr + j] = 0.0F;
+    };
+    std::int64_t j0 = 0;
+#if defined(__AVX__)
+    const std::int64_t kb8 = kb - kb % 8;
+    for (; j0 + 8 <= cols; j0 += 8) {
+      for (std::int64_t p = 0; p < kb8; p += 8) {
+        transpose_8x8(src + j0 * k + p, k, pdst + p * kNr + j0, kNr);
       }
+      copy_scalar(j0, j0 + 8, kb8);
+    }
+#endif
+    copy_scalar(j0, cols, 0);
+    for (std::int64_t p = 0; p < kb; ++p) {
+      for (std::int64_t j = cols; j < kNr; ++j) pdst[p * kNr + j] = 0.0F;
     }
   }
 }
 
-// acc[kMr x kNr] += Apanel @ Bpanel over kb packed depth steps.  Written
-// with explicit SIMD so the accumulator tile provably stays in vector
-// registers (autovectorizers spill it); per-element accumulation order is
+// Where the micro-kernel reads op(A)(r, p) for its kMr tile rows: a packed
+// panel, or kMr row pointers into row-major A.  Both feed the identical
+// FMA sequence, so which one a tile uses never changes its bits.
+struct PackedA {
+  const float* panel;  // panel[p * kMr + r]
+  float operator()(std::int64_t r, std::int64_t p) const {
+    return panel[p * kMr + r];
+  }
+};
+
+struct RowMajorA {
+  const float* rows[kMr];  // rows[r][p]
+  float operator()(std::int64_t r, std::int64_t p) const {
+    return rows[r][p];
+  }
+};
+
+// acc[kMr x kNr] = A @ Bpanel over kb depth steps.  Written with explicit
+// SIMD so the accumulator tile provably stays in vector registers
+// (autovectorizers spill it); per-element accumulation order is
 // k-ascending in every variant, so results stay run-to-run deterministic.
 #if defined(__AVX512F__)
-inline void micro_kernel(std::int64_t kb, const float* __restrict__ ap,
+template <class ASource>
+inline void micro_kernel(std::int64_t kb, const ASource& a,
                          const float* __restrict__ bp,
                          float* __restrict__ acc) {
   static_assert(kNr == 16, "AVX-512 micro-kernel assumes one zmm per row");
@@ -115,15 +197,15 @@ inline void micro_kernel(std::int64_t kb, const float* __restrict__ ap,
   for (std::int64_t r = 0; r < kMr; ++r) c[r] = _mm512_setzero_ps();
   for (std::int64_t p = 0; p < kb; ++p) {
     const __m512 bvec = _mm512_loadu_ps(bp + p * kNr);
-    const float* arow = ap + p * kMr;
     for (std::int64_t r = 0; r < kMr; ++r) {
-      c[r] = _mm512_fmadd_ps(_mm512_set1_ps(arow[r]), bvec, c[r]);
+      c[r] = _mm512_fmadd_ps(_mm512_set1_ps(a(r, p)), bvec, c[r]);
     }
   }
   for (std::int64_t r = 0; r < kMr; ++r) _mm512_storeu_ps(acc + r * kNr, c[r]);
 }
 #elif defined(__AVX2__) && defined(__FMA__)
-inline void micro_kernel(std::int64_t kb, const float* __restrict__ ap,
+template <class ASource>
+inline void micro_kernel(std::int64_t kb, const ASource& a,
                          const float* __restrict__ bp,
                          float* __restrict__ acc) {
   static_assert(kNr == 16, "AVX2 micro-kernel assumes two ymm per row");
@@ -136,9 +218,8 @@ inline void micro_kernel(std::int64_t kb, const float* __restrict__ ap,
   for (std::int64_t p = 0; p < kb; ++p) {
     const __m256 blo = _mm256_loadu_ps(bp + p * kNr);
     const __m256 bhi = _mm256_loadu_ps(bp + p * kNr + 8);
-    const float* arow = ap + p * kMr;
     for (std::int64_t r = 0; r < kMr; ++r) {
-      const __m256 av = _mm256_set1_ps(arow[r]);
+      const __m256 av = _mm256_set1_ps(a(r, p));
       lo[r] = _mm256_fmadd_ps(av, blo, lo[r]);
       hi[r] = _mm256_fmadd_ps(av, bhi, hi[r]);
     }
@@ -149,15 +230,15 @@ inline void micro_kernel(std::int64_t kb, const float* __restrict__ ap,
   }
 }
 #else
-inline void micro_kernel(std::int64_t kb, const float* __restrict__ ap,
+template <class ASource>
+inline void micro_kernel(std::int64_t kb, const ASource& a,
                          const float* __restrict__ bp,
                          float* __restrict__ acc) {
   std::fill_n(acc, kMr * kNr, 0.0F);
   for (std::int64_t p = 0; p < kb; ++p) {
-    const float* arow = ap + p * kMr;
     const float* brow = bp + p * kNr;
     for (std::int64_t r = 0; r < kMr; ++r) {
-      const float av = arow[r];
+      const float av = a(r, p);
       float* accr = acc + r * kNr;
       for (std::int64_t j = 0; j < kNr; ++j) accr[j] += av * brow[j];
     }
@@ -167,10 +248,12 @@ inline void micro_kernel(std::int64_t kb, const float* __restrict__ ap,
 
 // Write an accumulated tile into C.  On the first depth block beta applies
 // (beta == 0 must not read C: freshly allocated outputs are uninitialized);
-// later depth blocks accumulate.
+// later depth blocks accumulate.  `bias` (last depth block only) is added
+// after the tile is complete, as a separate rounding, exactly like an
+// add_bias pass over the finished product.
 inline void store_tile(float* c, std::int64_t ldc, const float* acc,
                        std::int64_t rows, std::int64_t cols, float alpha,
-                       float beta, bool first_kblock) {
+                       float beta, bool first_kblock, const float* bias) {
   for (std::int64_t r = 0; r < rows; ++r) {
     float* crow = c + r * ldc;
     const float* arow = acc + r * kNr;
@@ -185,13 +268,61 @@ inline void store_tile(float* c, std::int64_t ldc, const float* acc,
     } else {
       for (std::int64_t j = 0; j < cols; ++j) crow[j] += alpha * arow[j];
     }
+    if (bias != nullptr) {
+      for (std::int64_t j = 0; j < cols; ++j) crow[j] += bias[j];
+    }
   }
+}
+
+// crow[0:n] = fma(alpha * a(p), B[p, 0:n], crow) for p ascending, skipping
+// p where alpha * a(p) == 0.  a(p) is op(A)(i, p) for the row being built.
+// The C row stays in registers across the depth loop; per element this is
+// the same FMA chain the compiler emitted for the plain loop below.
+template <class ARow>
+inline void small_row_nn(float* __restrict__ crow, const float* __restrict__ b,
+                         std::int64_t n, std::int64_t k, float alpha,
+                         ARow a) {
+#if defined(__AVX512F__)
+  for (std::int64_t j0 = 0; j0 < n; j0 += 16) {
+    const std::int64_t lanes = std::min<std::int64_t>(16, n - j0);
+    const auto mask = static_cast<__mmask16>((1U << lanes) - 1U);
+    __m512 c = _mm512_maskz_loadu_ps(mask, crow + j0);
+    for (std::int64_t p = 0; p < k; ++p) {
+      const float av = alpha * a(p);
+      if (av == 0.0F) continue;
+      c = _mm512_fmadd_ps(_mm512_set1_ps(av),
+                          _mm512_maskz_loadu_ps(mask, b + p * n + j0), c);
+    }
+    _mm512_mask_storeu_ps(crow + j0, mask, c);
+  }
+#elif defined(__AVX2__) && defined(__FMA__)
+  for (std::int64_t j0 = 0; j0 < n; j0 += 8) {
+    const auto lanes = static_cast<int>(std::min<std::int64_t>(8, n - j0));
+    const __m256i mask = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(lanes), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    __m256 c = _mm256_maskload_ps(crow + j0, mask);
+    for (std::int64_t p = 0; p < k; ++p) {
+      const float av = alpha * a(p);
+      if (av == 0.0F) continue;
+      c = _mm256_fmadd_ps(_mm256_set1_ps(av),
+                          _mm256_maskload_ps(b + p * n + j0, mask), c);
+    }
+    _mm256_maskstore_ps(crow + j0, mask, c);
+  }
+#else
+  for (std::int64_t p = 0; p < k; ++p) {
+    const float av = alpha * a(p);
+    if (av == 0.0F) continue;
+    const float* brow = b + p * n;
+    for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+  }
+#endif
 }
 
 // Reference-style ikj loop for problems too small to amortize packing.
 void gemm_small(const float* a, const float* b, float* c, std::int64_t m,
                 std::int64_t n, std::int64_t k, bool trans_a, bool trans_b,
-                float alpha, float beta) {
+                float alpha, float beta, const float* bias) {
   for (std::int64_t i = 0; i < m; ++i) {
     float* crow = c + i * n;
     if (beta == 0.0F) {
@@ -200,11 +331,12 @@ void gemm_small(const float* a, const float* b, float* c, std::int64_t m,
       for (std::int64_t j = 0; j < n; ++j) crow[j] *= beta;
     }
     if (!trans_b) {
-      for (std::int64_t p = 0; p < k; ++p) {
-        const float av = alpha * (trans_a ? a[p * m + i] : a[i * k + p]);
-        if (av == 0.0F) continue;
-        const float* brow = b + p * n;
-        for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+      if (trans_a) {
+        small_row_nn(crow, b, n, k, alpha,
+                     [=](std::int64_t p) { return a[p * m + i]; });
+      } else {
+        small_row_nn(crow, b, n, k, alpha,
+                     [=](std::int64_t p) { return a[i * k + p]; });
       }
     } else {
       for (std::int64_t j = 0; j < n; ++j) {
@@ -219,50 +351,70 @@ void gemm_small(const float* a, const float* b, float* c, std::int64_t m,
         crow[j] += alpha * acc;
       }
     }
+    if (bias != nullptr) {
+      for (std::int64_t j = 0; j < n; ++j) crow[j] += bias[j];
+    }
   }
 }
 
 void gemm_impl(const float* a, const float* b, float* c, std::int64_t m,
                std::int64_t n, std::int64_t k, bool trans_a, bool trans_b,
-               float alpha, float beta, bool allow_threads) {
+               float alpha, float beta, const float* bias,
+               bool allow_threads) {
   if (m <= 0 || n <= 0) return;
   if (m * n * k < kSmallGemmFlops) {
-    gemm_small(a, b, c, m, n, k, trans_a, trans_b, alpha, beta);
+    gemm_small(a, b, c, m, n, k, trans_a, trans_b, alpha, beta, bias);
     return;
   }
   const bool threads =
       allow_threads && m * n * k >= kGemmParallelFlops;
-  std::vector<float> b_pack;
   for (std::int64_t jc = 0; jc < n; jc += kNc) {
     const std::int64_t nb = std::min<std::int64_t>(kNc, n - jc);
     const std::int64_t jpanels = ceil_div(nb, kNr);
     for (std::int64_t pc = 0; pc < k; pc += kKc) {
       const std::int64_t kb = std::min<std::int64_t>(kKc, k - pc);
-      b_pack.resize(static_cast<std::size_t>(jpanels * kb * kNr));
-      pack_b_block(b_pack.data(), b, n, k, trans_b, jc, pc, nb, kb);
+      float* b_pack = pack_workspace(kPackB, jpanels * kb * kNr);
+      pack_b_block(b_pack, b, n, k, trans_b, jc, pc, nb, kb);
       const bool first = pc == 0;
+      const float* block_bias = pc + kb == k && bias != nullptr
+                                    ? bias + jc
+                                    : nullptr;
 
       const std::int64_t mblocks = ceil_div(m, kMc);
       auto block_body = [&](std::int64_t blk_begin, std::int64_t blk_end) {
-        std::vector<float> a_pack(
-            static_cast<std::size_t>(ceil_div(kMc, kMr) * kMr * kb));
         alignas(64) float acc[kMr * kNr];
         for (std::int64_t blk = blk_begin; blk < blk_end; ++blk) {
           const std::int64_t ic = blk * kMc;
           const std::int64_t mb = std::min<std::int64_t>(kMc, m - ic);
-          pack_a_block(a_pack.data(), a, m, k, trans_a, ic, pc, mb, kb);
           const std::int64_t ipanels = ceil_div(mb, kMr);
+          float* a_pack = nullptr;
+          if (trans_a) {
+            a_pack = pack_workspace(kPackA, ipanels * kMr * kb);
+            pack_a_transposed(a_pack, a, m, ic, pc, mb, kb);
+          }
           for (std::int64_t jp = 0; jp < jpanels; ++jp) {
-            const float* bp = b_pack.data() + jp * kb * kNr;
+            const float* bp = b_pack + jp * kb * kNr;
             const std::int64_t cols =
                 std::min<std::int64_t>(kNr, nb - jp * kNr);
+            const float* tile_bias =
+                block_bias != nullptr ? block_bias + jp * kNr : nullptr;
             for (std::int64_t ip = 0; ip < ipanels; ++ip) {
-              const float* ap = a_pack.data() + ip * kb * kMr;
-              micro_kernel(kb, ap, bp, acc);
               const std::int64_t rows =
                   std::min<std::int64_t>(kMr, mb - ip * kMr);
+              if (trans_a) {
+                micro_kernel(kb, PackedA{a_pack + ip * kb * kMr}, bp, acc);
+              } else {
+                // Rows past the ragged edge repeat the last valid row; their
+                // results are never stored.
+                RowMajorA rows_a;
+                for (std::int64_t r = 0; r < kMr; ++r) {
+                  rows_a.rows[r] =
+                      a + (ic + ip * kMr + std::min(r, rows - 1)) * k + pc;
+                }
+                micro_kernel(kb, rows_a, bp, acc);
+              }
               store_tile(c + (ic + ip * kMr) * n + jc + jp * kNr, n, acc,
-                         rows, cols, alpha, beta, first);
+                         rows, cols, alpha, beta, first, tile_bias);
             }
           }
         }
@@ -278,12 +430,24 @@ void gemm_impl(const float* a, const float* b, float* c, std::int64_t m,
 
 }  // namespace
 
+const char* gemm_isa() {
+#if defined(__AVX512F__)
+  return "avx512";
+#elif defined(__AVX2__) && defined(__FMA__)
+  return "avx2";
+#else
+  return "scalar";
+#endif
+}
+
 void gemm_raw(const float* a, const float* b, float* c, std::int64_t m,
               std::int64_t n, std::int64_t k, bool trans_a, bool trans_b,
-              float alpha, float beta) {
+              float alpha, float beta, const float* bias) {
   // a: op(A)[m,k]; stored [m,k] if !trans_a, else [k,m].
   // b: op(B)[k,n]; stored [k,n] if !trans_b, else [n,k].
-  gemm_impl(a, b, c, m, n, k, trans_a, trans_b, alpha, beta,
+  PAC_CHECK(bias == nullptr || (alpha == 1.0F && beta == 0.0F),
+            "gemm_raw: a fused bias needs alpha 1 and beta 0");
+  gemm_impl(a, b, c, m, n, k, trans_a, trans_b, alpha, beta, bias,
             /*allow_threads=*/true);
 }
 
@@ -303,7 +467,8 @@ void gemm_batched(const float* a, const float* b, float* c, std::int64_t batch,
   auto body = [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t i = begin; i < end; ++i) {
       gemm_impl(a + i * stride_a, b + i * stride_b, c + i * stride_c, m, n, k,
-                trans_a, trans_b, alpha, beta, /*allow_threads=*/false);
+                trans_a, trans_b, alpha, beta, /*bias=*/nullptr,
+                /*allow_threads=*/false);
     }
   };
   if (batch * m * n * k >= kGemmParallelFlops) {

@@ -53,16 +53,18 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-Tensor matmul_nt(const Tensor& a, const Tensor& b) {
+Tensor matmul_nt(const Tensor& a, const Tensor& b, const Tensor* bias) {
   const MatView av = as_2d(a);
   const MatView bv = as_2d(b);
   PAC_CHECK(av.cols == bv.cols, "matmul_nt: " << shape_to_string(a.shape())
                                               << " @ "
                                               << shape_to_string(b.shape())
                                               << "^T");
+  PAC_CHECK(bias == nullptr || bias->numel() == bv.rows,
+            "matmul_nt: bias numel " << bias->numel() << " vs " << bv.rows);
   Tensor c({av.rows, bv.rows});
   gemm_raw(a.data(), b.data(), c.data(), av.rows, bv.rows, av.cols, false,
-           true, 1.0F, 0.0F);
+           true, 1.0F, 0.0F, bias != nullptr ? bias->data() : nullptr);
   return c;
 }
 

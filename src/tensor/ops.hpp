@@ -23,10 +23,15 @@ namespace pac::ops {
 // ---------------------------------------------------------------------------
 // GEMM: C = alpha * op(A) @ op(B) + beta * C
 //   op(A) is [m, k], op(B) is [k, n], C is [m, n].
+// An optional `bias` (n floats; needs alpha == 1 and beta == 0) is added to
+// every row of the product, with the same bits as add_bias afterwards.
 // ---------------------------------------------------------------------------
 void gemm_raw(const float* a, const float* b, float* c, std::int64_t m,
               std::int64_t n, std::int64_t k, bool trans_a, bool trans_b,
-              float alpha, float beta);
+              float alpha, float beta, const float* bias = nullptr);
+
+// Instruction set gemm.cpp was compiled for: "avx512", "avx2" or "scalar".
+const char* gemm_isa();
 
 // Batched GEMM over `batch` independent problems of identical shape:
 //   C_i = alpha * op(A_i) @ op(B_i) + beta * C_i
@@ -41,8 +46,9 @@ void gemm_batched(const float* a, const float* b, float* c, std::int64_t batch,
 
 // C = A[m,k] @ B[k,n]
 Tensor matmul(const Tensor& a, const Tensor& b);
-// C = A[m,k] @ B[n,k]^T
-Tensor matmul_nt(const Tensor& a, const Tensor& b);
+// C = A[m,k] @ B[n,k]^T (+ bias[n] on every row, fused into the store)
+Tensor matmul_nt(const Tensor& a, const Tensor& b,
+                 const Tensor* bias = nullptr);
 // C = A[k,m]^T @ B[k,n]
 Tensor matmul_tn(const Tensor& a, const Tensor& b);
 // C += alpha * op(A) @ op(B); shapes must already agree.

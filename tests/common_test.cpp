@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -150,6 +151,33 @@ TEST(ThreadPoolTest, SingleThreadPoolWorks) {
     total += e - b;
   });
   EXPECT_EQ(total, 100000);
+}
+
+// Many short dispatches from several callers at once: every parallel_for
+// returns while its last worker may still be finishing the completion
+// handshake, which used to touch the caller's already-destroyed mutex and
+// condvar (an abort, or a TSan report).
+TEST(ThreadPoolTest, ConcurrentShortDispatchesFromManyCallers) {
+  ThreadPool pool(4);
+  constexpr int kCallers = 4;
+  constexpr int kCallsEach = 2500;
+  std::atomic<std::int64_t> total{0};
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&] {
+      for (int i = 0; i < kCallsEach; ++i) {
+        pool.parallel_for(
+            8,
+            [&](std::int64_t b, std::int64_t e) {
+              total.fetch_add(e - b, std::memory_order_relaxed);
+            },
+            /*grain=*/1);
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  EXPECT_EQ(total.load(), std::int64_t{kCallers} * kCallsEach * 8);
 }
 
 TEST(SerializeTest, RoundTripScalars) {

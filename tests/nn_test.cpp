@@ -141,6 +141,38 @@ TEST(LinearTest, LoraGradCheck) {
   grad_check(lin, x);
 }
 
+// The side network's taps on the frozen backbone skip dx: their parameter
+// gradients must be exactly what backward() accumulates, with and without
+// LoRA, and the saved context must still be consumed.
+TEST(LinearTest, ParamOnlyBackwardMatchesBackwardGrads) {
+  for (const bool lora : {false, true}) {
+    Rng rng_a(9);
+    Rng rng_b(9);
+    Linear full("fc", 6, 5, rng_a);
+    Linear param_only("fc", 6, 5, rng_b);
+    if (lora) {
+      full.enable_lora(LoraSpec{2, 4.0F}, rng_a);
+      param_only.enable_lora(LoraSpec{2, 4.0F}, rng_b);
+    }
+    Rng data(10);
+    const Tensor x = Tensor::randn({2, 3, 6}, data);
+    const Tensor dy = Tensor::randn({2, 3, 5}, data);
+    full.forward(x);
+    param_only.forward(x);
+    full.backward(dy);
+    param_only.accumulate_param_grads(dy);
+    EXPECT_EQ(param_only.pending_contexts(), 0U);
+    ParameterList want = full.parameters();
+    ParameterList got = param_only.parameters();
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      if (!want[i]->trainable()) continue;
+      EXPECT_EQ(ops::max_abs_diff(want[i]->grad(), got[i]->grad()), 0.0F)
+          << want[i]->name() << " lora=" << lora;
+    }
+  }
+}
+
 TEST(LinearTest, DoubleLoraThrows) {
   Rng rng(6);
   Linear lin("fc", 4, 4, rng);

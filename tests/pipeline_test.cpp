@@ -169,6 +169,11 @@ struct ParityCase {
   ScheduleKind schedule = ScheduleKind::k1F1B;
 };
 
+// Print the case by name: gtest's default byte dump would embed the
+// std::string's heap pointer in the listed test name, which then differs
+// from one process to the next.
+void PrintTo(const ParityCase& pc, std::ostream* os) { *os << pc.name; }
+
 data::SyntheticGlueDataset parity_dataset() {
   data::DatasetConfig cfg;
   cfg.task = data::GlueTask::kSst2;

@@ -1,14 +1,16 @@
 // Distributed-runtime micro-benchmarks (google-benchmark): transport
 // point-to-point, ring vs naive AllReduce (ablation §5 of DESIGN.md),
 // 1F1B vs GPipe end-to-end on the executed engine, and the BM_Comm*
-// overlap pair — sync vs async engine on a simulated 128 Mbps link, and
-// cold vs prefetched cache fetches (recorded to BENCH_comm.json by
-// scripts/bench.sh --suite comm).
+// rows — the overlapped pipeline on a simulated 128 Mbps link (in-proc,
+// TCP loopback, WAN-shaped, traced) and cold vs prefetched cache fetches
+// (recorded to BENCH_comm.json by scripts/bench.sh --suite comm).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <filesystem>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <thread>
 
 #include "cache/activation_cache.hpp"
@@ -108,25 +110,26 @@ BENCHMARK(BM_PipelineGPipe);
 
 // ---------------------------------------------------------------------------
 // Compute/comm overlap: one 1F1B training epoch on a simulated 128 Mbps /
-// 1 ms edge link, synchronous engine (Arg 0) vs async engine (Arg 1).
-// Each iteration runs the same one-mini-batch schedule, so the per-
-// iteration ratio IS the per-mini-batch pipeline wall-clock ratio.
+// 1 ms edge link.  Each iteration runs the same one-mini-batch schedule,
+// so the per-iteration time IS the per-mini-batch pipeline wall clock.
 //
-// Shape rationale: the async win is the heavy stage's inline send sleeps
-// coming off its critical path, so the split is deliberately unbalanced
-// (13 blocks vs 1) the way PAC's planner splits for heterogeneous edge
-// devices, and the model is sized so per-micro compute and per-micro
-// link time are comparable (a toy model under a 1 ms link is pure comm
-// and nothing can hide it).  Single-device stages keep the bench honest
-// on small CI hosts: with device groups sharing one core, a co-located
-// rank's compute fills the sync engine's sleep gaps at the wall-clock
-// level and both modes converge to the total-compute floor.
+// Shape rationale: the overlap win is the heavy stage's send sleeps
+// running on the sender thread instead of its critical path, so the split
+// is deliberately unbalanced (13 blocks vs 1) the way PAC's planner splits
+// for heterogeneous edge devices, and the model is sized so per-micro
+// compute and per-micro link time are comparable (a toy model under a
+// 1 ms link is pure comm and nothing can hide it).  Single-device stages
+// keep the bench honest on small CI hosts, where co-located ranks would
+// otherwise share one core.
 // ---------------------------------------------------------------------------
 
 enum class CommBackend { kInProc, kTcpLoopback };
 
-void run_comm_pipeline_bench(benchmark::State& state, bool async_comm,
-                             CommBackend backend, double shape_mbps = 0.0) {
+// `trace_path` non-empty: one live TraceSession (+ counters) spans every
+// iteration, dumped there at the end.
+void run_comm_pipeline_bench(benchmark::State& state, CommBackend backend,
+                             double shape_mbps = 0.0,
+                             const std::string& trace_path = "") {
   data::DatasetConfig dcfg;
   dcfg.task = data::GlueTask::kSst2;
   dcfg.train_samples = 32;
@@ -152,6 +155,12 @@ void run_comm_pipeline_bench(benchmark::State& state, bool async_comm,
     faults.shape_bandwidth_bps = shape_mbps * 1e6;
     faults.shape_burst_bytes = 16 * 1024;
   }
+  std::optional<obs::TraceSession> trace;
+  if (!trace_path.empty()) {
+    obs::TraceSession::Options opts;
+    opts.path = trace_path;
+    trace.emplace(opts);
+  }
   for (auto _ : state) {
     dist::EdgeCluster cluster(2, std::numeric_limits<std::uint64_t>::max(),
                               lan);
@@ -162,7 +171,6 @@ void run_comm_pipeline_bench(benchmark::State& state, bool async_comm,
     pipeline::RunConfig cfg;
     cfg.plan.stages = {s0, s1};
     cfg.plan.num_micro_batches = 16;
-    cfg.async_comm = async_comm;
     cfg.batch_size = 32;
     cfg.epochs = 1;
     cfg.run_eval = false;
@@ -173,79 +181,39 @@ void run_comm_pipeline_bench(benchmark::State& state, bool async_comm,
 }
 
 void BM_CommPipelineMiniBatch(benchmark::State& state) {
-  run_comm_pipeline_bench(state, state.range(0) == 1, CommBackend::kInProc);
+  run_comm_pipeline_bench(state, CommBackend::kInProc);
 }
 // UseRealTime: nearly all of an iteration is link sleeps and cross-thread
 // waits, so CPU time would both misreport the result and make the harness
 // run hundreds of iterations to fill --benchmark_min_time.
 BENCHMARK(BM_CommPipelineMiniBatch)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
 // The same mini-batch over real TCP loopback sockets (every rank its own
-// endpoint, frames through the kernel): the delta against the matching
-// BM_CommPipelineMiniBatch arg is the wire cost of the transport backend —
+// endpoint, frames through the kernel): the delta against
+// BM_CommPipelineMiniBatch is the wire cost of the transport backend —
 // framing, syscalls, loopback copies — on top of the modeled link.
-// range(1) is WAN token-bucket shaping in Mbps (0 = unshaped): the shaped
-// rows price the same mini-batch on a constrained cross-machine link, and
-// the async-vs-sync delta shows how much of that cost overlap hides.
+// range(0) is WAN token-bucket shaping in Mbps (0 = unshaped): the shaped
+// row prices the same mini-batch on a constrained cross-machine link.
 void BM_CommPipelineMiniBatchTcp(benchmark::State& state) {
-  run_comm_pipeline_bench(state, state.range(0) == 1,
-                          CommBackend::kTcpLoopback,
-                          static_cast<double>(state.range(1)));
+  run_comm_pipeline_bench(state, CommBackend::kTcpLoopback,
+                          static_cast<double>(state.range(0)));
 }
 BENCHMARK(BM_CommPipelineMiniBatchTcp)
-    ->ArgNames({"async", "shape_mbps"})
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({0, 64})
-    ->Args({1, 64})
+    ->ArgNames({"shape_mbps"})
+    ->Arg(0)
+    ->Arg(64)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Same async workload with a live TraceSession + counters.  Compare
-// against BM_CommPipelineMiniBatch/1 for the observability-*enabled* cost;
-// the disabled cost is BM_CommPipelineMiniBatch/1 itself against the
-// tracked pre-instrumentation BENCH_comm.json baseline (instrumentation is
-// always compiled in; the acceptance bar is <2% when disabled).
+// Same workload with a live TraceSession + counters.  Compare against
+// BM_CommPipelineMiniBatch for the observability-*enabled* cost
+// (instrumentation is always compiled in; the acceptance bar is <2% when
+// disabled).
 void BM_CommPipelineMiniBatchObs(benchmark::State& state) {
-  data::DatasetConfig dcfg;
-  dcfg.task = data::GlueTask::kSst2;
-  dcfg.train_samples = 32;
-  dcfg.eval_samples = 8;
-  dcfg.seq_len = 32;
-  dcfg.vocab = 32;
-  data::SyntheticGlueDataset ds(dcfg);
-  auto factory = [] {
-    model::TechniqueConfig tc;
-    tc.technique = model::Technique::kParallelAdapters;
-    tc.pa_reduction = 4;
-    return std::make_unique<model::Model>(model::tiny(12, 64, 2, 32, 32), tc,
-                                          model::TaskSpec{}, 12);
-  };
-  pipeline::StageAssignment s0{0, 13, {0}, {}};
-  pipeline::StageAssignment s1{13, 14, {1}, {}};
-  dist::LinkModel lan;
-  lan.simulate_delay = true;
-  obs::TraceSession::Options opts;
-  opts.path = "/tmp/pac_bench_obs_trace.json";
-  obs::TraceSession trace(opts);  // one session spans all iterations
-  for (auto _ : state) {
-    dist::EdgeCluster cluster(2, std::numeric_limits<std::uint64_t>::max(),
-                              lan);
-    pipeline::RunConfig cfg;
-    cfg.plan.stages = {s0, s1};
-    cfg.plan.num_micro_batches = 16;
-    cfg.async_comm = true;
-    cfg.batch_size = 32;
-    cfg.epochs = 1;
-    cfg.run_eval = false;
-    auto r = run_training(cluster, ds, factory, cfg);
-    benchmark::DoNotOptimize(r.epoch_losses.data());
-  }
-  state.SetItemsProcessed(state.iterations());
+  run_comm_pipeline_bench(state, CommBackend::kInProc, 0.0,
+                          "/tmp/pac_bench_obs_trace.json");
 }
 BENCHMARK(BM_CommPipelineMiniBatchObs)
     ->Unit(benchmark::kMillisecond)

@@ -7,8 +7,9 @@
 #                    results discarded (used by scripts/ci.sh to keep the
 #                    bench suites compiling and running); no JSON written.
 #   --suite kernels  micro_kernels -> BENCH_kernels.json (default)
-#   --suite comm     micro_dist BM_Comm* (sync-vs-async overlap pair on the
-#                    simulated 128 Mbps link, cache prefetch, and the
+#   --suite comm     micro_dist BM_Comm* (overlapped pipeline mini-batch on
+#                    the simulated 128 Mbps link over in-proc, TCP
+#                    loopback and WAN-shaped links, cache prefetch, and the
 #                    quantized-cache session with its cache/redistribution
 #                    byte counters), BM_CacheQuantizeRoundTrip (codec
 #                    throughput per dtype), and BM_ElasticReplan (straggler

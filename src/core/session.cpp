@@ -153,7 +153,6 @@ SessionReport Session::run() {
   if (config_.obs_enabled || !config_.trace_path.empty()) {
     obs::TraceSession::Options opts;
     opts.path = config_.trace_path;
-    opts.ring_capacity = config_.trace_ring_capacity;
     obs::CounterRegistry::instance().reset();
     trace = std::make_unique<obs::TraceSession>(std::move(opts));
     obs::set_thread_name("session", 0);
@@ -292,8 +291,6 @@ SessionReport Session::run_attempt() {
     pipeline::RunConfig run;
     run.plan = report.plan.plan;
     run.schedule = config_.schedule;
-    run.allreduce = config_.allreduce;
-    run.async_comm = config_.async_comm;
     run.allreduce_bucket_bytes = config_.allreduce_bucket_bytes;
     run.batch_size = config_.batch_size;
     run.epochs = cache_phase ? 1 : config_.epochs;
@@ -374,8 +371,7 @@ SessionReport Session::run_attempt() {
     run.device_batch_size = std::max<std::int64_t>(
         1, config_.batch_size / cluster_.num_alive());
     run.lr = config_.lr;
-    run.allreduce = config_.allreduce;
-    run.prefetch = config_.async_comm && config_.cache_prefetch;
+    run.prefetch = config_.cache_prefetch;
     run.shuffle_seed = config_.shuffle_seed + 991;
     run.run_eval = config_.run_eval;
     run.recovery = &recovery;

@@ -54,14 +54,12 @@ struct SessionConfig {
   quant::Dtype cache_dtype = quant::Dtype::kF32;
 
   pipeline::ScheduleKind schedule = pipeline::ScheduleKind::k1F1B;
-  dist::AllReduceAlgo allreduce = dist::AllReduceAlgo::kRing;
   bool run_eval = true;
 
-  // Communication overlap (see pipeline::RunConfig): async point-to-point
-  // sends/recvs and the bucketed grad AllReduce in phase 1, background
-  // cache prefetch in phase 2.  Loss trajectories are bit-identical with
-  // these on or off.
-  bool async_comm = true;
+  // Phase 1 always overlaps communication with compute (see
+  // pipeline::StageWorker); this sets its grad-bucket size.  Phase 2
+  // prefetches disk-cached activations in the background unless
+  // cache_prefetch is off.  Loss trajectories are identical either way.
   std::int64_t allreduce_bucket_bytes = 256 * 1024;
   bool cache_prefetch = true;
 
@@ -115,7 +113,6 @@ struct SessionConfig {
   // no trajectory, but leaving it on would grow rings on every test.
   bool obs_enabled = false;
   std::string trace_path;
-  std::size_t trace_ring_capacity = 1 << 14;  // events per thread
 };
 
 struct SessionReport {

@@ -35,8 +35,6 @@ FaultInjector::FaultInjector(FaultPlan plan, int world_size)
   PAC_CHECK(plan_.shape_bandwidth_bps >= 0.0,
             "shape_bandwidth_bps must be >= 0");
   PAC_CHECK(plan_.shape_burst_bytes > 0, "shape_burst_bytes must be > 0");
-  PAC_CHECK((plan_.loss_burst_period == 0) == (plan_.loss_burst_len == 0),
-            "loss bursts need both loss_burst_period and loss_burst_len");
   for (const auto& [link, every] : plan_.tcp_cut_every_frames) {
     PAC_CHECK(link.first >= 0 && link.first < world_size && link.second >= 0 &&
                   link.second < world_size,
@@ -165,14 +163,6 @@ double FaultInjector::shape_delay_s(int from, std::uint64_t bytes) {
   const double deficit = need - s.tokens;
   s.tokens = 0.0;
   return deficit * 8.0 / plan_.shape_bandwidth_bps;
-}
-
-bool FaultInjector::in_loss_burst(int from, int to) {
-  if (plan_.loss_burst_len == 0) return false;
-  std::lock_guard<std::mutex> guard(mutex_);
-  const std::uint64_t attempt = loss_attempts_[{from, to}]++;
-  const std::uint64_t cycle = plan_.loss_burst_period + plan_.loss_burst_len;
-  return attempt % cycle >= plan_.loss_burst_period;
 }
 
 bool FaultInjector::tcp_cut_due(int from, int to) {

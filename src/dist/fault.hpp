@@ -64,13 +64,6 @@ struct FaultPlan {
   double shape_bandwidth_bps = 0.0;  // 0 = off
   std::uint64_t shape_burst_bytes = 256 * 1024;
 
-  // Burst loss episodes: counting each directed link's send attempts, every
-  // cycle of (loss_burst_period + loss_burst_len) attempts ends with
-  // `loss_burst_len` transient failures — a WAN loss *episode* rather than
-  // the i.i.d. drops of send_failure_probability.
-  std::uint64_t loss_burst_period = 0;  // attempts between episodes; 0 = off
-  std::uint64_t loss_burst_len = 0;     // failing attempts per episode
-
   // Forced link cut: the TCP socket of directed link (from, to) is dropped
   // every N wire frames, exercising the reconnect/resync path.  Interpreted
   // only by TcpTransport; the in-proc and shm backends ignore it, so cut
@@ -81,7 +74,7 @@ struct FaultPlan {
     return delay_probability > 0.0 || reorder_probability > 0.0 ||
            send_failure_probability > 0.0 || !death_after_ops.empty() ||
            !throttle_after_ops.empty() || shape_bandwidth_bps > 0.0 ||
-           loss_burst_len > 0 || !tcp_cut_every_frames.empty();
+           !tcp_cut_every_frames.empty();
   }
 };
 
@@ -127,11 +120,6 @@ class FaultInjector {
   // bandwidth cap (0 when shaping is off or the bucket has room).
   double shape_delay_s(int from, std::uint64_t bytes);
 
-  // True when this send attempt on (from -> to) falls inside a scheduled
-  // loss episode (the caller throws TransientSendError).  Every call counts
-  // one attempt.
-  bool in_loss_burst(int from, int to);
-
   // True when the wire frame about to go out on TCP link (from -> to) hits
   // a scheduled cut (the transport drops its socket first).  Every call
   // counts one frame.
@@ -158,7 +146,6 @@ class FaultInjector {
   std::map<std::tuple<int, int, int>, LinkState> links_;
   std::vector<std::uint64_t> ops_by_rank_;
   std::map<int, ShapeState> shape_;  // token bucket per sending rank
-  std::map<std::pair<int, int>, std::uint64_t> loss_attempts_;
   std::map<std::pair<int, int>, std::uint64_t> cut_frames_;
 };
 

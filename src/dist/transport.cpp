@@ -58,11 +58,6 @@ void Transport::run_send_faults(int from, int to, int tag,
                              std::to_string(from) + " -> " +
                              std::to_string(to));
   }
-  if (faults_.active() && from != to && faults_.in_loss_burst(from, to)) {
-    throw TransientSendError("injected loss episode on link " +
-                             std::to_string(from) + " -> " +
-                             std::to_string(to));
-  }
   if (faults_.active()) {
     const double ms = faults_.delay_ms(from, to, tag);
     if (ms > 0.0) {

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "pipeline/schedule.hpp"
 
 namespace pac::pipeline {
 
@@ -34,6 +35,32 @@ std::vector<int> micro_owner_indices(const StageAssignment& st,
     owners.push_back(static_cast<int>(best));
   }
   return owners;
+}
+
+std::vector<std::int64_t> micro_row_bounds(std::int64_t rows,
+                                           std::int64_t num_micro) {
+  const std::int64_t m_total = std::min(num_micro, rows);
+  const std::int64_t base = rows / m_total;
+  const std::int64_t extra = rows % m_total;
+  std::vector<std::int64_t> bounds{0};
+  for (std::int64_t m = 0; m < m_total; ++m) {
+    bounds.push_back(bounds.back() + base + (m < extra ? 1 : 0));
+  }
+  return bounds;
+}
+
+std::int64_t stage_warmup(const ParallelPlan& plan, std::int64_t stage) {
+  std::vector<std::int64_t> group_sizes;
+  for (const auto& st : plan.stages) {
+    group_sizes.push_back(static_cast<std::int64_t>(st.devices.size()));
+  }
+  if (!plan.weighted()) return hybrid_warmup(group_sizes, stage);
+  std::int64_t downstream = 0;
+  for (std::size_t q = static_cast<std::size_t>(stage) + 1;
+       q < group_sizes.size(); ++q) {
+    downstream += group_sizes[q];
+  }
+  return downstream;
 }
 
 bool ParallelPlan::weighted() const {

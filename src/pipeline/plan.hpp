@@ -33,6 +33,12 @@ struct StageAssignment {
 std::vector<int> micro_owner_indices(const StageAssignment& st,
                                      std::int64_t num_micro);
 
+// Row split of a `rows`-row mini-batch into min(num_micro, rows) micros:
+// the m_total + 1 boundaries, earlier micros taking one remainder row
+// each.  Stage workers and the eval gather share this split.
+std::vector<std::int64_t> micro_row_bounds(std::int64_t rows,
+                                           std::int64_t num_micro);
+
 struct ParallelPlan {
   std::vector<StageAssignment> stages;
   std::int64_t num_micro_batches = 1;  // per mini-batch, across each group
@@ -73,5 +79,13 @@ struct ParallelPlan {
   static ParallelPlan standalone(std::int64_t num_blocks,
                                  std::int64_t num_micro);
 };
+
+// 1F1B warmup (forwards before the first backward) that stage `stage` of
+// `plan` must use.  Non-uniform device groups need hybrid_warmup or
+// adjacent stages deadlock on each other's first backward; weighted
+// ownership can hand one member several consecutive micros, so weighted
+// plans take the full downstream depth instead.  The executed stage
+// workers and the event simulator both route through this.
+std::int64_t stage_warmup(const ParallelPlan& plan, std::int64_t stage);
 
 }  // namespace pac::pipeline

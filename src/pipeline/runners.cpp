@@ -87,19 +87,6 @@ double compute_task_metric(const data::TaskInfo& info, const Tensor& logits,
 
 namespace {
 
-// Deterministic micro routing shared with StageWorker: row range of micro m
-// for a batch of `rows` split into at most `num_micro` micros.
-std::pair<std::int64_t, std::int64_t> micro_rows(std::int64_t rows,
-                                                 std::int64_t num_micro,
-                                                 std::int64_t m) {
-  const std::int64_t m_total = std::min(num_micro, rows);
-  const std::int64_t base = rows / m_total;
-  const std::int64_t extra = rows % m_total;
-  std::int64_t begin = 0;
-  for (std::int64_t i = 0; i < m; ++i) begin += base + (i < extra ? 1 : 0);
-  return {begin, begin + base + (m < extra ? 1 : 0)};
-}
-
 // Result recording and RecoveryLog commits happen on one rank.  In
 // single-process mode that is the group leader; when the leader lives in
 // another process, the lowest local group member records into this
@@ -157,7 +144,6 @@ RunResult run_training(dist::EdgeCluster& cluster,
     std::unique_ptr<model::Model> model = factory();
     model->set_training_mode(true);
     StageWorker worker(ctx, *model, config.plan, config.schedule,
-                       config.allreduce, config.async_comm,
                        config.allreduce_bucket_bytes);
     if (!worker.participates()) return;
     nn::Adam optimizer(config.lr);
@@ -264,18 +250,17 @@ RunResult run_training(dist::EdgeCluster& cluster,
           ctx.comm.send(leader, tags::kEvalLogits, chunk.logits);
         }
         if (ctx.rank == leader) {
-          const std::int64_t m_total =
-              std::min(config.plan.num_micro_batches, rows);
-          const auto& last_st = config.plan.stages[static_cast<std::size_t>(
-              last_stage)];
-          const std::vector<int> owners =
-              micro_owner_indices(last_st, m_total);
-          for (std::int64_t m = 0; m < m_total; ++m) {
-            const int owner = last_group[static_cast<std::size_t>(
-                owners[static_cast<std::size_t>(m)])];
+          const std::vector<std::int64_t> bounds =
+              micro_row_bounds(rows, config.plan.num_micro_batches);
+          const std::vector<int> owners = micro_owner_indices(
+              config.plan.stages[static_cast<std::size_t>(last_stage)],
+              static_cast<std::int64_t>(bounds.size()) - 1);
+          for (std::size_t m = 0; m < owners.size(); ++m) {
+            const int owner =
+                last_group[static_cast<std::size_t>(owners[m])];
             Tensor logits = ctx.comm.recv(owner, tags::kEvalLogits);
-            auto [rb, re] =
-                micro_rows(rows, config.plan.num_micro_batches, m);
+            const std::int64_t rb = bounds[m];
+            const std::int64_t re = bounds[m + 1];
             PAC_CHECK(logits.size(0) == re - rb, "eval logits row mismatch");
             all_logits.slice0(eval_cursor + rb, eval_cursor + re)
                 .copy_from(logits);
@@ -481,8 +466,7 @@ RunResult run_cached_data_parallel(
           cursor += p->grad().numel();
         }
         flat.at({flat_size}) = static_cast<float>(step_rows);
-        ctx.comm.allreduce_sum(flat, group, tags::kGradAllReduce,
-                               config.allreduce);
+        ctx.comm.allreduce_sum(flat, group, tags::kGradAllReduce);
         const float global_rows = flat.at({flat_size});
         if (global_rows > 0) {
           cursor = 0;

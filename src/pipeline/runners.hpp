@@ -62,11 +62,8 @@ class RecoveryLog {
 struct RunConfig {
   ParallelPlan plan;
   ScheduleKind schedule = ScheduleKind::k1F1B;
-  dist::AllReduceAlgo allreduce = dist::AllReduceAlgo::kRing;
-  // Overlap compute with neighbor communication (isend/irecv) and run the
-  // grad AllReduce bucketed against the backward tail; loss trajectories
-  // are bit-identical to the synchronous path either way.
-  bool async_comm = true;
+  // Target size of the grad buckets the overlap reducer AllReduces against
+  // the backward tail (see StageWorker).
   std::int64_t allreduce_bucket_bytes = 256 * 1024;
   std::int64_t batch_size = 8;
   int epochs = 1;
@@ -109,7 +106,6 @@ struct CachedRunConfig {
   std::int64_t device_batch_size = 8;  // per-device mini-batch
   int epochs = 1;
   float lr = 1e-2F;
-  dist::AllReduceAlgo allreduce = dist::AllReduceAlgo::kRing;
   // Announce the next step's sample ids to the activation source so a
   // disk-backed cache can reload them while this step computes.
   bool prefetch = true;

@@ -25,14 +25,8 @@ constexpr double kRetainedPerBlockOutput = 4.0;
 
 StageWorker::StageWorker(dist::DeviceContext& ctx, model::Model& model,
                          const ParallelPlan& plan, ScheduleKind schedule,
-                         dist::AllReduceAlgo allreduce_algo, bool async_comm,
                          std::int64_t allreduce_bucket_bytes)
-    : ctx_(ctx),
-      model_(model),
-      plan_(plan),
-      schedule_(schedule),
-      allreduce_algo_(allreduce_algo),
-      async_comm_(async_comm) {
+    : ctx_(ctx), model_(model), plan_(plan), schedule_(schedule) {
   plan_.validate(model_.num_blocks(), ctx_.world_size);
   stage_ = plan_.stage_of_rank(ctx_.rank);
   if (!participates()) return;
@@ -77,7 +71,6 @@ void StageWorker::drain() {
   pending_backward_ = 0;
   minibatch_loss_ = 0.0;
   minibatch_rows_ = 0;
-  grads_reduced_ = false;
   if (inflight_act_bytes_ > 0) {
     ctx_.ledger.release(dist::MemClass::kActivations, inflight_act_bytes_);
     inflight_act_bytes_ = 0;
@@ -130,7 +123,7 @@ void StageWorker::reduce_bucket(const GradBucket& bucket, int index) {
     // Single tensor: reduce the grad storage in place instead of copying
     // it through a flat staging buffer twice.
     Tensor flat = bucket.params[0]->grad().reshape({bucket.numel});
-    ctx_.comm.allreduce_sum(flat, group_, tag, allreduce_algo_);
+    ctx_.comm.allreduce_sum(flat, group_, tag);
     return;
   }
   Tensor flat({bucket.numel});
@@ -140,7 +133,7 @@ void StageWorker::reduce_bucket(const GradBucket& bucket, int index) {
         .copy_from(p->grad().reshape({p->grad().numel()}));
     cursor += p->grad().numel();
   }
-  ctx_.comm.allreduce_sum(flat, group_, tag, allreduce_algo_);
+  ctx_.comm.allreduce_sum(flat, group_, tag);
   cursor = 0;
   for (nn::Parameter* p : bucket.params) {
     Tensor src = flat.slice0(cursor, cursor + p->grad().numel());
@@ -150,7 +143,7 @@ void StageWorker::reduce_bucket(const GradBucket& bucket, int index) {
 }
 
 void StageWorker::start_overlap_reducer() {
-  if (!async_comm_ || group_.size() <= 1 || buckets_.empty()) return;
+  if (group_.size() <= 1 || buckets_.empty()) return;
   reducer_.frontier = static_cast<std::int64_t>(stage_blocks_.size());
   reducer_.abort = false;
   reducer_.error = nullptr;
@@ -201,7 +194,6 @@ void StageWorker::join_overlap_reducer() {
     reducer_.error = nullptr;
     std::rethrow_exception(err);
   }
-  grads_reduced_ = true;
 }
 
 void StageWorker::abort_overlap_reducer() {
@@ -224,20 +216,17 @@ void StageWorker::abort_overlap_reducer() {
 
 std::vector<StageWorker::MicroSlice> StageWorker::local_micros(
     std::int64_t batch_rows) const {
-  const std::int64_t m_total =
-      std::min<std::int64_t>(plan_.num_micro_batches, batch_rows);
-  const std::int64_t base = batch_rows / m_total;
-  const std::int64_t extra = batch_rows % m_total;
+  const std::vector<std::int64_t> bounds =
+      micro_row_bounds(batch_rows, plan_.num_micro_batches);
+  const auto m_total = static_cast<std::int64_t>(bounds.size()) - 1;
   const std::vector<int> owners = micro_owner_indices(
       plan_.stages[static_cast<std::size_t>(stage_)], m_total);
   std::vector<MicroSlice> out;
-  std::int64_t cursor = 0;
   for (std::int64_t m = 0; m < m_total; ++m) {
-    const std::int64_t rows = base + (m < extra ? 1 : 0);
-    if (owners[static_cast<std::size_t>(m)] == group_index_) {
-      out.push_back(MicroSlice{m, cursor, cursor + rows});
+    const auto i = static_cast<std::size_t>(m);
+    if (owners[i] == group_index_) {
+      out.push_back(MicroSlice{m, bounds[i], bounds[i + 1]});
     }
-    cursor += rows;
   }
   return out;
 }
@@ -253,33 +242,26 @@ int StageWorker::owner_rank(int stage, std::int64_t micro) const {
 
 // ---- shared recv/send helpers (train forward + eval) -------------------
 
-void StageWorker::comm_send(int to, int tag, Tensor payload) {
-  if (async_comm_) {
-    ctx_.comm.isend(to, tag, std::move(payload));
-  } else {
-    ctx_.comm.send(to, tag, std::move(payload));
+void StageWorker::post_forward_receive(std::int64_t micro) {
+  const int src = owner_rank(stage_ - 1, micro);
+  PendingForward pf;
+  pf.hidden = ctx_.comm.irecv(src, tags::kFwdHidden);
+  if (model_.uses_parallel_adapters()) {
+    pf.adapter = ctx_.comm.irecv(src, tags::kFwdAdapter);
   }
+  if (model_.config().pad_token >= 0) {
+    pf.mask = ctx_.comm.irecv(src, tags::kFwdMask);
+  }
+  posted_fwd_[micro] = pf;
 }
 
 void StageWorker::post_receives(const std::vector<MicroSlice>& micros,
                                 const std::vector<PipeOp>& ops) {
-  if (!async_comm_) return;
   for (const PipeOp& op : ops) {
     const MicroSlice& ms = micros[static_cast<std::size_t>(op.micro)];
     if (op.kind == PipeOp::Kind::kForward) {
-      if (is_first_stage()) continue;
-      const int src = owner_rank(stage_ - 1, ms.micro);
-      PendingForward pf;
-      pf.hidden = ctx_.comm.irecv(src, tags::kFwdHidden);
-      if (model_.uses_parallel_adapters()) {
-        pf.adapter = ctx_.comm.irecv(src, tags::kFwdAdapter);
-      }
-      if (model_.config().pad_token >= 0) {
-        pf.mask = ctx_.comm.irecv(src, tags::kFwdMask);
-      }
-      posted_fwd_[ms.micro] = pf;
-    } else {
-      if (is_last_stage()) continue;
+      if (!is_first_stage()) post_forward_receive(ms.micro);
+    } else if (!is_last_stage()) {
       const int src = owner_rank(stage_ + 1, ms.micro);
       const int tag = model_.uses_parallel_adapters() ? tags::kBwdAdapter
                                                       : tags::kBwdHidden;
@@ -289,19 +271,8 @@ void StageWorker::post_receives(const std::vector<MicroSlice>& micros,
 }
 
 void StageWorker::post_eval_receives(const std::vector<MicroSlice>& micros) {
-  if (!async_comm_ || is_first_stage()) return;
-  for (const MicroSlice& ms : micros) {
-    const int src = owner_rank(stage_ - 1, ms.micro);
-    PendingForward pf;
-    pf.hidden = ctx_.comm.irecv(src, tags::kFwdHidden);
-    if (model_.uses_parallel_adapters()) {
-      pf.adapter = ctx_.comm.irecv(src, tags::kFwdAdapter);
-    }
-    if (model_.config().pad_token >= 0) {
-      pf.mask = ctx_.comm.irecv(src, tags::kFwdMask);
-    }
-    posted_fwd_[ms.micro] = pf;
-  }
+  if (is_first_stage()) return;
+  for (const MicroSlice& ms : micros) post_forward_receive(ms.micro);
 }
 
 model::FlowState StageWorker::receive_forward_inputs(const data::Batch& batch,
@@ -313,22 +284,13 @@ model::FlowState StageWorker::receive_forward_inputs(const data::Batch& batch,
   }
   PAC_TRACE_SCOPE("recv_fwd", ctx_.rank, ms.micro);
   auto it = posted_fwd_.find(ms.micro);
-  if (it != posted_fwd_.end()) {
-    PendingForward pf = it->second;
-    posted_fwd_.erase(it);
-    state.hidden = pf.hidden.wait();
-    if (pf.adapter.valid()) state.adapter = pf.adapter.wait();
-    if (pf.mask.valid()) state.pad_mask = pf.mask.wait();
-    return state;
-  }
-  const int src = owner_rank(stage_ - 1, ms.micro);
-  state.hidden = ctx_.comm.recv(src, tags::kFwdHidden);
-  if (model_.uses_parallel_adapters()) {
-    state.adapter = ctx_.comm.recv(src, tags::kFwdAdapter);
-  }
-  if (model_.config().pad_token >= 0) {
-    state.pad_mask = ctx_.comm.recv(src, tags::kFwdMask);
-  }
+  PAC_CHECK(it != posted_fwd_.end(),
+            "forward for micro " << ms.micro << " without a posted receive");
+  PendingForward pf = it->second;
+  posted_fwd_.erase(it);
+  state.hidden = pf.hidden.wait();
+  if (pf.adapter.valid()) state.adapter = pf.adapter.wait();
+  if (pf.mask.valid()) state.pad_mask = pf.mask.wait();
   return state;
 }
 
@@ -336,12 +298,12 @@ void StageWorker::send_forward_outputs(const MicroSlice& ms,
                                        model::FlowState& state) {
   PAC_TRACE_SCOPE("send_fwd", ctx_.rank, ms.micro);
   const int dst = owner_rank(stage_ + 1, ms.micro);
-  comm_send(dst, tags::kFwdHidden, state.hidden);
+  ctx_.comm.isend(dst, tags::kFwdHidden, state.hidden);
   if (model_.uses_parallel_adapters()) {
-    comm_send(dst, tags::kFwdAdapter, state.adapter);
+    ctx_.comm.isend(dst, tags::kFwdAdapter, state.adapter);
   }
   if (state.pad_mask.defined()) {
-    comm_send(dst, tags::kFwdMask, state.pad_mask);
+    ctx_.comm.isend(dst, tags::kFwdMask, state.pad_mask);
   }
 }
 
@@ -434,18 +396,10 @@ void StageWorker::backward_micro(const MicroSlice& ms, bool final_backward) {
   } else {
     PAC_TRACE_SCOPE("recv_bwd", ctx_.rank, ms.micro);
     auto posted = posted_bwd_.find(ms.micro);
-    Tensor incoming;
-    if (posted != posted_bwd_.end()) {
-      PendingBackward pb = posted->second;
-      posted_bwd_.erase(posted);
-      incoming = pb.grad.wait();
-    } else if (model_.uses_parallel_adapters()) {
-      incoming =
-          ctx_.comm.recv(owner_rank(stage_ + 1, ms.micro), tags::kBwdAdapter);
-    } else {
-      incoming =
-          ctx_.comm.recv(owner_rank(stage_ + 1, ms.micro), tags::kBwdHidden);
-    }
+    PAC_CHECK(posted != posted_bwd_.end(),
+              "backward for micro " << ms.micro << " without a posted receive");
+    Tensor incoming = posted->second.grad.wait();
+    posted_bwd_.erase(posted);
     if (model_.uses_parallel_adapters()) {
       grad.d_adapter = std::move(incoming);
     } else {
@@ -485,11 +439,11 @@ void StageWorker::backward_micro(const MicroSlice& ms, bool final_backward) {
     if (model_.uses_parallel_adapters()) {
       PAC_CHECK(grad.d_adapter.defined(),
                 "parallel adapters backward lost the adapter gradient");
-      comm_send(dst, tags::kBwdAdapter, grad.d_adapter);
+      ctx_.comm.isend(dst, tags::kBwdAdapter, grad.d_adapter);
     } else {
       PAC_CHECK(grad.d_hidden.defined(),
                 "backward lost the hidden gradient");
-      comm_send(dst, tags::kBwdHidden, grad.d_hidden);
+      ctx_.comm.isend(dst, tags::kBwdHidden, grad.d_hidden);
     }
   }
 }
@@ -502,30 +456,13 @@ double StageWorker::train_mini_batch(
   minibatch_rows_ = batch.tokens.size(0);
   mb_compute_seconds_ = 0.0;
   mb_local_rows_ = 0;
-  grads_reduced_ = false;
   const std::vector<MicroSlice> micros = local_micros(minibatch_rows_);
   for (const MicroSlice& ms : micros) {
     mb_local_rows_ += ms.row_end - ms.row_begin;
   }
-  // Non-uniform device groups need the generalized warmup or adjacent
-  // stages deadlock on each other's first backward.  Weighted ownership
-  // can hand one member several consecutive micros, so it needs the full
-  // downstream depth rather than the per-member quotient.
-  std::vector<std::int64_t> group_sizes;
-  for (const auto& st : plan_.stages) {
-    group_sizes.push_back(static_cast<std::int64_t>(st.devices.size()));
-  }
-  std::int64_t warmup = hybrid_warmup(group_sizes, stage_);
-  if (plan_.weighted()) {
-    warmup = 0;
-    for (std::size_t q = static_cast<std::size_t>(stage_) + 1;
-         q < group_sizes.size(); ++q) {
-      warmup += group_sizes[q];
-    }
-  }
-  const auto ops = make_schedule(schedule_,
-                                 static_cast<std::int64_t>(micros.size()),
-                                 stage_, plan_.num_stages(), warmup);
+  const auto ops = make_schedule(
+      schedule_, static_cast<std::int64_t>(micros.size()), stage_,
+      plan_.num_stages(), stage_warmup(plan_, stage_));
   post_receives(micros, ops);
   start_overlap_reducer();
   pending_backward_ = 0;
@@ -548,17 +485,8 @@ double StageWorker::train_mini_batch(
 
 void StageWorker::synchronize_and_step(nn::Optimizer& optimizer) {
   if (!participates()) return;
-  nn::ParameterList trainable = stage_trainable_params();
-  if (group_.size() > 1 && !grads_reduced_) {
-    // Synchronous path: the identical buckets in the identical order as
-    // the overlap reducer, so the two modes sum bit-identically.
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-      reduce_bucket(buckets_[i], static_cast<int>(i));
-    }
-  }
-  optimizer.step(trainable);
+  optimizer.step(stage_trainable_params());
   model_.zero_grad();
-  grads_reduced_ = false;
   // Surface deferred async-send failures once per mini-batch instead of
   // letting them linger into an unrelated later call.
   ctx_.comm.flush_sends();

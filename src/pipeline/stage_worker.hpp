@@ -12,17 +12,17 @@
 // mini-batch produces exactly the full-batch mean gradient regardless of
 // the partitioning — the parity tests rely on this.
 //
-// Communication overlap (async_comm, on by default): outgoing activations
-// and gradients go through Communicator::isend, so link-delay sleeps and
+// Communication always overlaps compute: outgoing activations and
+// gradients go through Communicator::isend, so link-delay sleeps and
 // transient-retry backoffs run on the sender thread while this rank keeps
 // computing; the statically-known schedule lets the worker pre-post irecv
 // futures for every incoming tensor of the mini-batch up front.  The
 // adapter-grad AllReduce is bucketed: trainable params are grouped, in
 // reverse block order, into fixed buckets that a per-mini-batch reducer
 // thread starts reducing as soon as the final backward pass clears their
-// blocks — overlapping the reduce with the backward tail.  Sync mode runs
-// the identical buckets in the identical order, so the two modes are
-// bit-identical (see DESIGN.md, "Async communication engine").
+// blocks — overlapping the reduce with the backward tail.  Values never
+// depend on timing: each bucket is one ring AllReduce over a fixed tag
+// (see DESIGN.md, "Async communication engine").
 #pragma once
 
 #include <condition_variable>
@@ -67,12 +67,9 @@ class StageWorker {
  public:
   // `model` is this rank's replica (identical seed across ranks).  The
   // worker registers its stage's memory with the device ledger.
-  // `async_comm` switches between the overlapped engine and the fully
-  // synchronous reference path; `allreduce_bucket_bytes` sets the target
-  // grad-bucket size (buckets are identical in both modes).
+  // `allreduce_bucket_bytes` sets the target grad-bucket size.
   StageWorker(dist::DeviceContext& ctx, model::Model& model,
               const ParallelPlan& plan, ScheduleKind schedule,
-              dist::AllReduceAlgo allreduce_algo, bool async_comm = true,
               std::int64_t allreduce_bucket_bytes = 256 * 1024);
   ~StageWorker();
 
@@ -88,14 +85,13 @@ class StageWorker {
 
   // Runs one mini-batch (forward+backward over all micro-batches per the
   // schedule), accumulating gradients.  Returns this rank's weighted loss
-  // contribution (nonzero only on last-stage ranks).  In async mode the
-  // grad AllReduce overlaps the backward tail and completes before this
-  // returns, so pair every call with synchronize_and_step.
+  // contribution (nonzero only on last-stage ranks).  The grad AllReduce
+  // overlaps the backward tail and completes before this returns; pair
+  // every call with synchronize_and_step.
   double train_mini_batch(const data::Batch& batch,
                           ActivationRecorder* recorder);
 
-  // AllReduces trainable grads within the stage group (unless the async
-  // reducer already did) and steps the optimizer.  Call once per
+  // Steps the optimizer on the group-reduced grads.  Call once per
   // mini-batch after train_mini_batch.
   void synchronize_and_step(nn::Optimizer& optimizer);
 
@@ -146,7 +142,7 @@ class StageWorker {
     std::int64_t min_block = 0;
   };
 
-  // Pre-posted receive futures for one micro-batch (async mode).
+  // Pre-posted receive futures for one micro-batch.
   struct PendingForward {
     dist::PendingRecv hidden;
     dist::PendingRecv adapter;
@@ -164,9 +160,9 @@ class StageWorker {
   model::FlowState receive_forward_inputs(const data::Batch& batch,
                                           const MicroSlice& ms);
   void send_forward_outputs(const MicroSlice& ms, model::FlowState& state);
-  // isend in async mode, blocking send otherwise.
-  void comm_send(int to, int tag, Tensor payload);
-  // Pre-posts irecv futures for every op of the mini-batch (async mode).
+  // Pre-posts irecv futures for every incoming tensor of the mini-batch;
+  // consuming a tensor without a posted receive is a PAC_CHECK failure.
+  void post_forward_receive(std::int64_t micro);
   void post_receives(const std::vector<MicroSlice>& micros,
                      const std::vector<PipeOp>& ops);
   void post_eval_receives(const std::vector<MicroSlice>& micros);
@@ -192,8 +188,6 @@ class StageWorker {
   model::Model& model_;
   ParallelPlan plan_;
   ScheduleKind schedule_;
-  dist::AllReduceAlgo allreduce_algo_;
-  bool async_comm_;
 
   int stage_ = -1;
   int group_index_ = 0;
@@ -218,7 +212,6 @@ class StageWorker {
     bool active = false;
   };
   OverlapReducer reducer_;
-  bool grads_reduced_ = false;  // async reducer already ran this mini-batch
 
   // Pre-posted receive futures, keyed by global micro index.
   std::map<std::int64_t, PendingForward> posted_fwd_;

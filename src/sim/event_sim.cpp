@@ -83,10 +83,6 @@ SimResult simulate_minibatch(const SimConfig& config) {
   }
 
   // ---- build per-rank op lists (same routing as StageWorker) ----
-  std::vector<std::int64_t> group_sizes;
-  for (const auto& st : plan.stages) {
-    group_sizes.push_back(static_cast<std::int64_t>(st.devices.size()));
-  }
   std::vector<RankState> ranks;
   std::map<int, std::size_t> rank_index;
   std::vector<std::vector<int>> stage_owners;
@@ -97,14 +93,7 @@ SimResult simulate_minibatch(const SimConfig& config) {
   for (std::int64_t i = 0; i < s; ++i) {
     const auto& st = plan.stages[static_cast<std::size_t>(i)];
     const auto gs = static_cast<std::int64_t>(st.devices.size());
-    std::int64_t warmup = pipeline::hybrid_warmup(group_sizes, i);
-    if (plan.weighted()) {
-      warmup = 0;
-      for (std::size_t q = static_cast<std::size_t>(i) + 1;
-           q < group_sizes.size(); ++q) {
-        warmup += group_sizes[q];
-      }
-    }
+    const std::int64_t warmup = pipeline::stage_warmup(plan, i);
     for (std::int64_t gi = 0; gi < gs; ++gi) {
       RankState rs;
       rs.rank = st.devices[static_cast<std::size_t>(gi)];

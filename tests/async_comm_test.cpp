@@ -2,10 +2,9 @@
 //
 // Covers the Communicator's nonblocking path — isend ordering, link-delay
 // absorption, deferred failure surfacing, PendingRecv futures — plus the
-// end-to-end guarantees the trainers build on it: async runs must produce
-// the *bit-identical* loss trajectory and final parameters of the
-// synchronous path, and the cache prefetcher must serve exactly the
-// tensors a cold fetch would.
+// end-to-end guarantees the trainers build on it: link timing must not
+// change a single bit of the loss trajectory or the final parameters, and
+// the cache prefetcher must serve exactly the tensors a cold fetch would.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -227,7 +226,7 @@ TEST(AsyncCommTest, ConcurrentIsendersKeepPerSourceFifoAndStats) {
 }
 
 // ---------------------------------------------------------------------------
-// end-to-end: async training == sync training, bit for bit
+// end-to-end: training values are independent of link timing
 // ---------------------------------------------------------------------------
 
 data::SyntheticGlueDataset tiny_dataset() {
@@ -262,7 +261,7 @@ pipeline::ParallelPlan hybrid_2x2() {
   return plan;
 }
 
-TEST(AsyncCommTest, AsyncTrainingIsBitIdenticalToSync) {
+TEST(AsyncCommTest, AsyncTrainingIsTimingIndependent) {
   auto ds = tiny_dataset();
   pipeline::RunConfig cfg;
   cfg.plan = hybrid_2x2();
@@ -272,30 +271,36 @@ TEST(AsyncCommTest, AsyncTrainingIsBitIdenticalToSync) {
   // Tiny buckets force several overlapped AllReduce rounds per mini-batch.
   cfg.allreduce_bucket_bytes = 1024;
 
-  cfg.async_comm = false;
-  dist::EdgeCluster sync_cluster(4,
-                                 std::numeric_limits<std::uint64_t>::max());
-  pipeline::RunResult sync_run =
-      pipeline::run_training(sync_cluster, ds, tiny_factory(), cfg);
-
-  cfg.async_comm = true;
-  dist::EdgeCluster async_cluster(4,
+  dist::EdgeCluster clean_cluster(4,
                                   std::numeric_limits<std::uint64_t>::max());
-  pipeline::RunResult async_run =
-      pipeline::run_training(async_cluster, ds, tiny_factory(), cfg);
+  pipeline::RunResult clean =
+      pipeline::run_training(clean_cluster, ds, tiny_factory(), cfg);
+
+  // Delays and legal reordering shift when sends land, receives complete
+  // and buckets become ready — but never which values meet in which order.
+  dist::FaultPlan storm;
+  storm.seed = 0x7141E;
+  storm.delay_probability = 0.3;
+  storm.delay_min_ms = 0.1;
+  storm.delay_max_ms = 1.0;
+  storm.reorder_probability = 0.3;
+  dist::EdgeCluster stormy_cluster(4,
+                                   std::numeric_limits<std::uint64_t>::max());
+  stormy_cluster.set_fault_plan(storm);
+  pipeline::RunResult stormy =
+      pipeline::run_training(stormy_cluster, ds, tiny_factory(), cfg);
 
   // Bit-for-bit: identical buckets are reduced in identical order with
   // identical tags, so the arithmetic is the same expression tree.
-  ASSERT_EQ(sync_run.epoch_losses.size(), async_run.epoch_losses.size());
-  for (std::size_t e = 0; e < sync_run.epoch_losses.size(); ++e) {
-    EXPECT_EQ(sync_run.epoch_losses[e], async_run.epoch_losses[e]) << e;
+  ASSERT_EQ(clean.epoch_losses.size(), stormy.epoch_losses.size());
+  for (std::size_t e = 0; e < clean.epoch_losses.size(); ++e) {
+    EXPECT_EQ(clean.epoch_losses[e], stormy.epoch_losses[e]) << e;
   }
-  EXPECT_EQ(sync_run.eval_metric, async_run.eval_metric);
-  ASSERT_EQ(sync_run.trainable_values.size(),
-            async_run.trainable_values.size());
-  for (const auto& [name, value] : sync_run.trainable_values) {
-    auto it = async_run.trainable_values.find(name);
-    ASSERT_NE(it, async_run.trainable_values.end()) << name;
+  EXPECT_EQ(clean.eval_metric, stormy.eval_metric);
+  ASSERT_EQ(clean.trainable_values.size(), stormy.trainable_values.size());
+  for (const auto& [name, value] : clean.trainable_values) {
+    auto it = stormy.trainable_values.find(name);
+    ASSERT_NE(it, stormy.trainable_values.end()) << name;
     EXPECT_EQ(ops::max_abs_diff(value, it->second), 0.0F) << name;
   }
 }
@@ -404,7 +409,6 @@ TEST(AsyncCommTest, TraceShowsAllReduceBucketOverlappingBackward) {
   cfg.batch_size = 8;
   cfg.epochs = 1;
   cfg.lr = 5e-3F;
-  cfg.async_comm = true;
   cfg.allreduce_bucket_bytes = 1024;
   cfg.run_eval = false;
 
@@ -439,14 +443,12 @@ TEST(AsyncCommTest, TraceShowsAllReduceBucketOverlappingBackward) {
 // eval-path parity: pipelined eval == single-process eval, bit for bit
 // ---------------------------------------------------------------------------
 
-double eval_metric_for(const pipeline::ParallelPlan& plan, int world,
-                       bool async_comm) {
+double eval_metric_for(const pipeline::ParallelPlan& plan, int world) {
   auto ds = tiny_dataset();
   pipeline::RunConfig cfg;
   cfg.plan = plan;
   cfg.batch_size = 8;
   cfg.epochs = 0;  // evaluation only: identical untouched initial weights
-  cfg.async_comm = async_comm;
   cfg.run_eval = true;
   dist::EdgeCluster cluster(world,
                             std::numeric_limits<std::uint64_t>::max());
@@ -457,19 +459,17 @@ double eval_metric_for(const pipeline::ParallelPlan& plan, int world,
 TEST(AsyncCommTest, PipelinedEvalMatchesSingleProcessEvalBitForBit) {
   // 6 blocks: tiny(4 encoder layers) + embedding + head.
   const double standalone =
-      eval_metric_for(pipeline::ParallelPlan::standalone(6, 4), 1, false);
+      eval_metric_for(pipeline::ParallelPlan::standalone(6, 4), 1);
   ASSERT_GT(standalone, 0.0);
 
-  const double sync_pipe = eval_metric_for(hybrid_2x2(), 4, false);
-  const double async_pipe = eval_metric_for(hybrid_2x2(), 4, true);
-  const double async_pure_pp = eval_metric_for(
-      pipeline::ParallelPlan::pure_pipeline(6, 3, 4), 3, true);
+  const double hybrid = eval_metric_for(hybrid_2x2(), 4);
+  const double pure_pp =
+      eval_metric_for(pipeline::ParallelPlan::pure_pipeline(6, 3, 4), 3);
 
   // The pipeline applies the same blocks to the same rows in the same
   // order; partitioning must not change a single bit of the logits.
-  EXPECT_EQ(standalone, sync_pipe);
-  EXPECT_EQ(standalone, async_pipe);
-  EXPECT_EQ(standalone, async_pure_pp);
+  EXPECT_EQ(standalone, hybrid);
+  EXPECT_EQ(standalone, pure_pp);
 }
 
 }  // namespace

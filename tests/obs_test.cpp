@@ -321,7 +321,6 @@ TEST(ObsSessionTest, ChaosScheduleFourLeavesAPostMortemTrace) {
   cfg.epochs = 3;
   cfg.lr = 5e-3F;
   cfg.profile_override = fixed_profiles(4 + 2);
-  cfg.async_comm = true;
   cfg.allreduce_bucket_bytes = 1024;
   cfg.obs_enabled = true;
   cfg.trace_path = trace_path;
@@ -377,7 +376,6 @@ TEST(ObsSessionTest, DisabledObservabilityChangesNoTrajectory) {
   cfg.epochs = 2;
   cfg.lr = 5e-3F;
   cfg.profile_override = fixed_profiles(4 + 2);
-  cfg.async_comm = true;
   cfg.allreduce_bucket_bytes = 1024;
 
   dist::EdgeCluster plain_cluster(4,

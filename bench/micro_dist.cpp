@@ -59,7 +59,14 @@ void BM_AllReduce(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * world * n * 4);
 }
+// {2, 1600} and {4, 1600}: an executed adapter-gradient payload (6.4 KB,
+// like a hybrid_live stage bucket), which takes the direct schedule;
+// {4, 13334}: 53336 bytes, just above the g = 4 crossover of the default
+// link, back on the ring.
 BENCHMARK(BM_AllReduce<dist::AllReduceAlgo::kRing>)
+    ->Args({2, 1600})
+    ->Args({4, 1600})
+    ->Args({4, 13334})
     ->Args({4, 1 << 14})
     ->Args({8, 1 << 14})
     ->Args({4, 1 << 18});

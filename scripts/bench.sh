@@ -11,7 +11,8 @@
 #                    the simulated 128 Mbps link over in-proc, TCP
 #                    loopback and WAN-shaped links, cache prefetch, and the
 #                    quantized-cache session with its cache/redistribution
-#                    byte counters), BM_CacheQuantizeRoundTrip (codec
+#                    byte counters), BM_AllReduce (ring vs naive, in-proc,
+#                    no link sleeps), BM_CacheQuantizeRoundTrip (codec
 #                    throughput per dtype), and BM_ElasticReplan (straggler
 #                    verdict + planner re-run) -> BENCH_comm.json
 #   --suite service  micro_service BM_Service* (dispatcher control-plane
@@ -47,7 +48,7 @@ case "$SUITE" in
     ;;
   comm)
     TARGET=micro_dist
-    FILTER="BM_Comm|BM_CacheQuantize|BM_ElasticReplan"
+    FILTER="BM_Comm|BM_AllReduce|BM_CacheQuantize|BM_ElasticReplan"
     OUT="${OUT:-BENCH_comm.json}"
     # Comm iterations are link-sleep dominated (~100 ms wall each), so a
     # longer window is needed for stable medians.

@@ -23,6 +23,16 @@ double backoff_jitter(std::uint64_t seed, int rank, int attempt) {
   return 0.5 + static_cast<double>(z >> 11) * 0x1.0p-53;
 }
 
+bool allreduce_prefers_direct(const LinkModel& link, int group_size,
+                              std::uint64_t bytes) {
+  if (group_size <= 2) return true;
+  const double g = group_size;
+  const double alpha = link.latency_s;
+  const double beta = 8.0 / link.bandwidth_bps;
+  return (g - 1.0) * (g - 2.0) * static_cast<double>(bytes) * beta <=
+         g * (2.0 * g - 3.0) * alpha;
+}
+
 double Communicator::compute_throttle() const {
   FaultInjector& faults = transport_->fault_injector();
   return faults.active() ? faults.throttle_of(rank_) : 1.0;
@@ -346,11 +356,15 @@ void Communicator::allreduce_sum(Tensor& t, const std::vector<int>& group,
   PAC_CHECK(t.defined(), "allreduce on undefined tensor");
   // Tiny tensors do not chunk well; the ring degenerates gracefully but the
   // naive path is simpler and equally cheap.
-  if (algo == AllReduceAlgo::kRing &&
-      t.numel() >= static_cast<std::int64_t>(group.size())) {
-    allreduce_ring(t, group, tag);
-  } else {
+  if (algo == AllReduceAlgo::kNaive ||
+      t.numel() < static_cast<std::int64_t>(group.size())) {
     allreduce_naive(t, group, tag);
+  } else if (allreduce_prefers_direct(transport_->link(),
+                                      static_cast<int>(group.size()),
+                                      t.byte_size())) {
+    allreduce_direct(t, group, tag);
+  } else {
+    allreduce_ring(t, group, tag);
   }
 }
 
@@ -372,6 +386,20 @@ void Communicator::allreduce_naive(Tensor& t, const std::vector<int>& group,
   }
 }
 
+namespace {
+
+// Bounds of chunk c when n elements split into g ring chunks.
+std::pair<std::int64_t, std::int64_t> ring_chunk(std::int64_t n,
+                                                 std::int64_t g,
+                                                 std::int64_t c) {
+  const std::int64_t chunk = (n + g - 1) / g;
+  const std::int64_t begin = std::min<std::int64_t>(n, c * chunk);
+  const std::int64_t end = std::min<std::int64_t>(n, begin + chunk);
+  return {begin, end};
+}
+
+}  // namespace
+
 void Communicator::allreduce_ring(Tensor& t, const std::vector<int>& group,
                                   int tag) {
   const int g = static_cast<int>(group.size());
@@ -379,14 +407,8 @@ void Communicator::allreduce_ring(Tensor& t, const std::vector<int>& group,
   const int next = group[static_cast<std::size_t>((me + 1) % g)];
   const int prev = group[static_cast<std::size_t>((me - 1 + g) % g)];
   const std::int64_t n = t.numel();
-  const std::int64_t chunk = (n + g - 1) / g;
   Tensor flat = t.reshape({n});
-
-  auto chunk_range = [&](int c) {
-    const std::int64_t begin = std::min<std::int64_t>(n, c * chunk);
-    const std::int64_t end = std::min<std::int64_t>(n, begin + chunk);
-    return std::make_pair(begin, end);
-  };
+  auto chunk_range = [&](int c) { return ring_chunk(n, g, c); };
 
   // Reduce-scatter: after g-1 steps, chunk (me+1) mod g holds the full sum.
   for (int step = 0; step < g - 1; ++step) {
@@ -411,6 +433,40 @@ void Communicator::allreduce_ring(Tensor& t, const std::vector<int>& group,
     Tensor dst = flat.slice0(rb, re);
     PAC_CHECK(in.numel() == dst.numel(), "ring allgather chunk mismatch");
     if (in.numel() > 0) dst.copy_from(in);
+  }
+}
+
+void Communicator::allreduce_direct(Tensor& t, const std::vector<int>& group,
+                                    int tag) {
+  const std::size_t g = group.size();
+  const auto me = static_cast<std::size_t>(group_index(group));
+  const std::int64_t n = t.numel();
+  Tensor flat = t.reshape({n});
+  // One snapshot of this rank's terms goes to every peer (receivers only
+  // read it) and stays this rank's own operand in the fold.
+  std::vector<Tensor> terms(g);
+  terms[me] = flat.clone();
+  for (std::size_t i = 0; i < g; ++i) {
+    if (i != me) send(group[i], tag, terms[me]);
+  }
+  for (std::size_t i = 0; i < g; ++i) {
+    if (i == me) continue;
+    Tensor in = recv(group[i], tag);
+    PAC_CHECK(in.numel() == n, "direct allreduce payload mismatch");
+    terms[i] = in.reshape({n});
+  }
+  // Chunk c in ring order: x_c, then x_{c+1}, ..., x_{c+g-1}.  The ring's
+  // reduce-scatter forms x_{c+k} + acc where this forms acc + x_{c+k}; IEEE
+  // addition is commutative, so the bits agree.
+  for (std::size_t c = 0; c < g; ++c) {
+    const auto [b, e] = ring_chunk(n, static_cast<std::int64_t>(g),
+                                   static_cast<std::int64_t>(c));
+    if (b == e) continue;
+    Tensor dst = flat.slice0(b, e);
+    if (c != me) dst.copy_from(terms[c].slice0(b, e));
+    for (std::size_t k = 1; k < g; ++k) {
+      dst.add_(terms[(c + k) % g].slice0(b, e));
+    }
   }
 }
 

@@ -3,9 +3,24 @@
 //
 // Collectives operate over an explicit, sorted group of ranks (PAC's hybrid
 // parallelism synchronizes adapters *within a stage's device group*, not
-// across the world).  Two AllReduce algorithms are provided — ring
-// (bandwidth-optimal, the default) and naive gather+broadcast — as the
-// ablation pair for the micro benches.
+// across the world).  Two AllReduce algorithms are provided — ring (the
+// default) and naive gather+broadcast — as the ablation pair for the micro
+// benches.
+//
+// Ring order: the payload splits into g chunks of ceil(n/g) elements, and
+// chunk c is summed as x_c + x_{c+1} + ... + x_{c+g-1} (member indices in
+// group order, mod g), folded left to right.  kRing fixes that order, not
+// the messages that carry it, and runs one of two schedules:
+//   * ring — reduce-scatter then all-gather, 2(g-1) hops of n/g elements,
+//     costing 2(g-1)(a + N*b/g) for N payload bytes;
+//   * direct — every member sends its whole buffer to every peer in one
+//     hop and folds each chunk locally in ring order, costing
+//     a + (g-1)*N*b.
+// IEEE addition is commutative, so both schedules produce the same bits on
+// every rank.  `allreduce_prefers_direct` picks the cheaper one from the
+// transport's LinkModel (a = latency_s, b = 8 / bandwidth_bps seconds per
+// byte); every member of a group must share that LinkModel so all of them
+// choose the same schedule.
 //
 // Async engine: `isend` enqueues a message on a background sender thread
 // (started lazily, one per Communicator — modelling the device's single
@@ -69,6 +84,13 @@ struct CommPolicy {
   // the normal presumption clock resumes.
   int max_degraded_windows = 64;
 };
+
+// True when the direct schedule's modeled cost is no higher than the
+// ring's for an N-byte payload over `group_size` members:
+// (g-1)(g-2)*N*b <= g(2g-3)*a.  Always true for g = 2; at the default
+// 128 Mbps / 1 ms link, g = 4 goes direct up to about 53 KB.
+bool allreduce_prefers_direct(const LinkModel& link, int group_size,
+                              std::uint64_t bytes);
 
 // The jittered backoff multiplier in [0.5, 1.5): a SplitMix64-style hash
 // of (seed, rank, attempt).  Exposed for tests; returns 1.0 when seed = 0.
@@ -185,6 +207,7 @@ class Communicator {
 
   int group_index(const std::vector<int>& group) const;
   void allreduce_ring(Tensor& t, const std::vector<int>& group, int tag);
+  void allreduce_direct(Tensor& t, const std::vector<int>& group, int tag);
   void allreduce_naive(Tensor& t, const std::vector<int>& group, int tag);
 
   // The synchronous retry/backoff send (shared by send and the sender

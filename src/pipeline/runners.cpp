@@ -397,6 +397,9 @@ RunResult run_cached_data_parallel(
 
     std::int64_t flat_size = 0;
     for (nn::Parameter* p : trainable) flat_size += p->value().numel();
+    // Flat grads weighted by rows, plus the row count; every element is
+    // rewritten each step, so one buffer serves the whole run.
+    Tensor flat({flat_size + 1});
 
     for (int e = 0; e < config.epochs; ++e) {
       const int epoch = config.first_epoch + e;
@@ -457,7 +460,6 @@ RunResult run_cached_data_parallel(
           // the AllReduced gradient is the global batch mean.
         }
         // Flatten grads, weight by rows, AllReduce, rescale by total rows.
-        Tensor flat = Tensor::zeros({flat_size + 1});
         std::int64_t cursor = 0;
         for (nn::Parameter* p : trainable) {
           Tensor dst = flat.slice0(cursor, cursor + p->grad().numel());

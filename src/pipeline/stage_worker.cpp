@@ -143,7 +143,10 @@ void StageWorker::reduce_bucket(const GradBucket& bucket, int index) {
 }
 
 void StageWorker::start_overlap_reducer() {
-  if (group_.size() <= 1 || buckets_.empty()) return;
+  // The last bucket holds the lowest blocks' grads: it becomes ready only
+  // when the final backward ends, so train_mini_batch reduces it inline.
+  // A thread is worth starting only for the buckets before it.
+  if (group_.size() <= 1 || buckets_.size() <= 1) return;
   reducer_.frontier = static_cast<std::int64_t>(stage_blocks_.size());
   reducer_.abort = false;
   reducer_.error = nullptr;
@@ -152,7 +155,7 @@ void StageWorker::start_overlap_reducer() {
     obs::set_thread_name("rank" + std::to_string(ctx_.rank) + "/reducer",
                          ctx_.rank);
     try {
-      for (std::size_t i = 0; i < buckets_.size(); ++i) {
+      for (std::size_t i = 0; i + 1 < buckets_.size(); ++i) {
         {
           PAC_TRACE_SCOPE("bucket_wait", ctx_.rank,
                           static_cast<std::int64_t>(i));
@@ -480,6 +483,9 @@ double StageWorker::train_mini_batch(
   }
   PAC_CHECK(pending_loss_.empty(), "unconsumed losses after mini-batch");
   join_overlap_reducer();
+  if (group_.size() > 1 && !buckets_.empty()) {
+    reduce_bucket(buckets_.back(), static_cast<int>(buckets_.size()) - 1);
+  }
   return minibatch_loss_;
 }
 

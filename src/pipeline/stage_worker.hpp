@@ -20,9 +20,11 @@
 // adapter-grad AllReduce is bucketed: trainable params are grouped, in
 // reverse block order, into fixed buckets that a per-mini-batch reducer
 // thread starts reducing as soon as the final backward pass clears their
-// blocks — overlapping the reduce with the backward tail.  Values never
-// depend on timing: each bucket is one ring AllReduce over a fixed tag
-// (see DESIGN.md, "Async communication engine").
+// blocks — overlapping the reduce with the backward tail.  The last bucket
+// is ready only when the backward ends, so the calling thread reduces it
+// inline; with a single bucket no reducer thread starts at all.  Values
+// never depend on timing: each bucket is one ring-order AllReduce over a
+// fixed tag (see DESIGN.md, "Async communication engine").
 #pragma once
 
 #include <condition_variable>
@@ -197,7 +199,8 @@ class StageWorker {
 
   std::vector<GradBucket> buckets_;
 
-  // Per-mini-batch reducer thread state.  `frontier` is the lowest local
+  // Per-mini-batch reducer thread state (it reduces every bucket but the
+  // last, which the calling thread reduces inline).  `frontier` is the lowest local
   // block index the final backward pass has completed (published under
   // `mutex`, which is also the happens-before edge making the finished
   // grads visible to the reducer); bucket b is ready once

@@ -439,6 +439,37 @@ TEST(AsyncCommTest, TraceShowsAllReduceBucketOverlappingBackward) {
       << "no allreduce_bucket span overlapped any bwd_micro span";
 }
 
+TEST(AsyncCommTest, SingleGradBucketIsReducedInlineOnTheRankThread) {
+  // With the default 256 KB buckets every stage's adapter grads fit one
+  // bucket.  It is ready only when the final backward ends, so the rank
+  // thread reduces it inline and no reducer thread is ever started.
+  auto ds = tiny_dataset();
+  pipeline::RunConfig cfg;
+  cfg.plan = hybrid_2x2();
+  cfg.batch_size = 8;
+  cfg.epochs = 1;
+  cfg.lr = 5e-3F;
+  cfg.run_eval = false;
+
+  obs::TraceSession trace;
+  dist::EdgeCluster cluster(4, std::numeric_limits<std::uint64_t>::max());
+  pipeline::run_training(cluster, ds, tiny_factory(), cfg);
+
+  for (const obs::ThreadTrace& t : trace.collect().threads) {
+    EXPECT_EQ(t.thread_name.find("/reducer"), std::string::npos)
+        << t.thread_name;
+  }
+  int reduces = 0;
+  for (const obs::SpanRecord& s : trace.spans()) {
+    EXPECT_NE(std::string(s.name), "bucket_wait") << s.thread_name;
+    if (std::string(s.name) != "allreduce_bucket") continue;
+    ++reduces;
+    EXPECT_EQ(s.thread_name, "rank" + std::to_string(s.rank));
+  }
+  // 24 samples / batch 8 = 3 mini-batches, one bucket on each of 4 ranks.
+  EXPECT_EQ(reduces, 3 * 4);
+}
+
 // ---------------------------------------------------------------------------
 // eval-path parity: pipelined eval == single-process eval, bit for bit
 // ---------------------------------------------------------------------------

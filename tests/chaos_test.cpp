@@ -153,7 +153,10 @@ TEST(ChaosTest, RankDeathMidEpochRecoversOntoSurvivors) {
 
   dist::FaultPlan death;
   death.seed = 0xDEAD;
-  death.death_after_ops = {{2, 20}};  // mid-first-epoch of phase 1
+  // Mid-first-epoch of phase 1: rank 2's ops run 6 per mini-batch (one
+  // direct-schedule AllReduce) plus 4 at the epoch end, so op 10 falls in
+  // the second mini-batch's gradient sync.
+  death.death_after_ops = {{2, 10}};
   SessionReport recovered = run_with_faults(death);
 
   EXPECT_EQ(recovered.rank_deaths, 1);
@@ -165,19 +168,21 @@ TEST(ChaosTest, RankDeathMidEpochRecoversOntoSurvivors) {
 }
 
 TEST(ChaosTest, RankDeathInPhase2ResumesFromLastCommittedEpoch) {
-  // Kill rank 3 deep into the cached phase (a longer run keeps the death
-  // op-count inside the phase-2 transport: phase 1 tops out under 120 ops
-  // per rank here, while five cached epochs pass 180): recovery must
-  // restore the last committed epoch, re-shard the dead device's cache
-  // onto the survivors, and resume — not replay — the cached phase.
+  // Kill rank 3 deep into the cached phase: recovery must restore the last
+  // committed epoch, re-shard the dead device's cache onto the survivors,
+  // and resume — not replay — the cached phase.  Op counts restart with
+  // each run's transport, and every run before phase 2 stays under 110 ops
+  // per rank here (phase 1 22, redistribution 106).  Each cached epoch
+  // takes 20, so in this 8-epoch run op 124 falls in the first step of the
+  // last cached epoch.
   auto ds = small_dataset();
   dist::EdgeCluster cluster(4, std::numeric_limits<std::uint64_t>::max());
   dist::FaultPlan death;
   death.seed = 0xDEAD2;
-  death.death_after_ops = {{3, 160}};
+  death.death_after_ops = {{3, 124}};
   cluster.set_fault_plan(death);
   SessionConfig cfg = chaos_session_config();
-  cfg.epochs = 6;
+  cfg.epochs = 8;
   SessionReport recovered = Session(cluster, ds, cfg).run();
 
   EXPECT_EQ(recovered.rank_deaths, 1);
@@ -185,8 +190,8 @@ TEST(ChaosTest, RankDeathInPhase2ResumesFromLastCommittedEpoch) {
   EXPECT_EQ(recovered.dead_ranks[0], 3);
   // Every epoch is accounted for despite the mid-phase death (losses of
   // pre-death epochs come from the recovery log), and the run converges.
-  ASSERT_EQ(recovered.epoch_losses.size(), 6U);
-  EXPECT_EQ(recovered.phase2.epoch_losses.size(), 5U);
+  ASSERT_EQ(recovered.epoch_losses.size(), 8U);
+  EXPECT_EQ(recovered.phase2.epoch_losses.size(), 7U);
   for (double l : recovered.epoch_losses) {
     EXPECT_GT(l, 0.0);
     EXPECT_TRUE(std::isfinite(l));
@@ -210,10 +215,10 @@ TEST(ChaosTest, Phase2DeathSalvagesCompressedDiskShardAndConverges) {
   dist::EdgeCluster cluster(4, std::numeric_limits<std::uint64_t>::max());
   dist::FaultPlan death;
   death.seed = 0xDEAD2;
-  death.death_after_ops = {{3, 160}};
+  death.death_after_ops = {{3, 124}};
   cluster.set_fault_plan(death);
   SessionConfig cfg = chaos_session_config();
-  cfg.epochs = 6;
+  cfg.epochs = 8;
   cfg.cache_disk_backed = true;
   cfg.cache_directory = dir;
   cfg.cache_dtype = quant::Dtype::kI8;
@@ -222,8 +227,8 @@ TEST(ChaosTest, Phase2DeathSalvagesCompressedDiskShardAndConverges) {
   EXPECT_EQ(recovered.rank_deaths, 1);
   ASSERT_EQ(recovered.dead_ranks.size(), 1U);
   EXPECT_EQ(recovered.dead_ranks[0], 3);
-  ASSERT_EQ(recovered.epoch_losses.size(), 6U);
-  EXPECT_EQ(recovered.phase2.epoch_losses.size(), 5U);
+  ASSERT_EQ(recovered.epoch_losses.size(), 8U);
+  EXPECT_EQ(recovered.phase2.epoch_losses.size(), 7U);
   for (double l : recovered.epoch_losses) {
     EXPECT_GT(l, 0.0);
     EXPECT_TRUE(std::isfinite(l));
@@ -252,10 +257,9 @@ TEST(ChaosTest, DeathBeyondRecoveryBudgetRethrows) {
 // AllReduce against the backward tail) reorders *timing* only: the same
 // buckets are reduced in the same order with the same tags whatever the
 // links do, so a faulted run must agree with the fault-free run of the
-// same engine bit for bit under every fault class short of death.  In
-// the test names below, "Sync" names that fault-free reference run.
+// same engine bit for bit under every fault class short of death.
 
-TEST(ChaosTest, AsyncDelayStormMatchesSyncBitForBit) {
+TEST(ChaosTest, AsyncDelayStormMatchesFaultFreeBitForBit) {
   SessionReport clean =
       run_with_faults(dist::FaultPlan{}, {}, {}, make_async_multi_bucket);
 
@@ -272,7 +276,7 @@ TEST(ChaosTest, AsyncDelayStormMatchesSyncBitForBit) {
   EXPECT_EQ(stormy.rank_deaths, 0);
 }
 
-TEST(ChaosTest, AsyncTransientSendFailuresMatchSyncBitForBit) {
+TEST(ChaosTest, AsyncTransientSendFailuresMatchFaultFreeBitForBit) {
   // The retries run on the background sender thread; absorbing them there
   // must not change a single bit of the trajectory.
   SessionReport clean =
@@ -374,7 +378,9 @@ SessionReport run_straggler_phase1(const dist::FaultPlan& faults) {
 dist::FaultPlan phase1_throttle() {
   dist::FaultPlan slow;
   slow.seed = 0x510A4;
-  slow.throttle_after_ops = {{2, 20}};  // mid-first-epoch of phase 1
+  // Mid-first-epoch of phase 1: op 10 falls in the second of six
+  // mini-batches, leaving room for the three-sample verdict.
+  slow.throttle_after_ops = {{2, 10}};
   slow.throttle_factor = 8.0;
   return slow;
 }
@@ -410,16 +416,18 @@ TEST(ChaosTest, StragglerMidPhase1TriggersReplanAndConverges) {
   expect_converged_like(replanned, clean);
 }
 
-// Phase-2 placement mirrors the phase-2 death schedule: phase 1 tops out
-// under 120 transport ops per rank on this config, so a trigger at 160
-// lands inside the cached phase.
+// Phase-2 placement: op counts restart with each run's transport, and a
+// throttle only dilates compute, so one armed during phase 1 (22 ops per
+// rank here) would fire there, while one armed during redistribution has
+// no compute to slow.  Each cached epoch takes 20 ops, so a trigger at 84
+// lands in the first step of the fifth cached epoch.
 SessionReport run_phase2_straggler(
     double factor, const std::function<void(SessionConfig&)>& tweak = {}) {
   auto ds = small_dataset();
   dist::EdgeCluster cluster(4, std::numeric_limits<std::uint64_t>::max());
   dist::FaultPlan slow;
   slow.seed = 0x510A5;
-  slow.throttle_after_ops = {{3, 160}};
+  slow.throttle_after_ops = {{3, 84}};
   slow.throttle_factor = factor;
   cluster.set_fault_plan(slow);
   SessionConfig cfg = chaos_session_config();
@@ -508,7 +516,7 @@ TEST(ChaosTest, ElasticDisabledPaysLongerThrottledCriticalPath) {
     dist::EdgeCluster cluster(4, std::numeric_limits<std::uint64_t>::max());
     dist::FaultPlan slow;
     slow.seed = 0x510A6;
-    slow.throttle_after_ops = {{3, 160}};
+    slow.throttle_after_ops = {{3, 84}};
     slow.throttle_factor = 8.0;
     cluster.set_fault_plan(slow);
     SessionConfig cfg = chaos_session_config();

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <chrono>
 #include <limits>
 #include <numeric>
@@ -303,6 +305,128 @@ TEST(CollectiveTest, PropertyAllReduceMatchesReferenceBitForBit) {
       }
     }
   }
+}
+
+// The ring-order sum of per-member contributions x[0..g-1]
+// (communicator.hpp): chunk c of ceil(n/g) elements is the left fold
+// x_c + x_{c+1} + ... + x_{c+g-1}, member indices mod g.  Below g elements
+// AllReduce takes the naive path, a left fold x_0 + ... + x_{g-1}.
+std::vector<float> ring_order_sum(const std::vector<std::vector<float>>& x) {
+  const int g = static_cast<int>(x.size());
+  const auto n = static_cast<std::int64_t>(x[0].size());
+  const std::int64_t chunk = n < g ? n : (n + g - 1) / g;
+  std::vector<float> out(x[0].size());
+  for (std::int64_t i = 0; i < n; ++i) {
+    const auto c = static_cast<int>(i / chunk);
+    float acc = x[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)];
+    for (int k = 1; k < g; ++k) {
+      acc += x[static_cast<std::size_t>((c + k) % g)]
+              [static_cast<std::size_t>(i)];
+    }
+    out[static_cast<std::size_t>(i)] = acc;
+  }
+  return out;
+}
+
+TEST(CollectiveTest, DirectScheduleCrossover) {
+  const LinkModel link;  // 128 Mbps, 1 ms
+  // g = 2: one direct hop always beats two ring hops.
+  for (std::uint64_t bytes : {4ULL, 6400ULL, 1ULL << 40}) {
+    EXPECT_TRUE(allreduce_prefers_direct(link, 2, bytes)) << bytes;
+  }
+  // g = 4: direct iff 6 * N * b <= 20 * a, i.e. N <= 53333 bytes.
+  EXPECT_TRUE(allreduce_prefers_direct(link, 4, 6400));  // adapter grads
+  EXPECT_TRUE(allreduce_prefers_direct(link, 4, 53332));
+  EXPECT_FALSE(allreduce_prefers_direct(link, 4, 53336));
+  EXPECT_FALSE(allreduce_prefers_direct(link, 4, 1 << 16));
+  // The crossover scales with latency and shrinks as the group grows.
+  EXPECT_TRUE(allreduce_prefers_direct(LinkModel{128e6, 2e-3, false}, 4,
+                                       100000));
+  EXPECT_FALSE(allreduce_prefers_direct(link, 8, 53332));
+  EXPECT_FALSE(allreduce_prefers_direct(LinkModel{128e6, 0.0, false}, 3, 4));
+}
+
+TEST(CollectiveTest, PropertyDirectAndRingSchedulesKeepRingOrderBitForBit) {
+  // Non-integer contributions spread over 2^-8..2^8: float addition is not
+  // associative on them, so a schedule that summed in another order would
+  // change bits.  Each LinkModel forces one schedule (simulate_delay off,
+  // so nothing sleeps): a near-free byte cost makes every payload go
+  // direct, a 1 bps link sends every payload of g >= 3 round the ring.
+  const LinkModel direct_link{1e30, 1e-3, false};
+  const LinkModel ring_link{1.0, 1e-3, false};
+  std::mt19937_64 rng(0x0DE5);
+  std::uniform_real_distribution<float> unit(-1.0F, 1.0F);
+  bool order_visible = false;
+  for (int trial = 0; trial < 28; ++trial) {
+    const int g = 2 + trial % 7;
+    const int world = g + static_cast<int>(rng() % 3);
+    std::vector<int> group(static_cast<std::size_t>(world));
+    std::iota(group.begin(), group.end(), 0);
+    std::shuffle(group.begin(), group.end(), rng);
+    group.resize(static_cast<std::size_t>(g));
+    std::sort(group.begin(), group.end());
+    std::int64_t n = 0;
+    switch ((trial / 7) % 4) {
+      case 0: n = 1 + static_cast<std::int64_t>(rng() % (g - 1)); break;
+      case 1: n = g * (1 + static_cast<std::int64_t>(rng() % 6)); break;
+      case 2:
+        n = g * (1 + static_cast<std::int64_t>(rng() % 6)) + 1 +
+            static_cast<std::int64_t>(rng() % (g - 1));
+        break;
+      default: n = 500 + static_cast<std::int64_t>(rng() % 700); break;
+    }
+
+    std::vector<std::vector<float>> x(static_cast<std::size_t>(g));
+    for (auto& member : x) {
+      member.resize(static_cast<std::size_t>(n));
+      for (float& v : member) {
+        v = std::ldexp(unit(rng), static_cast<int>(rng() % 17) - 8);
+      }
+    }
+    const std::vector<float> reference = ring_order_sum(x);
+    for (std::int64_t i = 0; i < n && !order_visible; ++i) {
+      float left = x[0][static_cast<std::size_t>(i)];
+      for (int k = 1; k < g; ++k) left += x[static_cast<std::size_t>(k)]
+                                           [static_cast<std::size_t>(i)];
+      order_visible = left != reference[static_cast<std::size_t>(i)];
+    }
+
+    for (bool slow_link : {false, true}) {
+      const bool ring = slow_link && n >= g && g >= 3;
+      const LinkModel link = slow_link ? ring_link : direct_link;
+      EdgeCluster cluster(world, std::numeric_limits<std::uint64_t>::max(),
+                          link);
+      std::vector<std::vector<float>> results(static_cast<std::size_t>(g));
+      cluster.run([&](DeviceContext& ctx) {
+        const auto it = std::find(group.begin(), group.end(), ctx.rank);
+        if (it == group.end()) return;
+        const auto me = static_cast<std::size_t>(it - group.begin());
+        Tensor t = Tensor::from_vector({n}, x[me]);
+        ctx.comm.allreduce_sum(t, group, 100 + trial);
+        results[me].assign(t.data(), t.data() + n);
+      });
+      // The message count tells the schedules apart: the ring sends
+      // 2(g-1) messages per member, direct and naive g-1 from the root.
+      std::uint64_t sent = 0;
+      for (int peer : group) {
+        sent += cluster.last_transport()->stats(group[0], peer).messages;
+      }
+      EXPECT_EQ(sent, static_cast<std::uint64_t>(ring ? 2 * (g - 1) : g - 1))
+          << "trial " << trial;
+      for (int m = 0; m < g; ++m) {
+        const auto& out = results[static_cast<std::size_t>(m)];
+        ASSERT_EQ(out.size(), reference.size());
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          ASSERT_EQ(out[i], reference[i])
+              << "trial " << trial << " g " << g << " n " << n << " "
+              << (ring ? "ring" : "direct/naive") << " member " << m
+              << " elem " << i;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(order_visible)
+      << "inputs never made summation order visible; the test is vacuous";
 }
 
 TEST(TransportTest, CloseDiscardsQueuedMessages) {

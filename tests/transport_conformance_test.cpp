@@ -23,6 +23,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -490,6 +491,50 @@ TEST_P(ConformanceTest, CollectivesMatchAcrossBackends) {
       EXPECT_FLOAT_EQ(gathered[static_cast<std::size_t>(r)]
                               [static_cast<std::size_t>(g)],
                       static_cast<float>(g * 10));
+    }
+  }
+
+  // One payload on each side of the g = 4 crossover at the default link
+  // (53333 bytes): 13333 floats go direct, 13334 round the ring.  Both
+  // schedules must produce the ring-order sum, bit for bit, on every
+  // backend; rank 0's message count shows which schedule ran.
+  for (const std::int64_t n : {std::int64_t{13333}, std::int64_t{13334}}) {
+    std::vector<std::vector<float>> x(kWorld);
+    for (int r = 0; r < kWorld; ++r) {
+      Rng rng(0xC0 + static_cast<std::uint64_t>(r));
+      for (std::int64_t i = 0; i < n; ++i) {
+        x[static_cast<std::size_t>(r)].push_back(
+            std::ldexp(rng.uniform(-1.0F, 1.0F),
+                       static_cast<int>(rng.integer(-8, 8))));
+      }
+    }
+    std::vector<std::vector<float>> out(kWorld);
+    cluster.run([&](DeviceContext& ctx) {
+      const auto me = static_cast<std::size_t>(ctx.rank);
+      Tensor t = Tensor::from_vector({n}, x[me]);
+      ctx.comm.allreduce_sum(t, group, 600);
+      out[me].assign(t.data(), t.data() + n);
+    });
+    const bool direct = allreduce_prefers_direct(
+        LinkModel{}, kWorld, static_cast<std::uint64_t>(n) * sizeof(float));
+    EXPECT_EQ(direct, n == 13333);
+    std::uint64_t sent = 0;
+    for (int peer = 1; peer < kWorld; ++peer) {
+      sent += cluster.last_transport()->stats(0, peer).messages;
+    }
+    EXPECT_EQ(sent, direct ? 3U : 6U) << "n " << n;
+    const std::int64_t chunk = (n + kWorld - 1) / kWorld;
+    for (std::int64_t i = 0; i < n; ++i) {
+      const auto c = static_cast<int>(i / chunk);
+      const auto e = static_cast<std::size_t>(i);
+      float want = x[static_cast<std::size_t>(c)][e];
+      for (int k = 1; k < kWorld; ++k) {
+        want += x[static_cast<std::size_t>((c + k) % kWorld)][e];
+      }
+      for (int r = 0; r < kWorld; ++r) {
+        ASSERT_EQ(out[static_cast<std::size_t>(r)][e], want)
+            << "n " << n << " rank " << r << " elem " << i;
+      }
     }
   }
 }

@@ -38,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include "cache/activation_cache.hpp"
 #include "common/logging.hpp"
 #include "core/session.hpp"
 #include "dist/rendezvous.hpp"
@@ -231,17 +232,14 @@ int child_main(const Options& o) {
 
 // ---- launcher -----------------------------------------------------------
 
-bool dir_has_spill_file(const std::string& dir) {
-  std::error_code ec;
-  if (!fs::is_directory(dir, ec)) return false;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("sample_", 0) == 0 && name.size() > 4 &&
-        name.substr(name.size() - 4) == ".bin") {
-      return true;
-    }
-  }
-  return false;
+// True once the spill log in `dir` holds a complete record, i.e. salvaging
+// it would recover at least one sample.
+bool spill_log_has_record(const std::string& dir,
+                          const pac::core::SessionConfig& cfg) {
+  pac::cache::CacheConfig probe;
+  probe.num_blocks = cfg.model.encoder_layers + 1;
+  probe.dtype = cfg.cache_dtype;
+  return pac::cache::ActivationCache(probe).absorb_spilled_directory(dir) > 0;
 }
 
 int launcher_main(Options o, char** argv) {
@@ -295,8 +293,8 @@ int launcher_main(Options o, char** argv) {
   const std::string& base = o.base;
   if (o.kill_rank >= 0) {
     // Phase-sensitive kill trigger, observed from outside the children:
-    //   phase 1 — the victim's first completed cache spill file (written
-    //   strictly during phase-1 recording);
+    //   phase 1 — the first complete record in the victim's cache spill
+    //   log (its first spill happens strictly during phase-1 recording);
     //   phase 2 — the third transport generation's arena appearing (run
     //   order is phase1 = g0, redistribution = g1, phase2 = g2).
     const auto deadline =
@@ -304,9 +302,10 @@ int launcher_main(Options o, char** argv) {
     const std::string victim_cache =
         o.workdir + "/cache/device_" + std::to_string(o.kill_rank);
     const std::string phase2_arena = "/dev/shm" + base + "_g2";
+    const pac::core::SessionConfig session_cfg = make_session_config(o);
     for (;;) {
       const bool ready = o.kill_phase == 1
-                             ? dir_has_spill_file(victim_cache)
+                             ? spill_log_has_record(victim_cache, session_cfg)
                              : fs::exists(phase2_arena);
       if (ready) break;
       if (std::chrono::steady_clock::now() > deadline) {

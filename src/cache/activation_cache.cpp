@@ -1,9 +1,16 @@
 #include "cache/activation_cache.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <istream>
+#include <ostream>
+#include <streambuf>
 
 #include "common/serialize.hpp"
 #include "obs/counters.hpp"
@@ -17,7 +24,41 @@ namespace {
 // the block count (a small integer), so this sentinel can never collide.
 constexpr std::uint64_t kQuantSpillMagic = 0x5041435153504C31ull;  // PACQSPL1
 
+// Spill log record header, in host byte order (the log is temporary
+// storage of one run on one host).  A tombstone is a header with
+// kTombstone as its length and no payload.
+constexpr std::uint64_t kRecordMagic = 0x50414353504C4F47ull;  // PACSPLOG
+constexpr std::uint64_t kTombstone = ~0ull;
+struct RecordHeader {
+  std::uint64_t magic = kRecordMagic;
+  std::int64_t sample_id = 0;
+  std::uint64_t bytes = 0;  // payload length, or kTombstone
+};
+
+// Let BinaryWriter/BinaryReader write into, and parse out of, a plain
+// byte buffer (BinaryWriter only ever calls write(), i.e. xsputn).
+struct AppendBuf : std::streambuf {
+  explicit AppendBuf(std::vector<char>& out) : out(out) {}
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    out.insert(out.end(), s, s + n);
+    return n;
+  }
+  std::vector<char>& out;
+};
+
+struct SpanBuf : std::streambuf {
+  SpanBuf(char* data, std::size_t size) { setg(data, data, data + size); }
+};
+
 }  // namespace
+
+struct ActivationCache::LogFile {
+  explicit LogFile(int fd) : fd(fd) {}
+  ~LogFile() { ::close(fd); }
+  LogFile(const LogFile&) = delete;
+  LogFile& operator=(const LogFile&) = delete;
+  const int fd;
+};
 
 ActivationCache::ActivationCache(CacheConfig config)
     : config_(std::move(config)) {
@@ -31,7 +72,7 @@ ActivationCache::ActivationCache(CacheConfig config)
 
 ActivationCache::~ActivationCache() {
   stop_prefetcher();
-  // clear() refunds the ledger and removes spill files.
+  // clear() refunds the ledger and removes the spill log.
   try {
     clear();
   } catch (...) {
@@ -40,8 +81,8 @@ ActivationCache::~ActivationCache() {
   }
 }
 
-std::string ActivationCache::sample_path(std::int64_t sample_id) const {
-  return config_.directory + "/sample_" + std::to_string(sample_id) + ".bin";
+std::string ActivationCache::log_path() const {
+  return config_.directory + "/" + kSpillLogName;
 }
 
 void ActivationCache::charge(std::uint64_t bytes) {
@@ -163,18 +204,23 @@ void ActivationCache::maybe_spill(std::int64_t sample_id, Entry& entry) {
   if (!config_.disk_backed || entry.present < config_.num_blocks) return;
   PAC_TRACE_SCOPE("cache_spill", sample_id);
   obs::CounterRegistry::instance().add("cache.spills", 1);
-  std::ofstream out(sample_path(sample_id), std::ios::binary);
-  PAC_CHECK(out.good(), "cannot open spill file for sample " << sample_id);
+  // One record: the header (its length patched in below), then the
+  // payload.
+  RecordHeader header;
+  header.sample_id = sample_id;
+  spill_buf_.assign(sizeof(header), 0);
+  AppendBuf sink(spill_buf_);
+  std::ostream out(&sink);
   BinaryWriter w(out);
   std::uint64_t freed = 0;
   if (!entry.qblocks.empty()) {
-    // Compressed spill format: sentinel, dtype, then per-block dims,
+    // Compressed payload format: sentinel, dtype, then per-block dims,
     // scales, and raw element bytes.
     w.write_u64(kQuantSpillMagic);
     w.write_u32(static_cast<std::uint32_t>(config_.dtype));
     w.write_u64(static_cast<std::uint64_t>(config_.num_blocks));
-    for (auto& slot : entry.qblocks) {
-      quant::QTensor& q = *slot;
+    for (const auto& slot : entry.qblocks) {
+      const quant::QTensor& q = *slot;
       w.write_u64(static_cast<std::uint64_t>(q.shape[0]));
       w.write_u64(static_cast<std::uint64_t>(q.shape[1]));
       w.write_u64(static_cast<std::uint64_t>(q.scales.size()));
@@ -182,22 +228,47 @@ void ActivationCache::maybe_spill(std::int64_t sample_id, Entry& entry) {
       w.write_u64(static_cast<std::uint64_t>(q.data.size()));
       w.write_bytes(q.data.data(), q.data.size());
       freed += q.byte_size();
-      slot.reset();
     }
   } else {
     w.write_u64(static_cast<std::uint64_t>(config_.num_blocks));
-    for (Tensor& block : entry.blocks) {
+    for (const Tensor& block : entry.blocks) {
       w.write_u64(static_cast<std::uint64_t>(block.size(0)));
       w.write_u64(static_cast<std::uint64_t>(block.size(1)));
       w.write_floats(block.data(), static_cast<std::size_t>(block.numel()));
       freed += block.byte_size();
-      block = Tensor();
     }
   }
+  header.bytes = spill_buf_.size() - sizeof(header);
+  std::memcpy(spill_buf_.data(), &header, sizeof(header));
+  entry.offset = append_locked(spill_buf_.data(), spill_buf_.size()) +
+                 sizeof(header);
+  entry.bytes = header.bytes;
+  for (auto& slot : entry.qblocks) slot.reset();
+  for (Tensor& block : entry.blocks) block = Tensor();
   refund(freed);
   entry.spilled = true;
   entry.spilled_bytes = freed;
   spilled_bytes_ += freed;
+}
+
+std::uint64_t ActivationCache::append_locked(const void* data,
+                                             std::size_t size) {
+  if (log_ == nullptr) {
+    const int fd = ::open(log_path().c_str(),
+                          O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+    PAC_CHECK(fd >= 0, "cannot open spill log " << log_path() << ": "
+                                                << std::strerror(errno));
+    log_ = std::make_shared<LogFile>(fd);
+    log_end_ = 0;
+  }
+  const ssize_t wrote =
+      ::pwrite(log_->fd, data, size, static_cast<off_t>(log_end_));
+  PAC_CHECK(wrote == static_cast<ssize_t>(size),
+            "short write to spill log " << log_path() << " (" << wrote
+                                        << " of " << size << " bytes)");
+  const std::uint64_t at = log_end_;
+  log_end_ += size;
+  return at;
 }
 
 ActivationCache::Entry ActivationCache::read_spilled_entry(std::istream& in) {
@@ -245,14 +316,21 @@ ActivationCache::Entry ActivationCache::read_spilled_entry(std::istream& in) {
   return entry;
 }
 
-ActivationCache::Entry ActivationCache::load_spilled(
-    std::int64_t sample_id) const {
+ActivationCache::Entry ActivationCache::load_spilled(std::int64_t sample_id,
+                                                    const Extent& extent) {
   PAC_TRACE_SCOPE("cache_load", sample_id);
-  std::ifstream in(sample_path(sample_id), std::ios::binary);
-  if (!in.good()) {
-    throw CacheMissError("spill file missing for sample " +
+  auto bytes = std::make_unique_for_overwrite<char[]>(extent.bytes);
+  const ssize_t got =
+      extent.log == nullptr
+          ? -1
+          : ::pread(extent.log->fd, bytes.get(), extent.bytes,
+                    static_cast<off_t>(extent.offset));
+  if (got != static_cast<ssize_t>(extent.bytes)) {
+    throw CacheMissError("spill log read failed for sample " +
                          std::to_string(sample_id));
   }
+  SpanBuf span(bytes.get(), extent.bytes);
+  std::istream in(&span);
   return read_spilled_entry(in);
 }
 
@@ -287,15 +365,16 @@ void ActivationCache::prefetch_main() const {
     pf_.request.clear();
     pf_.has_request = false;
     // Only spilled samples that are not already staged need disk reads.
-    std::vector<std::int64_t> to_load;
+    std::map<std::int64_t, Extent> to_load;
+    pf_.inflight.clear();
     for (std::int64_t id : ids) {
       auto it = entries_.find(id);
       if (it != entries_.end() && it->second.spilled &&
           pf_.staged.find(id) == pf_.staged.end()) {
-        to_load.push_back(id);
+        to_load.emplace(id, extent_locked(it->second));
+        pf_.inflight.push_back(id);
       }
     }
-    pf_.inflight = to_load;
     pf_.busy = true;
     lk.unlock();
 
@@ -303,9 +382,9 @@ void ActivationCache::prefetch_main() const {
     {
       PAC_TRACE_SCOPE("cache_prefetch",
                       static_cast<std::int64_t>(to_load.size()));
-      for (std::int64_t id : to_load) {
+      for (const auto& [id, extent] : to_load) {
         try {
-          fresh[id] = load_spilled(id);
+          fresh[id] = load_spilled(id, extent);
         } catch (...) {
           // Advisory only: a failed staging read falls back to the
           // synchronous path inside fetch(), which reports the error.
@@ -316,9 +395,11 @@ void ActivationCache::prefetch_main() const {
     lk.lock();
     if (!pf_.stop) {
       for (auto& [id, entry] : fresh) {
-        // Re-validate: the sample may have been dropped while we read.
+        // Re-validate: the sample may have been dropped (or dropped and
+        // spilled again) while we read.
         auto it = entries_.find(id);
-        if (it != entries_.end() && it->second.spilled) {
+        if (it != entries_.end() && it->second.spilled &&
+            extent_locked(it->second) == to_load.at(id)) {
           pf_.staged[id] = std::move(entry);
         }
       }
@@ -379,8 +460,9 @@ std::vector<Tensor> ActivationCache::fetch(
       continue;
     }
     obs::CounterRegistry::instance().add("cache.misses", 1);
+    const Extent extent = extent_locked(it->second);
     lk.unlock();
-    Entry entry = load_spilled(id);
+    Entry entry = load_spilled(id, extent);
     lk.lock();
     loaded[id] = std::move(entry);
   }
@@ -524,7 +606,7 @@ quant::QTensor ActivationCache::get_block_q(std::int64_t sample_id,
   };
   if (it->second.spilled) {
     // Compressed shards hand spilled blocks out exactly as stored on disk.
-    return block_of(load_spilled(sample_id));
+    return block_of(load_spilled(sample_id, extent_locked(it->second)));
   }
   return block_of(it->second);
 }
@@ -537,6 +619,18 @@ void ActivationCache::drop_sample(std::int64_t sample_id) {
 void ActivationCache::drop_sample_locked(std::int64_t sample_id) {
   auto it = entries_.find(sample_id);
   if (it == entries_.end()) return;
+  if (it->second.spilled) {
+    // A salvager replaying the log must not bring the sample back.
+    RecordHeader tombstone;
+    tombstone.sample_id = sample_id;
+    tombstone.bytes = kTombstone;
+    append_locked(&tombstone, sizeof(tombstone));
+  }
+  release_locked(it);
+}
+
+void ActivationCache::release_locked(
+    std::map<std::int64_t, Entry>::iterator it) {
   std::uint64_t resident = 0;
   for (const Tensor& block : it->second.blocks) {
     if (block.defined()) resident += block.byte_size();
@@ -545,66 +639,66 @@ void ActivationCache::drop_sample_locked(std::int64_t sample_id) {
     if (q.has_value()) resident += q->byte_size();
   }
   refund(resident);
-  if (it->second.spilled) {
-    spilled_bytes_ -= it->second.spilled_bytes;
-    std::filesystem::remove(sample_path(sample_id));
-  }
-  pf_.staged.erase(sample_id);
+  if (it->second.spilled) spilled_bytes_ -= it->second.spilled_bytes;
+  pf_.staged.erase(it->first);
   entries_.erase(it);
 }
 
 std::int64_t ActivationCache::absorb_spilled_directory(
     const std::string& directory) {
-  namespace fs = std::filesystem;
-  if (!fs::is_directory(directory)) return 0;
-  // Directory iteration order is unspecified; sort the ids so every
-  // salvager (and every run) absorbs in the same order.
-  std::vector<std::int64_t> ids;
-  for (const auto& entry : fs::directory_iterator(directory)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() <= 11 || name.rfind("sample_", 0) != 0 ||
-        name.substr(name.size() - 4) != ".bin") {
+  const std::string path = directory + "/" + kSpillLogName;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return 0;
+  const auto log = std::make_shared<const LogFile>(fd);
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) return 0;
+  const auto size = static_cast<std::uint64_t>(st.st_size);
+
+  // Replay in write order; std::map then absorbs in ascending id order, so
+  // every salvager (and every run) absorbs the same way.
+  std::map<std::int64_t, Entry> survivors;
+  RecordHeader header;
+  for (std::uint64_t at = 0;
+       ::pread(fd, &header, sizeof(header), static_cast<off_t>(at)) ==
+           static_cast<ssize_t>(sizeof(header)) &&
+       header.magic == kRecordMagic;) {
+    at += sizeof(header);
+    if (header.bytes == kTombstone) {
+      survivors.erase(header.sample_id);
       continue;
     }
+    // A torn tail (a writer killed mid-append) ends the log.  (The file
+    // may have grown past `size` if its writer is still alive.)
+    if (at > size || header.bytes > size - at) break;
     try {
-      ids.push_back(std::stoll(name.substr(7, name.size() - 11)));
+      Entry loaded = load_spilled(header.sample_id, {log, at, header.bytes});
+      survivors[header.sample_id] = std::move(loaded);
     } catch (...) {
-      // Not one of ours; skip.
+      break;
     }
+    at += header.bytes;
   }
-  std::sort(ids.begin(), ids.end());
 
   std::lock_guard<std::mutex> lk(mutex_);
   std::int64_t absorbed = 0;
-  for (std::int64_t id : ids) {
+  for (auto& [id, loaded] : survivors) {
     if (entries_.find(id) != entries_.end()) continue;
-    std::ifstream in(directory + "/sample_" + std::to_string(id) + ".bin",
-                     std::ios::binary);
-    if (!in.good()) continue;
-    try {
-      Entry loaded = read_spilled_entry(in);
-      for (std::size_t b = 0; b < loaded.qblocks.size(); ++b) {
-        auto& q = loaded.qblocks[b];
-        if (!q.has_value()) continue;
-        if (quantized() && q->dtype == config_.dtype) {
-          put_qblock_locked(id, static_cast<std::int64_t>(b),
-                            std::move(*q));
-        } else {
-          put_block_locked(id, static_cast<std::int64_t>(b),
-                           quant::dequantize(*q));
-        }
-      }
-      for (std::size_t b = 0; b < loaded.blocks.size(); ++b) {
-        if (!loaded.blocks[b].defined()) continue;
+    for (std::size_t b = 0; b < loaded.qblocks.size(); ++b) {
+      auto& q = loaded.qblocks[b];
+      if (!q.has_value()) continue;
+      if (quantized() && q->dtype == config_.dtype) {
+        put_qblock_locked(id, static_cast<std::int64_t>(b), std::move(*q));
+      } else {
         put_block_locked(id, static_cast<std::int64_t>(b),
-                         std::move(loaded.blocks[b]));
+                         quant::dequantize(*q));
       }
-      ++absorbed;
-    } catch (...) {
-      // A writer killed mid-spill leaves a torn file; drop the partial
-      // sample rather than surfacing a corrupt activation.
-      drop_sample_locked(id);
     }
+    for (std::size_t b = 0; b < loaded.blocks.size(); ++b) {
+      if (!loaded.blocks[b].defined()) continue;
+      put_block_locked(id, static_cast<std::int64_t>(b),
+                       std::move(loaded.blocks[b]));
+    }
+    ++absorbed;
   }
   return absorbed;
 }
@@ -621,10 +715,12 @@ std::uint64_t ActivationCache::total_bytes() const {
 
 void ActivationCache::clear() {
   std::lock_guard<std::mutex> lk(mutex_);
-  std::vector<std::int64_t> ids;
-  ids.reserve(entries_.size());
-  for (const auto& [id, entry] : entries_) ids.push_back(id);
-  for (std::int64_t id : ids) drop_sample_locked(id);
+  while (!entries_.empty()) release_locked(entries_.begin());
+  if (log_ != nullptr) {
+    // Readers still holding an extent keep the descriptor open.
+    log_.reset();
+    std::filesystem::remove(log_path());
+  }
 }
 
 }  // namespace pac::cache

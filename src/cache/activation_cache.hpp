@@ -5,15 +5,22 @@
 // network without any backbone forward.  One cache instance is one device's
 // shard.  Two backends:
 //   memory — everything held in RAM, charged to the device ledger (kCache);
-//   disk   — completed samples are spilled to one file each and evicted
-//            from RAM; fetch() reloads on demand.  This models the paper's
-//            flash-storage cache ("reloaded from disk per micro-batch",
-//            storage §5.2) and keeps the DRAM ledger honest.
+//   disk   — completed samples are appended to the shard's spill log and
+//            evicted from RAM; fetch() reloads them on demand.  This models
+//            the paper's flash-storage cache ("reloaded from disk per
+//            micro-batch", storage §5.2) and keeps the DRAM ledger honest.
+//
+// The spill log, <directory>/spill.log, is append-only: a spill is one
+// record (a fixed header {magic, sample id, payload length}, then the
+// sample's serialized blocks), a reload is one pread of a recorded extent,
+// and dropping a spilled sample appends a tombstone (a header with a
+// reserved length and no payload).  Records are never rewritten; clear()
+// removes the whole file.
 //
 // Storage dtype (CacheConfig::dtype): fp32 entries are stored exactly as
 // recorded; fp16/int8 entries are quantized on insert (see tensor/quant.hpp
 // for the format) and dequantized on fetch, so RAM, the ledger charge, the
-// spill files, and redistribution traffic all shrink 2-4x.  The fp32 path
+// spill log, and redistribution traffic all shrink 2-4x.  The fp32 path
 // is byte-for-byte the original code path.  get_block_q/put_block_q move
 // entries between shards in their stored representation — redistribution
 // never requantizes, so shipping a block is lossless.
@@ -31,6 +38,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -42,6 +50,9 @@
 #include "tensor/quant.hpp"
 
 namespace pac::cache {
+
+// File name of a disk-backed shard's spill log inside its directory.
+inline constexpr char kSpillLogName[] = "spill.log";
 
 struct CacheConfig {
   std::int64_t num_blocks = 0;  // activations per sample (= L + 1)
@@ -99,10 +110,13 @@ class ActivationCache : public pipeline::ActivationRecorder,
                    quant::QTensor payload);
   // Drops a sample's blocks from this shard (after shipping them away).
   void drop_sample(std::int64_t sample_id);
-  // Salvage: loads every spilled sample file found in `directory` (another
-  // shard's on-disk cache — e.g. a dead device's flash store) into this
-  // shard, skipping samples already held.  Handles both the fp32 and the
-  // compressed spill formats.  Returns samples absorbed.
+  // Salvage: replays the spill log in `directory` (another shard's on-disk
+  // cache — e.g. a dead device's flash store) and loads the samples it
+  // still holds into this shard, in ascending id order, skipping samples
+  // already held.  The last record for a sample wins and a tombstone
+  // removes it; replay stops at the first invalid record, so a writer
+  // killed mid-append loses only that sample.  Handles both the fp32 and
+  // the compressed payload formats.  Returns samples absorbed.
   std::int64_t absorb_spilled_directory(const std::string& directory);
 
   std::int64_t num_blocks() const { return config_.num_blocks; }
@@ -120,6 +134,20 @@ class ActivationCache : public pipeline::ActivationRecorder,
     std::int64_t present = 0;  // how many blocks are defined
     bool spilled = false;      // on disk, RAM copy evicted
     std::uint64_t spilled_bytes = 0;
+    std::uint64_t offset = 0;  // payload extent in the spill log
+    std::uint64_t bytes = 0;
+  };
+
+  // An open spill log; closed once neither the shard nor a reader holds it,
+  // so a read that started before clear() never sees a reused descriptor.
+  struct LogFile;
+  // One record's payload, pinned to the log it was written to.  Captured
+  // under mutex_; the read itself runs unlocked.
+  struct Extent {
+    std::shared_ptr<const LogFile> log;
+    std::uint64_t offset = 0;
+    std::uint64_t bytes = 0;
+    bool operator==(const Extent&) const = default;
   };
 
   // Background reader state (guarded by mutex_ like everything else; the
@@ -138,9 +166,15 @@ class ActivationCache : public pipeline::ActivationRecorder,
   };
 
   bool quantized() const { return config_.dtype != quant::Dtype::kF32; }
-  std::string sample_path(std::int64_t sample_id) const;
+  std::string log_path() const;
   void maybe_spill(std::int64_t sample_id, Entry& entry);
-  Entry load_spilled(std::int64_t sample_id) const;
+  // Appends bytes to the spill log (opening it on first use); returns the
+  // offset they were written at.
+  std::uint64_t append_locked(const void* data, std::size_t size);
+  Extent extent_locked(const Entry& entry) const {
+    return {log_, entry.offset, entry.bytes};
+  }
+  static Entry load_spilled(std::int64_t sample_id, const Extent& extent);
   // Parses one spill stream (either format) into a RAM entry.
   static Entry read_spilled_entry(std::istream& in);
   void charge(std::uint64_t bytes);
@@ -151,17 +185,22 @@ class ActivationCache : public pipeline::ActivationRecorder,
   void put_qblock_locked(std::int64_t sample_id, std::int64_t block_index,
                          quant::QTensor q);
   void drop_sample_locked(std::int64_t sample_id);
+  // Forgets an entry: refunds its RAM and its spilled-byte accounting.
+  void release_locked(std::map<std::int64_t, Entry>::iterator it);
   void prefetch_main() const;
   void stop_prefetcher();
 
   CacheConfig config_;
-  // Guards entries_/memory_bytes_/spilled_bytes_/pf_ (all public methods
-  // lock it; internal *_locked helpers expect it held).
+  // Guards entries_/memory_bytes_/spilled_bytes_/pf_ and the log state
+  // (all public methods lock it; internal *_locked helpers expect it held).
   mutable std::mutex mutex_;
   std::map<std::int64_t, Entry> entries_;
   std::uint64_t memory_bytes_ = 0;
   std::uint64_t spilled_bytes_ = 0;
   mutable PrefetchState pf_;
+  std::shared_ptr<LogFile> log_;   // opened by the first spill
+  std::uint64_t log_end_ = 0;      // append offset
+  std::vector<char> spill_buf_;    // one record, reused across spills
 };
 
 }  // namespace pac::cache

@@ -337,6 +337,7 @@ SessionReport Session::run_attempt() {
     WallTimer t_redist;
     std::mutex stats_mutex;
     cluster_.run([&](dist::DeviceContext& ctx) {
+      PAC_TRACE_SCOPE("redistribute", ctx.rank);
       cache::RedistStats stats = cache::redistribute_cache(
           ctx, *shards[static_cast<std::size_t>(ctx.rank)], t, group);
       std::lock_guard<std::mutex> stats_guard(stats_mutex);

@@ -436,18 +436,24 @@ RunResult run_cached_data_parallel(
           }
           const auto compute_begin = std::chrono::steady_clock::now();
           std::vector<Tensor> acts = source->fetch(ids);
-          auto batch = dataset.make_train_batch(ids);
-          Tensor logits = model->forward_cached(
-              acts,
-              model::make_pad_mask(batch.tokens,
-                                   model->config().pad_token));
           nn::LossResult r;
-          if (model->task().kind == model::TaskKind::kClassification) {
-            r = nn::softmax_cross_entropy(logits, batch.labels);
-          } else {
-            r = nn::mse_loss(logits, batch.targets);
+          {
+            PAC_TRACE_SCOPE("cached_fwd", ctx.rank, step);
+            auto batch = dataset.make_train_batch(ids);
+            Tensor logits = model->forward_cached(
+                acts,
+                model::make_pad_mask(batch.tokens,
+                                     model->config().pad_token));
+            if (model->task().kind == model::TaskKind::kClassification) {
+              r = nn::softmax_cross_entropy(logits, batch.labels);
+            } else {
+              r = nn::mse_loss(logits, batch.targets);
+            }
           }
-          model->backward_cached(r.dlogits);
+          {
+            PAC_TRACE_SCOPE("cached_bwd", ctx.rank, step);
+            model->backward_cached(r.dlogits);
+          }
           step_loss = r.loss;
           step_rows = static_cast<std::int64_t>(ids.size());
           const double compute_s =
@@ -460,18 +466,22 @@ RunResult run_cached_data_parallel(
           // the AllReduced gradient is the global batch mean.
         }
         // Flatten grads, weight by rows, AllReduce, rescale by total rows.
-        std::int64_t cursor = 0;
-        for (nn::Parameter* p : trainable) {
-          Tensor dst = flat.slice0(cursor, cursor + p->grad().numel());
-          dst.copy_from(p->grad().reshape({p->grad().numel()}));
-          dst.scale_(static_cast<float>(step_rows));
-          cursor += p->grad().numel();
+        {
+          PAC_TRACE_SCOPE("cached_allreduce", ctx.rank, step);
+          std::int64_t cursor = 0;
+          for (nn::Parameter* p : trainable) {
+            Tensor dst = flat.slice0(cursor, cursor + p->grad().numel());
+            dst.copy_from(p->grad().reshape({p->grad().numel()}));
+            dst.scale_(static_cast<float>(step_rows));
+            cursor += p->grad().numel();
+          }
+          flat.at({flat_size}) = static_cast<float>(step_rows);
+          ctx.comm.allreduce_sum(flat, group, tags::kGradAllReduce);
         }
-        flat.at({flat_size}) = static_cast<float>(step_rows);
-        ctx.comm.allreduce_sum(flat, group, tags::kGradAllReduce);
         const float global_rows = flat.at({flat_size});
         if (global_rows > 0) {
-          cursor = 0;
+          PAC_TRACE_SCOPE("cached_opt", ctx.rank, step);
+          std::int64_t cursor = 0;
           for (nn::Parameter* p : trainable) {
             Tensor src = flat.slice0(cursor, cursor + p->grad().numel());
             p->grad().copy_from(src.reshape(p->grad().shape()));

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <numeric>
+#include <thread>
 
 #include "cache/activation_cache.hpp"
 #include "cache/redistribution.hpp"
@@ -109,9 +114,212 @@ TEST(ActivationCacheTest, DiskSpillEvictsRamAndReloads) {
   // get_block also reloads.
   EXPECT_LT(ops::max_abs_diff(cache.get_block(7, 1), b1), 1e-7F);
 
+  // The spill went to the shard's one log; clear() removes it.
+  std::vector<std::string> files;
+  for (const auto& f : std::filesystem::directory_iterator(dir)) {
+    files.push_back(f.path().filename().string());
+  }
+  EXPECT_EQ(files, std::vector<std::string>{kSpillLogName});
   cache.clear();
-  EXPECT_FALSE(std::filesystem::exists(dir + "/sample_7.bin"));
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  EXPECT_EQ(cache.total_bytes(), 0U);
 }
+
+// ---- spill log ------------------------------------------------------------
+// Every case runs once per payload format: the fp32 layout and the
+// compressed (int8) one.
+
+namespace fs = std::filesystem;
+
+class SpillLogTest : public ::testing::TestWithParam<quant::Dtype> {
+ protected:
+  void SetUp() override {
+    // ctest runs each case in its own process, concurrently: one directory
+    // per case.
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    root_ = (fs::temp_directory_path() / ("pac_spill_log_" + name)).string();
+    fs::remove_all(root_);
+  }
+  void TearDown() override { fs::remove_all(root_); }
+
+  std::string dir(const std::string& shard) const {
+    return root_ + "/" + shard;
+  }
+  std::string log(const std::string& shard) const {
+    return dir(shard) + "/" + kSpillLogName;
+  }
+  CacheConfig shard_cfg(const std::string& shard) const {
+    CacheConfig cfg = disk_cfg(2, dir(shard));
+    cfg.dtype = GetParam();
+    return cfg;
+  }
+  // Both blocks of a sample; storing the second completes (spills) it.
+  static Tensor block(std::int64_t id, std::int64_t b, float version) {
+    return make_block(3, 4, static_cast<float>(id * 10 + b) + version);
+  }
+  static void put_sample(ActivationCache& cache, std::int64_t id,
+                         float version = 0.0F) {
+    for (std::int64_t b = 0; b < 2; ++b) {
+      cache.put_block(id, b, block(id, b, version));
+    }
+  }
+  // What fetch() must return for a block stored at the shard's dtype.
+  Tensor stored(std::int64_t id, std::int64_t b, float version) const {
+    return quant::dequantize(quant::quantize(block(id, b, version),
+                                             GetParam()));
+  }
+  // Replays `shard_dir`'s log into a fresh in-memory shard.
+  std::unique_ptr<ActivationCache> salvage(const std::string& shard_dir) {
+    CacheConfig cfg = mem_cfg(2);
+    cfg.dtype = GetParam();
+    auto out = std::make_unique<ActivationCache>(cfg);
+    out->absorb_spilled_directory(shard_dir);
+    return out;
+  }
+  static std::string read_file(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+  }
+  static void expect_same_bytes(const ActivationCache& want,
+                                const ActivationCache& got,
+                                std::int64_t id) {
+    for (std::int64_t b = 0; b < 2; ++b) {
+      const quant::QTensor w = want.get_block_q(id, b);
+      const quant::QTensor g = got.get_block_q(id, b);
+      EXPECT_EQ(w.shape, g.shape) << "sample " << id << " block " << b;
+      EXPECT_EQ(w.scales, g.scales) << "sample " << id << " block " << b;
+      EXPECT_EQ(w.data, g.data) << "sample " << id << " block " << b;
+    }
+  }
+
+  std::string root_;
+};
+
+TEST_P(SpillLogTest, ManySpillsLeaveOneFileAndClearRemovesIt) {
+  ActivationCache cache(shard_cfg("a"));
+  for (std::int64_t id = 0; id < 6; ++id) put_sample(cache, id);
+  EXPECT_EQ(cache.memory_bytes(), 0U);
+  std::vector<std::string> files;
+  for (const auto& f : fs::directory_iterator(dir("a"))) {
+    files.push_back(f.path().filename().string());
+  }
+  EXPECT_EQ(files, std::vector<std::string>{kSpillLogName});
+  auto fetched = cache.fetch({5, 0});
+  EXPECT_EQ(ops::max_abs_diff(fetched[1].slice0(0, 1).reshape({3, 4}),
+                              stored(5, 1, 0.0F)),
+            0.0F);
+  cache.clear();
+  EXPECT_TRUE(fs::is_empty(dir("a")));
+  // The shard stays usable: the next spill starts a fresh log.
+  put_sample(cache, 9);
+  EXPECT_EQ(cache.sample_ids(), std::vector<std::int64_t>{9});
+  EXPECT_EQ(ops::max_abs_diff(cache.get_block(9, 0), stored(9, 0, 0.0F)),
+            0.0F);
+  EXPECT_EQ(salvage(dir("a"))->sample_ids(), std::vector<std::int64_t>{9});
+}
+
+TEST_P(SpillLogTest, TornLastRecordSalvagesExactlyTheEarlierSamples) {
+  ActivationCache cache(shard_cfg("a"));
+  std::vector<std::uintmax_t> ends;
+  for (std::int64_t id = 0; id < 3; ++id) {
+    put_sample(cache, id);
+    ends.push_back(fs::file_size(log("a")));
+  }
+  const std::string bytes = read_file(log("a"));
+  ASSERT_EQ(bytes.size(), ends[2]);
+  fs::create_directories(dir("torn"));
+  // Every cut inside the last record (its header included) loses exactly
+  // that record; the complete log salvages everything.
+  for (std::uintmax_t cut = ends[1]; cut <= ends[2]; ++cut) {
+    {
+      std::ofstream out(log("torn"), std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(cut));
+    }
+    auto salvaged = salvage(dir("torn"));
+    const std::vector<std::int64_t> want =
+        cut == ends[2] ? std::vector<std::int64_t>{0, 1, 2}
+                       : std::vector<std::int64_t>{0, 1};
+    ASSERT_EQ(salvaged->sample_ids(), want) << "cut at byte " << cut;
+    for (std::int64_t id : want) expect_same_bytes(cache, *salvaged, id);
+  }
+}
+
+TEST_P(SpillLogTest, DroppedSampleIsNotSalvaged) {
+  ActivationCache cache(shard_cfg("a"));
+  for (std::int64_t id = 0; id < 3; ++id) put_sample(cache, id);
+  const std::string before = read_file(log("a"));
+  cache.drop_sample(1);
+  // A drop appends a record and rewrites nothing.
+  const std::string after = read_file(log("a"));
+  EXPECT_GT(after.size(), before.size());
+  EXPECT_EQ(after.substr(0, before.size()), before);
+  auto salvaged = salvage(dir("a"));
+  EXPECT_EQ(salvaged->sample_ids(), (std::vector<std::int64_t>{0, 2}));
+  expect_same_bytes(cache, *salvaged, 0);
+  expect_same_bytes(cache, *salvaged, 2);
+}
+
+TEST_P(SpillLogTest, RespilledSampleSalvagesItsNewestBytes) {
+  ActivationCache cache(shard_cfg("a"));
+  put_sample(cache, 4, 0.0F);
+  put_sample(cache, 5, 0.0F);
+  cache.drop_sample(4);
+  put_sample(cache, 4, 0.5F);  // same id, new bytes, a second record
+  EXPECT_EQ(ops::max_abs_diff(cache.get_block(4, 1), stored(4, 1, 0.5F)),
+            0.0F);
+  auto salvaged = salvage(dir("a"));
+  EXPECT_EQ(salvaged->sample_ids(), (std::vector<std::int64_t>{4, 5}));
+  expect_same_bytes(cache, *salvaged, 4);
+  expect_same_bytes(cache, *salvaged, 5);
+  EXPECT_EQ(ops::max_abs_diff(salvaged->get_block(4, 0), stored(4, 0, 0.5F)),
+            0.0F);
+}
+
+TEST_P(SpillLogTest, PrefetchRacingSpillsReadsCorrectBytes) {
+  // The prefetch thread and fetch's miss path pread the log while another
+  // thread keeps appending to it.
+  ActivationCache cache(shard_cfg("a"));
+  constexpr std::int64_t kOld = 8;
+  constexpr std::int64_t kNew = 64;
+  for (std::int64_t id = 0; id < kOld; ++id) put_sample(cache, id);
+  std::atomic<std::int64_t> spilled{kOld};
+  std::thread writer([&] {
+    for (std::int64_t id = kOld; id < kOld + kNew; ++id) {
+      put_sample(cache, id);
+      spilled.store(id + 1);
+    }
+  });
+  for (int i = 0; i < 200; ++i) {
+    const std::int64_t newest = spilled.load() - 1;
+    const std::vector<std::int64_t> ids = {i % kOld, newest};
+    cache.prefetch(ids);
+    const std::vector<Tensor> got = cache.fetch(ids);
+    for (std::int64_t b = 0; b < 2; ++b) {
+      for (std::int64_t r = 0; r < 2; ++r) {
+        const std::int64_t id = ids[static_cast<std::size_t>(r)];
+        EXPECT_EQ(ops::max_abs_diff(
+                      got[static_cast<std::size_t>(b)].slice0(r, r + 1)
+                          .reshape({3, 4}),
+                      stored(id, b, 0.0F)),
+                  0.0F)
+            << "sample " << id << " block " << b;
+      }
+    }
+  }
+  writer.join();
+  EXPECT_EQ(salvage(dir("a"))->sample_ids().size(),
+            static_cast<std::size_t>(kOld + kNew));
+}
+
+INSTANTIATE_TEST_SUITE_P(Formats, SpillLogTest,
+                         ::testing::Values(quant::Dtype::kF32,
+                                           quant::Dtype::kI8),
+                         [](const auto& info) {
+                           return std::string(quant::dtype_name(info.param));
+                         });
 
 TEST(ActivationCacheTest, HeldBlocksEnumeration) {
   ActivationCache cache(mem_cfg(3));

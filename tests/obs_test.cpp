@@ -396,5 +396,64 @@ TEST(ObsSessionTest, DisabledObservabilityChangesNoTrajectory) {
   EXPECT_EQ(plain.eval_metric, traced.eval_metric);
 }
 
+TEST(ObsSessionTest, CachedStepPartsNestUnderTheStep) {
+  data::DatasetConfig dcfg;
+  dcfg.task = data::GlueTask::kSst2;
+  dcfg.train_samples = 24;
+  dcfg.eval_samples = 12;
+  dcfg.seq_len = 8;
+  dcfg.vocab = 32;
+  data::SyntheticGlueDataset ds(dcfg);
+
+  core::SessionConfig cfg;
+  cfg.model = model::tiny(4, 16, 2, 32, 8);
+  cfg.technique.technique = model::Technique::kParallelAdapters;
+  cfg.technique.pa_reduction = 4;
+  cfg.batch_size = 8;
+  cfg.num_micro_batches = 4;
+  cfg.epochs = 2;  // one recording epoch, one cached epoch
+  cfg.lr = 5e-3F;
+  cfg.profile_override = fixed_profiles(4 + 2);
+
+  constexpr int kRanks = 4;
+  dist::EdgeCluster cluster(kRanks,
+                            std::numeric_limits<std::uint64_t>::max());
+  TraceSession trace;
+  const core::SessionReport report = core::Session(cluster, ds, cfg).run();
+  ASSERT_TRUE(report.cache_used);
+  const std::vector<SpanRecord> spans = trace.spans();
+
+  // Every part of a cached step lies inside the cached_step span of the
+  // same thread, rank and step.
+  std::map<std::string, int> nested;
+  int redistribute = 0;
+  for (const SpanRecord& part : spans) {
+    const std::string name = part.name;
+    if (name == "redistribute") ++redistribute;
+    if (name != "cached_fwd" && name != "cached_bwd" &&
+        name != "cached_allreduce" && name != "cached_opt") {
+      continue;
+    }
+    bool inside = false;
+    for (const SpanRecord& step : spans) {
+      inside = inside || (std::string(step.name) == "cached_step" &&
+                          step.tid == part.tid &&
+                          step.args[0] == part.args[0] &&
+                          step.args[1] == part.args[1] &&
+                          step.begin_ns <= part.begin_ns &&
+                          part.end_ns <= step.end_ns);
+    }
+    EXPECT_TRUE(inside) << name << " rank " << part.args[0] << " step "
+                        << part.args[1] << " outside its cached_step";
+    ++nested[name];
+  }
+  for (const char* name :
+       {"cached_fwd", "cached_bwd", "cached_allreduce", "cached_opt"}) {
+    EXPECT_GT(nested[name], 0) << name;
+  }
+  // Every rank ships its shard in one redistribute span.
+  EXPECT_EQ(redistribute, kRanks);
+}
+
 }  // namespace
 }  // namespace pac::obs

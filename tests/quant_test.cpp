@@ -1,5 +1,5 @@
 // Quantized activation storage: the fp16/int8 codecs in tensor/quant.hpp,
-// the compressed wire format, the cache's quantized entries + spill files,
+// the compressed wire format, the cache's quantized entries + spill log,
 // and the end-to-end session behaviour (compressed redistribution and the
 // int8 quality gate).
 //
@@ -304,21 +304,39 @@ TEST(QuantTest, QuantizedSpillFilesRoundTripAndSalvage) {
                               quant::dequantize(stored[0])),
             0.0F);
 
-  // A torn compressed file (writer killed mid-spill) is dropped cleanly.
+  // A torn compressed record (writer killed mid-append) is dropped
+  // cleanly, together with nothing before it.  The shard's log holds three
+  // equal-sized records, one per sample.
+  std::vector<char> bytes;
   {
-    std::ifstream in(cc.directory + "/sample_0.bin", std::ios::binary);
-    std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-    fs::create_directories(dir + "/torn");
-    std::ofstream out(dir + "/torn/sample_7.bin", std::ios::binary);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size() / 2));
+    std::ifstream in(cc.directory + "/" + cache::kSpillLogName,
+                     std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
   }
-  cache::CacheConfig cc4 = cc;
-  cc4.directory = dir + "/shard3";
-  cache::ActivationCache salvager(cc4);
-  EXPECT_EQ(salvager.absorb_spilled_directory(dir + "/torn"), 0);
-  EXPECT_EQ(salvager.sample_ids().size(), 0U);
+  ASSERT_EQ(bytes.size() % 3, 0U);
+  const std::size_t record = bytes.size() / 3;
+  fs::create_directories(dir + "/torn");
+  auto salvage_prefix = [&](std::size_t keep, const std::string& name) {
+    {
+      std::ofstream out(dir + "/torn/" + cache::kSpillLogName,
+                        std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(keep));
+    }
+    cache::CacheConfig cfg = cc;
+    cfg.directory = dir + "/" + name;
+    auto salvager = std::make_unique<cache::ActivationCache>(cfg);
+    salvager->absorb_spilled_directory(dir + "/torn");
+    return salvager;
+  };
+  EXPECT_EQ(salvage_prefix(record / 2, "shard3")->sample_ids().size(), 0U);
+  auto two = salvage_prefix(2 * record + record / 2, "shard4");
+  EXPECT_EQ(two->sample_ids(), (std::vector<std::int64_t>{0, 1}));
+  for (std::int64_t b = 0; b < 2; ++b) {
+    const QTensor q = two->get_block_q(1, b);
+    EXPECT_EQ(q.scales, stored[static_cast<std::size_t>(b)].scales);
+    EXPECT_EQ(q.data, stored[static_cast<std::size_t>(b)].data);
+  }
 
   fs::remove_all(dir);
 }

@@ -60,7 +60,7 @@ void BM_AllReduce(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * world * n * 4);
 }
 // {2, 1600} and {4, 1600}: an executed adapter-gradient payload (6.4 KB,
-// like a hybrid_live stage bucket), which takes the direct schedule;
+// like a hybrid_live stage's grads), which takes the direct schedule;
 // {4, 13334}: 53336 bytes, just above the g = 4 crossover of the default
 // link, back on the ring.
 BENCHMARK(BM_AllReduce<dist::AllReduceAlgo::kRing>)

@@ -291,7 +291,6 @@ SessionReport Session::run_attempt() {
     pipeline::RunConfig run;
     run.plan = report.plan.plan;
     run.schedule = config_.schedule;
-    run.allreduce_bucket_bytes = config_.allreduce_bucket_bytes;
     run.batch_size = config_.batch_size;
     run.epochs = cache_phase ? 1 : config_.epochs;
     run.lr = config_.lr;

@@ -56,11 +56,8 @@ struct SessionConfig {
   pipeline::ScheduleKind schedule = pipeline::ScheduleKind::k1F1B;
   bool run_eval = true;
 
-  // Phase 1 always overlaps communication with compute (see
-  // pipeline::StageWorker); this sets its grad-bucket size.  Phase 2
-  // prefetches disk-cached activations in the background unless
+  // Phase 2 prefetches disk-cached activations in the background unless
   // cache_prefetch is off.  Loss trajectories are identical either way.
-  std::int64_t allreduce_bucket_bytes = 256 * 1024;
   bool cache_prefetch = true;
 
   // Communication model the planner uses for this cluster.  Executed

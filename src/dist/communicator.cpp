@@ -256,8 +256,6 @@ std::optional<int> Communicator::deferred_death_rank() const {
   return death_rank_;
 }
 
-void Communicator::shutdown_links() { transport_->close_rank(rank_); }
-
 void Communicator::sender_main() {
   obs::set_thread_name("rank" + std::to_string(rank_) + "/sender", rank_);
   std::unique_lock<std::mutex> lk(async_mutex_);

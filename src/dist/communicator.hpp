@@ -176,10 +176,6 @@ class Communicator {
   // EdgeCluster::run uses this to report deaths the main thread unwound
   // past (e.g. it hit a PeerDeadError first).
   std::optional<int> deferred_death_rank() const;
-  // Marks this rank's own links dead on the transport so peers (and our
-  // own helper threads blocked in collectives) unwind with PeerDeadError.
-  // Called by recovery paths that abandon a step mid-flight.
-  void shutdown_links();
 
   // Compute dilation currently injected for this rank by the transport's
   // fault plan (1.0 = none).  The pipeline's compute loops consult this to

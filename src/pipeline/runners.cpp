@@ -143,8 +143,7 @@ RunResult run_training(dist::EdgeCluster& cluster,
   cluster.run([&](dist::DeviceContext& ctx) {
     std::unique_ptr<model::Model> model = factory();
     model->set_training_mode(true);
-    StageWorker worker(ctx, *model, config.plan, config.schedule,
-                       config.allreduce_bucket_bytes);
+    StageWorker worker(ctx, *model, config.plan, config.schedule);
     if (!worker.participates()) return;
     nn::Adam optimizer(config.lr);
 
@@ -156,69 +155,45 @@ RunResult run_training(dist::EdgeCluster& cluster,
       recorder = (*recorders)[static_cast<std::size_t>(ctx.rank)];
     }
 
-    try {
-      for (int e = 0; e < config.epochs; ++e) {
-        // Global epoch index: seeds and recording decisions stay aligned
-        // with the uninterrupted schedule when resuming after a recovery.
-        const int epoch = config.first_epoch + e;
-        PAC_TRACE_SCOPE("train_epoch", ctx.rank, epoch);
-        data::BatchPlan plan(dataset.train_size(), config.batch_size,
-                             config.shuffle_seed +
-                                 static_cast<std::uint64_t>(epoch));
-        double loss_sum = 0.0;
-        for (std::int64_t b = 0; b < plan.num_batches(); ++b) {
-          auto batch = dataset.make_train_batch(plan.batch(b));
-          // Record activations only on the first epoch — later epochs
-          // would overwrite identical data (the backbone is frozen).
-          ActivationRecorder* rec = epoch == 0 ? recorder : nullptr;
-          loss_sum += worker.train_mini_batch(batch, rec);
-          worker.synchronize_and_step(optimizer);
-          if (config.health != nullptr) {
-            auto verdict = config.health->record_minibatch(
-                ctx.rank, worker.minibatch_compute_seconds(),
-                worker.minibatch_local_rows());
-            // Raised on the straggler's own thread, at the mini-batch
-            // boundary: the optimizer step above completed, so peers
-            // unwind from a consistent point.
-            if (verdict.has_value()) {
-              throw elastic::StragglerDetectedError(std::move(*verdict));
-            }
-          }
-        }
-        // Combine the weighted loss shares held by last-stage ranks.
-        Tensor loss_buf = Tensor::full({1}, static_cast<float>(loss_sum));
-        ctx.comm.allreduce_sum(loss_buf, participants, tags::kLossReduce);
-        const double mean_loss = static_cast<double>(loss_buf.at({0})) /
-                                 static_cast<double>(plan.num_batches());
-        if (ctx.rank == reporter) {
-          std::lock_guard<std::mutex> result_guard(result_mutex);
-          result.epoch_losses[static_cast<std::size_t>(e)] = mean_loss;
-          if (obs::enabled()) {
-            PAC_LOG_INFO << "epoch " << epoch << " counters:\n"
-                         << obs::CounterRegistry::instance()
-                                .summary_table();
-          }
-        }
-        // Epoch-boundary snapshot: group leaders stage, a barrier proves
-        // every stage finished the epoch, then the run leader commits —
-        // so a later death always finds a consistent restore point.
-        if (config.recovery != nullptr) {
-          if (config.plan.index_in_group(ctx.rank) == 0) {
-            config.recovery->stage_params(epoch,
-                                          worker.stage_trainable_params());
-          }
-          ctx.comm.barrier(participants, tags::kBarrier);
-          if (ctx.rank == reporter) {
-            config.recovery->commit_epoch(epoch, mean_loss);
+    // A death or straggler verdict unwinds through ~StageWorker, which
+    // drains the in-flight mini-batch.
+    for (int e = 0; e < config.epochs; ++e) {
+      PAC_TRACE_SCOPE("train_epoch", ctx.rank, e);
+      data::BatchPlan plan(dataset.train_size(), config.batch_size,
+                           config.shuffle_seed + static_cast<std::uint64_t>(e));
+      double loss_sum = 0.0;
+      for (std::int64_t b = 0; b < plan.num_batches(); ++b) {
+        auto batch = dataset.make_train_batch(plan.batch(b));
+        // Record activations only on the first epoch — later epochs
+        // would overwrite identical data (the backbone is frozen).
+        ActivationRecorder* rec = e == 0 ? recorder : nullptr;
+        loss_sum += worker.train_mini_batch(batch, rec);
+        worker.synchronize_and_step(optimizer);
+        if (config.health != nullptr) {
+          auto verdict = config.health->record_minibatch(
+              ctx.rank, worker.minibatch_compute_seconds(),
+              worker.minibatch_local_rows());
+          // Raised on the straggler's own thread, at the mini-batch
+          // boundary: the optimizer step above completed, so peers
+          // unwind from a consistent point.
+          if (verdict.has_value()) {
+            throw elastic::StragglerDetectedError(std::move(*verdict));
           }
         }
       }
-    } catch (const PeerDeadError&) {
-      worker.drain();
-      throw;
-    } catch (const RankDeathError&) {
-      worker.drain();
-      throw;
+      // Combine the weighted loss shares held by last-stage ranks.
+      Tensor loss_buf = Tensor::full({1}, static_cast<float>(loss_sum));
+      ctx.comm.allreduce_sum(loss_buf, participants, tags::kLossReduce);
+      const double mean_loss = static_cast<double>(loss_buf.at({0})) /
+                               static_cast<double>(plan.num_batches());
+      if (ctx.rank == reporter) {
+        std::lock_guard<std::mutex> result_guard(result_mutex);
+        result.epoch_losses[static_cast<std::size_t>(e)] = mean_loss;
+        if (obs::enabled()) {
+          PAC_LOG_INFO << "epoch " << e << " counters:\n"
+                       << obs::CounterRegistry::instance().summary_table();
+        }
+      }
     }
 
     // ---- evaluation (forward-only through the same pipeline) ----

@@ -29,13 +29,12 @@ namespace pac::pipeline {
 
 using ModelFactory = std::function<std::unique_ptr<model::Model>()>;
 
-// Epoch-boundary recovery state shared between a trainer run and the
-// session that may have to restart it after a device death.  Stage-group
-// leaders stage their trainable parameter values as each epoch finishes;
-// once every stage has staged (enforced by a barrier), the run leader
-// commits the epoch, promoting the staged values into the restore point.
-// A death mid-epoch therefore always finds a *consistent* restore point:
-// the last epoch every stage completed.  Thread-safe.
+// Epoch-boundary recovery state shared between a phase-2 run and the
+// session that may have to resume it after a device death.  As each epoch
+// finishes, the run stages the adapter values and commits the epoch,
+// promoting the staged values into the restore point.  A death mid-epoch
+// therefore always finds a *consistent* restore point: the last epoch the
+// run completed.  (Phase 1 restarts from scratch instead.)  Thread-safe.
 class RecoveryLog {
  public:
   // Stages one stage-group's trainable values for `epoch` (deep copies).
@@ -62,20 +61,11 @@ class RecoveryLog {
 struct RunConfig {
   ParallelPlan plan;
   ScheduleKind schedule = ScheduleKind::k1F1B;
-  // Target size of the grad buckets the overlap reducer AllReduces against
-  // the backward tail (see StageWorker).
-  std::int64_t allreduce_bucket_bytes = 256 * 1024;
   std::int64_t batch_size = 8;
   int epochs = 1;
   float lr = 1e-2F;
   std::uint64_t shuffle_seed = 77;
   bool run_eval = true;
-  // Index of the first epoch this invocation runs (nonzero when resuming
-  // after a recovery): keeps shuffle seeds and activation-recording
-  // decisions aligned with the uninterrupted schedule.
-  int first_epoch = 0;
-  // Optional epoch-boundary snapshot sink (enables restart-after-death).
-  RecoveryLog* recovery = nullptr;
   // Optional straggler watchdog: every rank reports its per-mini-batch
   // compute time here; a verdict is raised as StragglerDetectedError at
   // the mini-batch boundary and the session re-plans (see src/elastic/).
@@ -111,8 +101,11 @@ struct CachedRunConfig {
   bool prefetch = true;
   std::uint64_t shuffle_seed = 177;
   bool run_eval = true;
-  // See RunConfig: resume support after a device death.
+  // Index of the first epoch this invocation runs (nonzero when resuming
+  // after a recovery): keeps shuffle seeds aligned with the uninterrupted
+  // schedule.
   int first_epoch = 0;
+  // Optional epoch-boundary snapshot sink (enables restart-after-death).
   RecoveryLog* recovery = nullptr;
   // See RunConfig: optional straggler watchdog.
   elastic::HealthMonitor* health = nullptr;

@@ -24,8 +24,7 @@ constexpr double kRetainedPerBlockOutput = 4.0;
 }  // namespace
 
 StageWorker::StageWorker(dist::DeviceContext& ctx, model::Model& model,
-                         const ParallelPlan& plan, ScheduleKind schedule,
-                         std::int64_t allreduce_bucket_bytes)
+                         const ParallelPlan& plan, ScheduleKind schedule)
     : ctx_(ctx), model_(model), plan_(plan), schedule_(schedule) {
   plan_.validate(model_.num_blocks(), ctx_.world_size);
   stage_ = plan_.stage_of_rank(ctx_.rank);
@@ -38,7 +37,14 @@ StageWorker::StageWorker(dist::DeviceContext& ctx, model::Model& model,
   for (std::int64_t b = st.block_begin; b < st.block_end; ++b) {
     stage_blocks_.push_back(all_blocks[static_cast<std::size_t>(b)]);
   }
-  build_grad_buckets(allreduce_bucket_bytes);
+  // Reverse block order: the order the backward pass finishes blocks.
+  for (auto it = stage_blocks_.rbegin(); it != stage_blocks_.rend(); ++it) {
+    for (nn::Parameter* p : (*it)->parameters()) {
+      if (!p->trainable()) continue;
+      grad_params_.push_back(p);
+      grad_numel_ += p->grad().numel();
+    }
+  }
 
   // Register this stage's memory with the device ledger.
   for (model::PipelineBlock* block : stage_blocks_) {
@@ -63,7 +69,6 @@ StageWorker::~StageWorker() {
 
 void StageWorker::drain() {
   if (!participates()) return;
-  abort_overlap_reducer();
   posted_fwd_.clear();
   posted_bwd_.clear();
   ctx_.comm.abandon_sends();
@@ -77,142 +82,37 @@ void StageWorker::drain() {
   }
 }
 
-// ---- bucketed overlapped AllReduce ------------------------------------
+// ---- grad AllReduce ----------------------------------------------------
 
-void StageWorker::build_grad_buckets(std::int64_t bucket_bytes) {
-  buckets_.clear();
-  const std::int64_t cap = std::max<std::int64_t>(bucket_bytes, 1);
-  std::int64_t cur_bytes = 0;
-  // Reverse block order = the order the backward pass finishes blocks, so
-  // earlier buckets become ready earlier.  Overflow past the tag-range cap
-  // merges into the last bucket.
-  for (std::int64_t b = static_cast<std::int64_t>(stage_blocks_.size()) - 1;
-       b >= 0; --b) {
-    for (nn::Parameter* p :
-         stage_blocks_[static_cast<std::size_t>(b)]->parameters()) {
-      if (!p->trainable()) continue;
-      const std::int64_t bytes = static_cast<std::int64_t>(p->grad_bytes());
-      const bool open_new =
-          buckets_.empty() ||
-          (cur_bytes + bytes > cap &&
-           static_cast<int>(buckets_.size()) < tags::kMaxGradBuckets);
-      if (open_new) {
-        buckets_.push_back(GradBucket{});
-        buckets_.back().min_block = b;
-        cur_bytes = 0;
-      }
-      GradBucket& bucket = buckets_.back();
-      bucket.params.push_back(p);
-      bucket.numel += p->grad().numel();
-      bucket.min_block = std::min(bucket.min_block, b);
-      cur_bytes += bytes;
-    }
-  }
-}
-
-void StageWorker::reduce_bucket(const GradBucket& bucket, int index) {
-  PAC_TRACE_SCOPE("allreduce_bucket", ctx_.rank, index);
+void StageWorker::reduce_grads() {
+  PAC_TRACE_SCOPE("allreduce_bucket", ctx_.rank);
   if (obs::enabled()) {
     auto& counters = obs::CounterRegistry::instance();
     counters.add("allreduce.buckets", 1);
     counters.add("allreduce.bucket_bytes",
-                 bucket.numel * static_cast<std::int64_t>(sizeof(float)));
+                 grad_numel_ * static_cast<std::int64_t>(sizeof(float)));
   }
-  const int tag = tags::kGradAllReduce + index;
-  if (bucket.params.size() == 1) {
+  if (grad_params_.size() == 1) {
     // Single tensor: reduce the grad storage in place instead of copying
     // it through a flat staging buffer twice.
-    Tensor flat = bucket.params[0]->grad().reshape({bucket.numel});
-    ctx_.comm.allreduce_sum(flat, group_, tag);
+    Tensor flat = grad_params_[0]->grad().reshape({grad_numel_});
+    ctx_.comm.allreduce_sum(flat, group_, tags::kGradAllReduce);
     return;
   }
-  Tensor flat({bucket.numel});
+  Tensor flat({grad_numel_});
   std::int64_t cursor = 0;
-  for (nn::Parameter* p : bucket.params) {
+  for (nn::Parameter* p : grad_params_) {
     flat.slice0(cursor, cursor + p->grad().numel())
         .copy_from(p->grad().reshape({p->grad().numel()}));
     cursor += p->grad().numel();
   }
-  ctx_.comm.allreduce_sum(flat, group_, tag);
+  ctx_.comm.allreduce_sum(flat, group_, tags::kGradAllReduce);
   cursor = 0;
-  for (nn::Parameter* p : bucket.params) {
+  for (nn::Parameter* p : grad_params_) {
     Tensor src = flat.slice0(cursor, cursor + p->grad().numel());
     p->grad().copy_from(src.reshape(p->grad().shape()));
     cursor += p->grad().numel();
   }
-}
-
-void StageWorker::start_overlap_reducer() {
-  // The last bucket holds the lowest blocks' grads: it becomes ready only
-  // when the final backward ends, so train_mini_batch reduces it inline.
-  // A thread is worth starting only for the buckets before it.
-  if (group_.size() <= 1 || buckets_.size() <= 1) return;
-  reducer_.frontier = static_cast<std::int64_t>(stage_blocks_.size());
-  reducer_.abort = false;
-  reducer_.error = nullptr;
-  reducer_.active = true;
-  reducer_.worker = std::thread([this] {
-    obs::set_thread_name("rank" + std::to_string(ctx_.rank) + "/reducer",
-                         ctx_.rank);
-    try {
-      for (std::size_t i = 0; i + 1 < buckets_.size(); ++i) {
-        {
-          PAC_TRACE_SCOPE("bucket_wait", ctx_.rank,
-                          static_cast<std::int64_t>(i));
-          std::unique_lock<std::mutex> lk(reducer_.mutex);
-          reducer_.cv.wait(lk, [&] {
-            return reducer_.abort ||
-                   reducer_.frontier <= buckets_[i].min_block;
-          });
-          if (reducer_.abort) return;
-        }
-        reduce_bucket(buckets_[i], static_cast<int>(i));
-      }
-    } catch (...) {
-      std::lock_guard<std::mutex> lk(reducer_.mutex);
-      reducer_.error = std::current_exception();
-    }
-  });
-}
-
-void StageWorker::on_block_backward_complete(std::int64_t local_block) {
-  std::lock_guard<std::mutex> lk(reducer_.mutex);
-  reducer_.frontier = std::min(reducer_.frontier, local_block);
-  reducer_.cv.notify_all();
-}
-
-void StageWorker::join_overlap_reducer() {
-  if (!reducer_.active) return;
-  {
-    // A member that owns no micros never ran a backward; force every
-    // bucket ready (idempotent for everyone else).
-    std::lock_guard<std::mutex> lk(reducer_.mutex);
-    reducer_.frontier = 0;
-    reducer_.cv.notify_all();
-  }
-  reducer_.worker.join();
-  reducer_.active = false;
-  if (reducer_.error) {
-    std::exception_ptr err = reducer_.error;
-    reducer_.error = nullptr;
-    std::rethrow_exception(err);
-  }
-}
-
-void StageWorker::abort_overlap_reducer() {
-  if (!reducer_.active) return;
-  {
-    std::lock_guard<std::mutex> lk(reducer_.mutex);
-    reducer_.abort = true;
-    reducer_.cv.notify_all();
-  }
-  // A reducer blocked inside a collective only unwinds once this rank's
-  // links close (the peer cascade then wakes it) — the same close the
-  // cluster's failure handlers perform for this rank anyway.
-  ctx_.comm.shutdown_links();
-  reducer_.worker.join();
-  reducer_.active = false;
-  reducer_.error = nullptr;
 }
 
 // ---- micro routing ------------------------------------------------------
@@ -387,7 +287,7 @@ model::FlowState StageWorker::forward_micro(
   return state;
 }
 
-void StageWorker::backward_micro(const MicroSlice& ms, bool final_backward) {
+void StageWorker::backward_micro(const MicroSlice& ms) {
   PAC_TRACE_SCOPE("bwd_micro", ctx_.rank, ms.micro);
   model::FlowGrad grad;
   if (is_last_stage()) {
@@ -414,9 +314,6 @@ void StageWorker::backward_micro(const MicroSlice& ms, bool final_backward) {
   for (std::int64_t i = static_cast<std::int64_t>(stage_blocks_.size()) - 1;
        i >= 0; --i) {
     grad = stage_blocks_[static_cast<std::size_t>(i)]->backward(grad);
-    // The final backward pass completes blocks back-to-front; each step
-    // may unlock a grad bucket for the overlap reducer.
-    if (final_backward && reducer_.active) on_block_backward_complete(i);
   }
   const double compute_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -467,25 +364,19 @@ double StageWorker::train_mini_batch(
       schedule_, static_cast<std::int64_t>(micros.size()), stage_,
       plan_.num_stages(), stage_warmup(plan_, stage_));
   post_receives(micros, ops);
-  start_overlap_reducer();
   pending_backward_ = 0;
-  const std::size_t n_ops = ops.size();
-  for (std::size_t i = 0; i < n_ops; ++i) {
-    const PipeOp& op = ops[i];
+  for (const PipeOp& op : ops) {
     const MicroSlice& ms = micros[static_cast<std::size_t>(op.micro)];
     if (op.kind == PipeOp::Kind::kForward) {
       ++pending_backward_;
       forward_micro(batch, ms, recorder);
     } else {
-      backward_micro(ms, /*final_backward=*/i + 1 == n_ops);
+      backward_micro(ms);
       --pending_backward_;
     }
   }
   PAC_CHECK(pending_loss_.empty(), "unconsumed losses after mini-batch");
-  join_overlap_reducer();
-  if (group_.size() > 1 && !buckets_.empty()) {
-    reduce_bucket(buckets_.back(), static_cast<int>(buckets_.size()) - 1);
-  }
+  if (group_.size() > 1 && !grad_params_.empty()) reduce_grads();
   return minibatch_loss_;
 }
 

@@ -16,22 +16,15 @@
 // gradients go through Communicator::isend, so link-delay sleeps and
 // transient-retry backoffs run on the sender thread while this rank keeps
 // computing; the statically-known schedule lets the worker pre-post irecv
-// futures for every incoming tensor of the mini-batch up front.  The
-// adapter-grad AllReduce is bucketed: trainable params are grouped, in
-// reverse block order, into fixed buckets that a per-mini-batch reducer
-// thread starts reducing as soon as the final backward pass clears their
-// blocks — overlapping the reduce with the backward tail.  The last bucket
-// is ready only when the backward ends, so the calling thread reduces it
-// inline; with a single bucket no reducer thread starts at all.  Values
-// never depend on timing: each bucket is one ring-order AllReduce over a
-// fixed tag (see DESIGN.md, "Async communication engine").
+// futures for every incoming tensor of the mini-batch up front.  The grad
+// AllReduce runs once per mini-batch on the rank thread, after the last
+// backward: the stage's trainable grads, in reverse block order, form one
+// flat buffer reduced in ring order over a fixed tag, so values never
+// depend on timing (see DESIGN.md, "Async communication engine").
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <map>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "data/dataset.hpp"
@@ -52,14 +45,9 @@ inline constexpr int kFwdAdapter = 1001;
 inline constexpr int kFwdMask = 1002;
 inline constexpr int kBwdHidden = 1100;
 inline constexpr int kBwdAdapter = 1101;
-// Bucketed grad AllReduce uses [kGradAllReduce, kGradAllReduce +
-// kMaxGradBuckets); bucket counts are capped so the range never reaches
-// kLossReduce.
 inline constexpr int kGradAllReduce = 1200;
-inline constexpr int kMaxGradBuckets = 64;
 inline constexpr int kLossReduce = 1300;
 inline constexpr int kEvalLogits = 1400;
-inline constexpr int kBarrier = 1500;
 inline constexpr int kTrainableSync = 1600;
 inline constexpr int kRedistParams = 2000;
 inline constexpr int kRedistCacheBase = 2100;  // + destination rank
@@ -69,10 +57,8 @@ class StageWorker {
  public:
   // `model` is this rank's replica (identical seed across ranks).  The
   // worker registers its stage's memory with the device ledger.
-  // `allreduce_bucket_bytes` sets the target grad-bucket size.
   StageWorker(dist::DeviceContext& ctx, model::Model& model,
-              const ParallelPlan& plan, ScheduleKind schedule,
-              std::int64_t allreduce_bucket_bytes = 256 * 1024);
+              const ParallelPlan& plan, ScheduleKind schedule);
   ~StageWorker();
 
   StageWorker(const StageWorker&) = delete;
@@ -88,8 +74,8 @@ class StageWorker {
   // Runs one mini-batch (forward+backward over all micro-batches per the
   // schedule), accumulating gradients.  Returns this rank's weighted loss
   // contribution (nonzero only on last-stage ranks).  The grad AllReduce
-  // overlaps the backward tail and completes before this returns; pair
-  // every call with synchronize_and_step.
+  // completes before this returns; pair every call with
+  // synchronize_and_step.
   double train_mini_batch(const data::Batch& batch,
                           ActivationRecorder* recorder);
 
@@ -109,9 +95,9 @@ class StageWorker {
 
   // Abandons the in-flight mini-batch after a failure (peer death mid
   // pipeline): drops saved per-micro state, posted receives and queued
-  // sends, stops the overlap reducer, and releases the activation bytes
-  // still registered with the ledger.  The worker is reusable for a fresh
-  // mini-batch afterwards; accumulated gradients are NOT stepped.
+  // sends, and releases the activation bytes still registered with the
+  // ledger.  The worker is reusable for a fresh mini-batch afterwards;
+  // accumulated gradients are NOT stepped.
   void drain();
 
   // The stage's trainable parameters (for reporting / extraction).
@@ -131,17 +117,6 @@ class StageWorker {
     std::int64_t micro;  // global micro index
     std::int64_t row_begin;
     std::int64_t row_end;
-  };
-
-  // A fixed slice of the trainable params, reduced as one AllReduce.
-  // Buckets are built once, greedily over params in *reverse* block order
-  // (the order the backward pass completes them); `min_block` is the
-  // lowest local block index contributing, so the bucket is ready as soon
-  // as the final backward pass has cleared block `min_block`.
-  struct GradBucket {
-    std::vector<nn::Parameter*> params;
-    std::int64_t numel = 0;
-    std::int64_t min_block = 0;
   };
 
   // Pre-posted receive futures for one micro-batch.
@@ -172,19 +147,9 @@ class StageWorker {
   model::FlowState forward_micro(
       const data::Batch& batch, const MicroSlice& ms,
       ActivationRecorder* recorder);
-  void backward_micro(const MicroSlice& ms, bool final_backward);
-
-  // ---- bucketed overlapped AllReduce ----
-  void build_grad_buckets(std::int64_t bucket_bytes);
-  void reduce_bucket(const GradBucket& bucket, int index);
-  void start_overlap_reducer();
-  // Marks every bucket ready and waits for the reducer to finish;
-  // rethrows its failure.  No-op when no reducer is running.
-  void join_overlap_reducer();
-  // Failure path: wakes an aborting reducer (closing this rank's links so
-  // a reducer blocked in a collective unwinds) and joins it.
-  void abort_overlap_reducer();
-  void on_block_backward_complete(std::int64_t local_block);
+  void backward_micro(const MicroSlice& ms);
+  // Sums the stage's trainable grads across its device group.
+  void reduce_grads();
 
   dist::DeviceContext& ctx_;
   model::Model& model_;
@@ -197,24 +162,10 @@ class StageWorker {
   std::vector<model::PipelineBlock*> stage_blocks_;
   std::int64_t block_begin_ = 0;
 
-  std::vector<GradBucket> buckets_;
-
-  // Per-mini-batch reducer thread state (it reduces every bucket but the
-  // last, which the calling thread reduces inline).  `frontier` is the lowest local
-  // block index the final backward pass has completed (published under
-  // `mutex`, which is also the happens-before edge making the finished
-  // grads visible to the reducer); bucket b is ready once
-  // frontier <= b.min_block.
-  struct OverlapReducer {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::int64_t frontier = 0;
-    bool abort = false;
-    std::exception_ptr error;
-    std::thread worker;
-    bool active = false;
-  };
-  OverlapReducer reducer_;
+  // The stage's trainable params in reverse block order: the layout of the
+  // flat buffer the grad AllReduce reduces.
+  std::vector<nn::Parameter*> grad_params_;
+  std::int64_t grad_numel_ = 0;
 
   // Pre-posted receive futures, keyed by global micro index.
   std::map<std::int64_t, PendingForward> posted_fwd_;

@@ -10,12 +10,14 @@
 #include <chrono>
 #include <filesystem>
 #include <limits>
+#include <map>
 #include <memory>
 #include <thread>
 
 #include "cache/activation_cache.hpp"
 #include "data/dataset.hpp"
 #include "dist/cluster.hpp"
+#include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "pipeline/runners.hpp"
 #include "tensor/ops.hpp"
@@ -239,22 +241,25 @@ data::SyntheticGlueDataset tiny_dataset() {
   return data::SyntheticGlueDataset(cfg);
 }
 
-pipeline::ModelFactory tiny_factory() {
-  return [] {
+pipeline::ModelFactory tiny_factory(
+    model::Technique technique = model::Technique::kParallelAdapters,
+    const model::ModelConfig& config = model::tiny(4, 16, 2, 32, 8)) {
+  return [technique, config] {
     model::TechniqueConfig tc;
-    tc.technique = model::Technique::kParallelAdapters;
+    tc.technique = technique;
     tc.pa_reduction = 4;
     return std::make_unique<model::Model>(
-        model::tiny(4, 16, 2, 32, 8), tc,
-        model::TaskSpec{model::TaskKind::kClassification, 2}, 4242);
+        config, tc, model::TaskSpec{model::TaskKind::kClassification, 2},
+        4242);
   };
 }
 
-pipeline::ParallelPlan hybrid_2x2() {
+pipeline::ParallelPlan hybrid_2x2(std::int64_t num_blocks = 6) {
   // 2 stages x 2 devices: exercises pre-posted pipeline recvs, isent
-  // activations/grads, AND the bucketed grad AllReduce in one plan.
-  pipeline::StageAssignment s0{0, 3, {0, 1}, {}};
-  pipeline::StageAssignment s1{3, 6, {2, 3}, {}};
+  // activations/grads, AND the grad AllReduce in one plan.
+  const std::int64_t mid = num_blocks / 2;
+  pipeline::StageAssignment s0{0, mid, {0, 1}, {}};
+  pipeline::StageAssignment s1{mid, num_blocks, {2, 3}, {}};
   pipeline::ParallelPlan plan;
   plan.stages = {s0, s1};
   plan.num_micro_batches = 4;
@@ -268,8 +273,6 @@ TEST(AsyncCommTest, AsyncTrainingIsTimingIndependent) {
   cfg.batch_size = 8;
   cfg.epochs = 2;
   cfg.lr = 5e-3F;
-  // Tiny buckets force several overlapped AllReduce rounds per mini-batch.
-  cfg.allreduce_bucket_bytes = 1024;
 
   dist::EdgeCluster clean_cluster(4,
                                   std::numeric_limits<std::uint64_t>::max());
@@ -277,7 +280,7 @@ TEST(AsyncCommTest, AsyncTrainingIsTimingIndependent) {
       pipeline::run_training(clean_cluster, ds, tiny_factory(), cfg);
 
   // Delays and legal reordering shift when sends land, receives complete
-  // and buckets become ready — but never which values meet in which order.
+  // and the AllReduce starts — but never which values meet in which order.
   dist::FaultPlan storm;
   storm.seed = 0x7141E;
   storm.delay_probability = 0.3;
@@ -290,8 +293,9 @@ TEST(AsyncCommTest, AsyncTrainingIsTimingIndependent) {
   pipeline::RunResult stormy =
       pipeline::run_training(stormy_cluster, ds, tiny_factory(), cfg);
 
-  // Bit-for-bit: identical buckets are reduced in identical order with
-  // identical tags, so the arithmetic is the same expression tree.
+  // Bit-for-bit: identical grad buffers are reduced in identical ring
+  // order with identical tags, so the arithmetic is the same expression
+  // tree.
   ASSERT_EQ(clean.epoch_losses.size(), stormy.epoch_losses.size());
   for (std::size_t e = 0; e < clean.epoch_losses.size(); ++e) {
     EXPECT_EQ(clean.epoch_losses[e], stormy.epoch_losses[e]) << e;
@@ -386,88 +390,86 @@ TEST(AsyncCommTest, PrefetchIsNoOpForMemoryBackedShards) {
 }
 
 // ---------------------------------------------------------------------------
-// overlap regression: the trace proves AllReduce runs during backward
+// grad AllReduce: one per stage per mini-batch, on the rank thread
 // ---------------------------------------------------------------------------
 
-TEST(AsyncCommTest, TraceShowsAllReduceBucketOverlappingBackward) {
-  // Unbalanced stages (4 vs 2 blocks) over 2-device groups with 1 KiB
-  // buckets: the overlap reducers unlock bucket by bucket during the final
-  // backward, and each bucket's AllReduce cannot complete before *both*
-  // group members' backwards have released it — so a reducer-thread
-  // allreduce_bucket span must coexist in time with a main-thread
-  // bwd_micro span.  This pins PR 3's headline claim structurally instead
-  // of through a bench median.
-  pipeline::StageAssignment s0{0, 4, {0, 1}, {}};
-  pipeline::StageAssignment s1{4, 6, {2, 3}, {}};
-  pipeline::ParallelPlan plan;
-  plan.stages = {s0, s1};
-  plan.num_micro_batches = 4;
-
+TEST(AsyncCommTest, SingleGradBucketIsReducedInlineOnTheRankThread) {
+  // After the last backward of a mini-batch, each rank reduces all of its
+  // stage's trainable grads with one AllReduce on the rank thread: the
+  // small adapter grads of Parallel Adapters and a Full fine-tuning
+  // stage's grads (over 256 KB) alike.
+  struct Case {
+    const char* name;
+    model::Technique technique;
+    model::ModelConfig config;
+  };
+  const Case cases[] = {
+      {"ParallelAdapters", model::Technique::kParallelAdapters,
+       model::tiny(4, 16, 2, 32, 8)},
+      {"Full", model::Technique::kFull, model::tiny(6, 48, 2, 32, 8)},
+  };
   auto ds = tiny_dataset();
-  pipeline::RunConfig cfg;
-  cfg.plan = plan;
-  cfg.batch_size = 8;
-  cfg.epochs = 1;
-  cfg.lr = 5e-3F;
-  cfg.allreduce_bucket_bytes = 1024;
-  cfg.run_eval = false;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const pipeline::ModelFactory factory =
+        tiny_factory(c.technique, c.config);
+    pipeline::RunConfig cfg;
+    cfg.plan = hybrid_2x2(factory()->num_blocks());
+    cfg.batch_size = 8;
+    cfg.epochs = 1;
+    cfg.lr = 5e-3F;
+    cfg.run_eval = false;
 
-  obs::TraceSession trace;
-  dist::EdgeCluster cluster(4, std::numeric_limits<std::uint64_t>::max());
-  pipeline::run_training(cluster, ds, tiny_factory(), cfg);
-
-  std::vector<obs::SpanRecord> reduces;
-  std::vector<obs::SpanRecord> backwards;
-  for (const obs::SpanRecord& s : trace.spans()) {
-    if (std::string(s.name) == "allreduce_bucket" &&
-        s.thread_name.find("/reducer") != std::string::npos) {
-      reduces.push_back(s);
-    }
-    if (std::string(s.name) == "bwd_micro") backwards.push_back(s);
-  }
-  ASSERT_FALSE(reduces.empty()) << "no reducer-thread AllReduce spans";
-  ASSERT_FALSE(backwards.empty());
-  bool overlapped = false;
-  for (const obs::SpanRecord& r : reduces) {
-    for (const obs::SpanRecord& b : backwards) {
-      if (r.begin_ns < b.end_ns && b.begin_ns < r.end_ns) {
-        overlapped = true;
+    // Grad bytes every rank of the plan reduces per mini-batch.
+    std::int64_t group_grad_bytes = 0;
+    {
+      auto model = factory();
+      const auto blocks = model->blocks();
+      for (const pipeline::StageAssignment& st : cfg.plan.stages) {
+        std::int64_t stage_bytes = 0;
+        for (std::int64_t b = st.block_begin; b < st.block_end; ++b) {
+          for (nn::Parameter* p :
+               blocks[static_cast<std::size_t>(b)]->parameters()) {
+            if (p->trainable()) {
+              stage_bytes += static_cast<std::int64_t>(p->grad_bytes());
+            }
+          }
+        }
+        if (c.technique == model::Technique::kFull) {
+          EXPECT_GT(stage_bytes, 256 * 1024);
+        }
+        group_grad_bytes +=
+            stage_bytes * static_cast<std::int64_t>(st.devices.size());
       }
     }
-  }
-  EXPECT_TRUE(overlapped)
-      << "no allreduce_bucket span overlapped any bwd_micro span";
-}
 
-TEST(AsyncCommTest, SingleGradBucketIsReducedInlineOnTheRankThread) {
-  // With the default 256 KB buckets every stage's adapter grads fit one
-  // bucket.  It is ready only when the final backward ends, so the rank
-  // thread reduces it inline and no reducer thread is ever started.
-  auto ds = tiny_dataset();
-  pipeline::RunConfig cfg;
-  cfg.plan = hybrid_2x2();
-  cfg.batch_size = 8;
-  cfg.epochs = 1;
-  cfg.lr = 5e-3F;
-  cfg.run_eval = false;
+    obs::TraceSession trace;
+    obs::CounterRegistry& counters = obs::CounterRegistry::instance();
+    counters.reset();
+    dist::EdgeCluster cluster(4, std::numeric_limits<std::uint64_t>::max());
+    pipeline::run_training(cluster, ds, factory, cfg);
 
-  obs::TraceSession trace;
-  dist::EdgeCluster cluster(4, std::numeric_limits<std::uint64_t>::max());
-  pipeline::run_training(cluster, ds, tiny_factory(), cfg);
-
-  for (const obs::ThreadTrace& t : trace.collect().threads) {
-    EXPECT_EQ(t.thread_name.find("/reducer"), std::string::npos)
-        << t.thread_name;
+    for (const obs::ThreadTrace& t : trace.collect().threads) {
+      EXPECT_EQ(t.thread_name.find("/reducer"), std::string::npos)
+          << t.thread_name;
+    }
+    std::map<int, int> reduces_per_rank;
+    for (const obs::SpanRecord& s : trace.spans()) {
+      EXPECT_NE(std::string(s.name), "bucket_wait") << s.thread_name;
+      if (std::string(s.name) != "allreduce_bucket") continue;
+      ++reduces_per_rank[s.rank];
+      EXPECT_EQ(s.thread_name, "rank" + std::to_string(s.rank));
+    }
+    // 24 samples / batch 8 = 3 mini-batches, one reduce each on 4 ranks.
+    constexpr int kMiniBatches = 3;
+    EXPECT_EQ(reduces_per_rank.size(), 4U);
+    for (const auto& [rank, n] : reduces_per_rank) {
+      EXPECT_EQ(n, kMiniBatches) << "rank " << rank;
+    }
+    EXPECT_EQ(counters.value("allreduce.buckets"), kMiniBatches * 4);
+    EXPECT_EQ(counters.value("allreduce.bucket_bytes"),
+              kMiniBatches * group_grad_bytes);
   }
-  int reduces = 0;
-  for (const obs::SpanRecord& s : trace.spans()) {
-    EXPECT_NE(std::string(s.name), "bucket_wait") << s.thread_name;
-    if (std::string(s.name) != "allreduce_bucket") continue;
-    ++reduces;
-    EXPECT_EQ(s.thread_name, "rank" + std::to_string(s.rank));
-  }
-  // 24 samples / batch 8 = 3 mini-batches, one bucket on each of 4 ranks.
-  EXPECT_EQ(reduces, 3 * 4);
 }
 
 // ---------------------------------------------------------------------------

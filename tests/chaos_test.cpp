@@ -83,12 +83,6 @@ SessionReport run_with_faults(
   return session.run();
 }
 
-// Tiny buckets: several overlapped AllReduce rounds per mini-batch
-// instead of one.
-void make_async_multi_bucket(SessionConfig& cfg) {
-  cfg.allreduce_bucket_bytes = 1024;
-}
-
 void expect_same_trajectory(const SessionReport& a, const SessionReport& b,
                             double tol) {
   ASSERT_EQ(a.epoch_losses.size(), b.epoch_losses.size());
@@ -253,15 +247,14 @@ TEST(ChaosTest, DeathBeyondRecoveryBudgetRethrows) {
 
 // ---- schedule 4: the async engine under seeded fault schedules ----
 //
-// The overlap machinery (isend queues, pre-posted irecvs, bucketed
-// AllReduce against the backward tail) reorders *timing* only: the same
-// buckets are reduced in the same order with the same tags whatever the
-// links do, so a faulted run must agree with the fault-free run of the
-// same engine bit for bit under every fault class short of death.
+// The async machinery (isend queues, pre-posted irecvs) reorders *timing*
+// only: the same grad buffers are reduced in the same ring order with the
+// same tags whatever the links do, so a faulted run must agree with the
+// fault-free run of the same engine bit for bit under every fault class
+// short of death.
 
 TEST(ChaosTest, AsyncDelayStormMatchesFaultFreeBitForBit) {
-  SessionReport clean =
-      run_with_faults(dist::FaultPlan{}, {}, {}, make_async_multi_bucket);
+  SessionReport clean = run_with_faults(dist::FaultPlan{});
 
   dist::FaultPlan storm;
   storm.seed = 0xA51D3;
@@ -269,8 +262,7 @@ TEST(ChaosTest, AsyncDelayStormMatchesFaultFreeBitForBit) {
   storm.delay_min_ms = 0.1;
   storm.delay_max_ms = 1.0;
   storm.reorder_probability = 0.25;
-  SessionReport stormy =
-      run_with_faults(storm, {}, {}, make_async_multi_bucket);
+  SessionReport stormy = run_with_faults(storm);
 
   expect_same_trajectory(stormy, clean, 0.0);
   EXPECT_EQ(stormy.rank_deaths, 0);
@@ -279,34 +271,33 @@ TEST(ChaosTest, AsyncDelayStormMatchesFaultFreeBitForBit) {
 TEST(ChaosTest, AsyncTransientSendFailuresMatchFaultFreeBitForBit) {
   // The retries run on the background sender thread; absorbing them there
   // must not change a single bit of the trajectory.
-  SessionReport clean =
-      run_with_faults(dist::FaultPlan{}, {}, {}, make_async_multi_bucket);
+  SessionReport clean = run_with_faults(dist::FaultPlan{});
 
   dist::FaultPlan flaky;
   flaky.seed = 0xA51F4;
   flaky.send_failure_probability = 0.2;
   flaky.max_transient_failures = 2;
-  SessionReport retried =
-      run_with_faults(flaky, {}, {}, make_async_multi_bucket);
+  SessionReport retried = run_with_faults(flaky);
 
   expect_same_trajectory(retried, clean, 0.0);
   EXPECT_EQ(retried.rank_deaths, 0);
 }
 
 TEST(ChaosTest, AsyncRankDeathMidOverlapRecovers) {
-  // Kill a device while isends are queued and the overlap reducer is live:
-  // recovery must abandon the step (abort the reducer, drop queued sends,
-  // close the dead links) and restart on the survivors, matching the
-  // surviving-device plan.
-  SessionReport survivors = run_with_faults(dist::FaultPlan{}, {},
-                                            /*pre_dead=*/{2},
-                                            make_async_multi_bucket);
+  // Kill a device partway through a gradient AllReduce (its grads reached
+  // rank 0 but not ranks 1 and 3): recovery must abandon the step (drop
+  // queued sends, close the dead links) and restart on the survivors,
+  // matching the surviving-device plan.
+  SessionReport survivors =
+      run_with_faults(dist::FaultPlan{}, {}, /*pre_dead=*/{2});
 
   dist::FaultPlan death;
   death.seed = 0xA5DEAD;
-  death.death_after_ops = {{2, 20}};  // mid-first-epoch of phase 1
-  SessionReport recovered =
-      run_with_faults(death, {}, {}, make_async_multi_bucket);
+  // Mid-first-epoch of phase 1: rank 2's ops run 6 per mini-batch (one
+  // direct-schedule AllReduce), so op 8 is its send to rank 1 in the
+  // second mini-batch's gradient sync.
+  death.death_after_ops = {{2, 8}};
+  SessionReport recovered = run_with_faults(death);
 
   EXPECT_EQ(recovered.rank_deaths, 1);
   ASSERT_EQ(recovered.dead_ranks.size(), 1U);
@@ -677,10 +668,6 @@ TEST(ChaosTest, RankDeathDoesNotCloseUnrelatedLinks) {
 TEST(ChaosTest, WanShapedTcpLinkCutsMatchOracleBitForBit) {
   SessionReport clean = run_with_faults(dist::FaultPlan{});
 
-  auto& counters = obs::CounterRegistry::instance();
-  const std::int64_t reconnects_before = counters.value("wire.reconnects");
-  const std::int64_t shape_before = counters.value("wire.shape_sleep_us");
-
   dist::FaultPlan wan;
   wan.seed = 0x7A57E;
   wan.shape_bandwidth_bps = 16.0 * 1024 * 1024;  // bits/s — ~WAN, test-sized
@@ -702,8 +689,11 @@ TEST(ChaosTest, WanShapedTcpLinkCutsMatchOracleBitForBit) {
 
   expect_same_trajectory(shaped, clean, 0.0);  // bit-for-bit
   EXPECT_EQ(shaped.rank_deaths, 0);
-  EXPECT_GE(counters.value("wire.reconnects") - reconnects_before, 2);
-  EXPECT_GT(counters.value("wire.shape_sleep_us") - shape_before, 0);
+  // Session::run resets the counters when obs is enabled, so they hold
+  // this run's counts only (a snapshot taken before run() is stale).
+  auto& counters = obs::CounterRegistry::instance();
+  EXPECT_GE(counters.value("wire.reconnects"), 2);
+  EXPECT_GT(counters.value("wire.shape_sleep_us"), 0);
 }
 
 TEST(ChaosTest, RecvTimeoutPresumesPeerDead) {

@@ -20,10 +20,6 @@ namespace pac::cache {
 
 namespace {
 
-// First u64 of a compressed spill file.  The legacy fp32 format starts with
-// the block count (a small integer), so this sentinel can never collide.
-constexpr std::uint64_t kQuantSpillMagic = 0x5041435153504C31ull;  // PACQSPL1
-
 // Spill log record header, in host byte order (the log is temporary
 // storage of one run on one host).  A tombstone is a header with
 // kTombstone as its length and no payload.
@@ -112,92 +108,55 @@ void ActivationCache::record(const std::vector<std::int64_t>& sample_ids,
   const std::int64_t h = hidden.size(2);
   std::lock_guard<std::mutex> lk(mutex_);
   for (std::size_t r = 0; r < sample_ids.size(); ++r) {
-    if (quantized()) {
-      // Quantize straight off the batch row — no fp32 clone on the way in.
-      const float* row =
-          hidden.data() + static_cast<std::int64_t>(r) * t * h;
-      put_qblock_locked(sample_ids[r], block_index,
-                        quant::quantize_rows(row, {t, h}, config_.dtype));
-      continue;
-    }
-    Tensor row = hidden.slice0(static_cast<std::int64_t>(r),
-                               static_cast<std::int64_t>(r) + 1)
-                     .clone()
-                     .reshape({t, h});
-    put_block_locked(sample_ids[r], block_index, std::move(row));
+    // Stored straight off the batch row (for kF32 that is the one copy).
+    const float* row = hidden.data() + static_cast<std::int64_t>(r) * t * h;
+    put_locked(sample_ids[r], block_index,
+               quant::quantize_rows(row, {t, h}, config_.dtype));
   }
 }
 
 void ActivationCache::put_block(std::int64_t sample_id,
-                                std::int64_t block_index, Tensor activation) {
+                                std::int64_t block_index,
+                                const Tensor& activation) {
   std::lock_guard<std::mutex> lk(mutex_);
-  put_block_locked(sample_id, block_index, std::move(activation));
-}
-
-void ActivationCache::put_block_locked(std::int64_t sample_id,
-                                       std::int64_t block_index,
-                                       Tensor activation) {
-  if (quantized()) {
-    put_qblock_locked(sample_id, block_index,
-                      quant::quantize(activation, config_.dtype));
-    return;
-  }
-  PAC_CHECK(block_index >= 0 && block_index < config_.num_blocks,
-            "block index " << block_index << " out of range");
-  Entry& entry = entries_[sample_id];
-  if (entry.blocks.empty()) {
-    entry.blocks.resize(static_cast<std::size_t>(config_.num_blocks));
-  }
-  PAC_CHECK(!entry.spilled, "put_block on spilled sample " << sample_id);
-  Tensor& slot = entry.blocks[static_cast<std::size_t>(block_index)];
-  PAC_CHECK(!slot.defined(), "duplicate record for sample "
-                                 << sample_id << " block " << block_index);
-  charge(activation.byte_size());
-  slot = std::move(activation);
-  ++entry.present;
-  maybe_spill(sample_id, entry);
-}
-
-void ActivationCache::put_qblock_locked(std::int64_t sample_id,
-                                        std::int64_t block_index,
-                                        quant::QTensor q) {
-  PAC_CHECK(quantized(), "quantized insert into an fp32 cache shard");
-  PAC_CHECK(q.dtype == config_.dtype,
-            "dtype mismatch: shard stores " << quant::dtype_name(config_.dtype)
-                                            << ", got "
-                                            << quant::dtype_name(q.dtype));
-  PAC_CHECK(block_index >= 0 && block_index < config_.num_blocks,
-            "block index " << block_index << " out of range");
-  Entry& entry = entries_[sample_id];
-  if (entry.qblocks.empty()) {
-    entry.qblocks.resize(static_cast<std::size_t>(config_.num_blocks));
-  }
-  PAC_CHECK(!entry.spilled, "put_block on spilled sample " << sample_id);
-  auto& slot = entry.qblocks[static_cast<std::size_t>(block_index)];
-  PAC_CHECK(!slot.has_value(), "duplicate record for sample "
-                                   << sample_id << " block " << block_index);
-  const std::uint64_t fp32_bytes =
-      static_cast<std::uint64_t>(q.numel()) * 4;
-  charge(q.byte_size());
-  obs::CounterRegistry::instance().add(
-      "cache.bytes_quantized_saved",
-      static_cast<std::int64_t>(fp32_bytes - q.byte_size()));
-  slot = std::move(q);
-  ++entry.present;
-  maybe_spill(sample_id, entry);
+  put_locked(sample_id, block_index,
+             quant::quantize(activation, config_.dtype));
 }
 
 void ActivationCache::put_block_q(std::int64_t sample_id,
                                   std::int64_t block_index,
                                   quant::QTensor payload) {
   std::lock_guard<std::mutex> lk(mutex_);
-  if (quantized() && payload.dtype == config_.dtype) {
-    put_qblock_locked(sample_id, block_index, std::move(payload));
-    return;
+  put_locked(sample_id, block_index, std::move(payload));
+}
+
+void ActivationCache::put_locked(std::int64_t sample_id,
+                                 std::int64_t block_index, quant::QTensor q) {
+  PAC_CHECK(block_index >= 0 && block_index < config_.num_blocks,
+            "block index " << block_index << " out of range");
+  PAC_CHECK(q.shape.size() == 2, "cached blocks are [T, H] activations");
+  if (q.dtype != config_.dtype) {
+    // Another dtype goes through fp32 exactly once (bit-exact into kF32).
+    q = quant::quantize(quant::dequantize(q), config_.dtype);
   }
-  // Mismatched representation: go through fp32 (bit-exact for kF32
-  // payloads into fp32 shards; one requantization otherwise).
-  put_block_locked(sample_id, block_index, quant::dequantize(payload));
+  Entry& entry = entries_[sample_id];
+  if (entry.blocks.empty()) {
+    entry.blocks.resize(static_cast<std::size_t>(config_.num_blocks));
+  }
+  PAC_CHECK(!entry.spilled, "put_block on spilled sample " << sample_id);
+  auto& slot = entry.blocks[static_cast<std::size_t>(block_index)];
+  PAC_CHECK(!slot.has_value(), "duplicate record for sample "
+                                   << sample_id << " block " << block_index);
+  const std::uint64_t fp32_bytes = static_cast<std::uint64_t>(q.numel()) * 4;
+  charge(q.byte_size());
+  if (fp32_bytes != q.byte_size()) {  // kF32 saves nothing
+    obs::CounterRegistry::instance().add(
+        "cache.bytes_quantized_saved",
+        static_cast<std::int64_t>(fp32_bytes - q.byte_size()));
+  }
+  slot = std::move(q);
+  ++entry.present;
+  maybe_spill(sample_id, entry);
 }
 
 void ActivationCache::maybe_spill(std::int64_t sample_id, Entry& entry) {
@@ -212,39 +171,27 @@ void ActivationCache::maybe_spill(std::int64_t sample_id, Entry& entry) {
   AppendBuf sink(spill_buf_);
   std::ostream out(&sink);
   BinaryWriter w(out);
+  // Payload: dtype, block count, then per block its dims, scales and raw
+  // element bytes.
   std::uint64_t freed = 0;
-  if (!entry.qblocks.empty()) {
-    // Compressed payload format: sentinel, dtype, then per-block dims,
-    // scales, and raw element bytes.
-    w.write_u64(kQuantSpillMagic);
-    w.write_u32(static_cast<std::uint32_t>(config_.dtype));
-    w.write_u64(static_cast<std::uint64_t>(config_.num_blocks));
-    for (const auto& slot : entry.qblocks) {
-      const quant::QTensor& q = *slot;
-      w.write_u64(static_cast<std::uint64_t>(q.shape[0]));
-      w.write_u64(static_cast<std::uint64_t>(q.shape[1]));
-      w.write_u64(static_cast<std::uint64_t>(q.scales.size()));
-      w.write_floats(q.scales.data(), q.scales.size());
-      w.write_u64(static_cast<std::uint64_t>(q.data.size()));
-      w.write_bytes(q.data.data(), q.data.size());
-      freed += q.byte_size();
-    }
-  } else {
-    w.write_u64(static_cast<std::uint64_t>(config_.num_blocks));
-    for (const Tensor& block : entry.blocks) {
-      w.write_u64(static_cast<std::uint64_t>(block.size(0)));
-      w.write_u64(static_cast<std::uint64_t>(block.size(1)));
-      w.write_floats(block.data(), static_cast<std::size_t>(block.numel()));
-      freed += block.byte_size();
-    }
+  w.write_u32(static_cast<std::uint32_t>(config_.dtype));
+  w.write_u64(static_cast<std::uint64_t>(config_.num_blocks));
+  for (auto& slot : entry.blocks) {
+    const quant::QTensor& q = *slot;
+    w.write_u64(static_cast<std::uint64_t>(q.shape[0]));
+    w.write_u64(static_cast<std::uint64_t>(q.shape[1]));
+    w.write_u64(static_cast<std::uint64_t>(q.scales.size()));
+    w.write_floats(q.scales.data(), q.scales.size());
+    w.write_u64(static_cast<std::uint64_t>(q.data.size()));
+    w.write_bytes(q.data.data(), q.data.size());
+    freed += q.byte_size();
+    slot.reset();
   }
   header.bytes = spill_buf_.size() - sizeof(header);
   std::memcpy(spill_buf_.data(), &header, sizeof(header));
   entry.offset = append_locked(spill_buf_.data(), spill_buf_.size()) +
                  sizeof(header);
   entry.bytes = header.bytes;
-  for (auto& slot : entry.qblocks) slot.reset();
-  for (Tensor& block : entry.blocks) block = Tensor();
   refund(freed);
   entry.spilled = true;
   entry.spilled_bytes = freed;
@@ -273,44 +220,31 @@ std::uint64_t ActivationCache::append_locked(const void* data,
 
 ActivationCache::Entry ActivationCache::read_spilled_entry(std::istream& in) {
   BinaryReader r(in);
-  const std::uint64_t head = r.read_u64();
+  const auto dtype = static_cast<quant::Dtype>(r.read_u32());
+  PAC_CHECK(dtype == quant::Dtype::kF32 || dtype == quant::Dtype::kF16 ||
+                dtype == quant::Dtype::kI8,
+            "spill record with bad dtype");
+  const std::uint64_t blocks = r.read_u64();
   Entry entry;
-  if (head == kQuantSpillMagic) {
-    const auto dtype = static_cast<quant::Dtype>(r.read_u32());
-    PAC_CHECK(dtype == quant::Dtype::kF16 || dtype == quant::Dtype::kI8,
-              "compressed spill file with bad dtype");
-    const std::uint64_t blocks = r.read_u64();
-    entry.qblocks.resize(blocks);
-    for (std::uint64_t b = 0; b < blocks; ++b) {
-      quant::QTensor q;
-      q.dtype = dtype;
-      const std::int64_t t = static_cast<std::int64_t>(r.read_u64());
-      const std::int64_t h = static_cast<std::int64_t>(r.read_u64());
-      q.shape = {t, h};
-      const std::uint64_t nscales = r.read_u64();
-      q.scales.resize(nscales);
-      r.read_floats(q.scales.data(), q.scales.size());
-      const std::uint64_t nbytes = r.read_u64();
-      // A torn file can carry a bogus length; cap the resize to what the
-      // shape implies so we fail via the stream, not a huge allocation.
-      PAC_CHECK(nbytes == static_cast<std::uint64_t>(q.numel()) *
-                              quant::element_bytes(dtype),
-                "compressed spill block length mismatch");
-      q.data.resize(nbytes);
-      r.read_bytes(q.data.data(), q.data.size());
-      entry.qblocks[b] = std::move(q);
-    }
-    entry.present = static_cast<std::int64_t>(blocks);
-    return entry;
-  }
-  const std::uint64_t blocks = head;
   entry.blocks.resize(blocks);
-  for (std::uint64_t b = 0; b < blocks; ++b) {
+  for (auto& slot : entry.blocks) {
+    quant::QTensor q;
+    q.dtype = dtype;
     const std::int64_t t = static_cast<std::int64_t>(r.read_u64());
     const std::int64_t h = static_cast<std::int64_t>(r.read_u64());
-    Tensor block({t, h});
-    r.read_floats(block.data(), static_cast<std::size_t>(block.numel()));
-    entry.blocks[b] = std::move(block);
+    q.shape = {t, h};
+    const std::uint64_t nscales = r.read_u64();
+    q.scales.resize(nscales);
+    r.read_floats(q.scales.data(), q.scales.size());
+    const std::uint64_t nbytes = r.read_u64();
+    // A torn file can carry a bogus length; cap the resize to what the
+    // shape implies so we fail via the stream, not a huge allocation.
+    PAC_CHECK(nbytes == static_cast<std::uint64_t>(q.numel()) *
+                            quant::element_bytes(dtype),
+              "spill block length mismatch");
+    q.data.resize(nbytes);
+    r.read_bytes(q.data.data(), q.data.size());
+    slot = std::move(q);
   }
   entry.present = static_cast<std::int64_t>(blocks);
   return entry;
@@ -468,7 +402,7 @@ std::vector<Tensor> ActivationCache::fetch(
   }
 
   // Pass 2 (lock held throughout): assemble per-block batches [n, T, H],
-  // dequantizing compressed entries straight into the batch rows.
+  // dequantizing every entry straight into the batch rows.
   std::vector<const Entry*> sources;
   for (std::int64_t id : sample_ids) {
     auto it = entries_.find(id);
@@ -486,33 +420,19 @@ std::vector<Tensor> ActivationCache::fetch(
       sources.push_back(&it->second);
     }
   }
-  auto block_shape = [](const Entry* e, std::int64_t b) {
-    if (!e->qblocks.empty()) {
-      const auto& q = e->qblocks[static_cast<std::size_t>(b)];
-      return std::make_pair(q->shape[0], q->shape[1]);
-    }
-    const Tensor& t = e->blocks[static_cast<std::size_t>(b)];
-    return std::make_pair(t.size(0), t.size(1));
-  };
   std::vector<Tensor> out;
   const std::int64_t n = static_cast<std::int64_t>(sample_ids.size());
   for (std::int64_t b = 0; b < config_.num_blocks; ++b) {
-    const auto [bt, bh] = block_shape(sources[0], b);
+    const Shape& shape = sources[0]->blocks[static_cast<std::size_t>(b)]->shape;
+    const std::int64_t bt = shape[0];
+    const std::int64_t bh = shape[1];
     Tensor batch({n, bt, bh});
     for (std::int64_t r = 0; r < n; ++r) {
-      const Entry* src = sources[static_cast<std::size_t>(r)];
-      if (!src->qblocks.empty()) {
-        const auto& q = src->qblocks[static_cast<std::size_t>(b)];
-        PAC_CHECK(q->numel() == bt * bh,
-                  "inconsistent cached shapes across samples");
-        quant::dequantize_into(*q, batch.data() + r * bt * bh);
-        continue;
-      }
-      const Tensor& row = src->blocks[static_cast<std::size_t>(b)];
-      PAC_CHECK(row.numel() == bt * bh,
+      const auto& q = sources[static_cast<std::size_t>(r)]
+                          ->blocks[static_cast<std::size_t>(b)];
+      PAC_CHECK(q->numel() == bt * bh,
                 "inconsistent cached shapes across samples");
-      batch.slice0(r, r + 1).copy_from(row.reshape({1, row.size(0),
-                                                    row.size(1)}));
+      quant::dequantize_into(*q, batch.data() + r * bt * bh);
     }
     out.push_back(std::move(batch));
   }
@@ -526,11 +446,7 @@ bool ActivationCache::has_block(std::int64_t sample_id,
   if (it == entries_.end()) return false;
   if (it->second.spilled) return true;  // spill implies complete
   if (block_index < 0 || block_index >= config_.num_blocks) return false;
-  if (!it->second.qblocks.empty()) {
-    return it->second.qblocks[static_cast<std::size_t>(block_index)]
-        .has_value();
-  }
-  return it->second.blocks[static_cast<std::size_t>(block_index)].defined();
+  return it->second.blocks[static_cast<std::size_t>(block_index)].has_value();
 }
 
 bool ActivationCache::complete(std::int64_t sample_id) const {
@@ -560,11 +476,9 @@ ActivationCache::held_blocks() const {
       continue;
     }
     for (std::int64_t b = 0; b < config_.num_blocks; ++b) {
-      const bool held =
-          entry.qblocks.empty()
-              ? entry.blocks[static_cast<std::size_t>(b)].defined()
-              : entry.qblocks[static_cast<std::size_t>(b)].has_value();
-      if (held) out.emplace_back(id, b);
+      if (entry.blocks[static_cast<std::size_t>(b)].has_value()) {
+        out.emplace_back(id, b);
+      }
     }
   }
   return out;
@@ -585,30 +499,20 @@ quant::QTensor ActivationCache::get_block_q(std::int64_t sample_id,
   }
   PAC_CHECK(block_index >= 0 && block_index < config_.num_blocks,
             "block index out of range");
-  auto block_of = [&](const Entry& entry) -> quant::QTensor {
-    if (!entry.qblocks.empty()) {
-      const auto& q = entry.qblocks[static_cast<std::size_t>(block_index)];
-      if (!q.has_value()) {
-        throw CacheMissError("block " + std::to_string(block_index) +
-                             " of sample " + std::to_string(sample_id) +
-                             " not recorded");
-      }
-      return *q;
-    }
-    const Tensor& block =
-        entry.blocks[static_cast<std::size_t>(block_index)];
-    if (!block.defined()) {
-      throw CacheMissError("block " + std::to_string(block_index) +
-                           " of sample " + std::to_string(sample_id) +
-                           " not recorded");
-    }
-    return quant::quantize(block, quant::Dtype::kF32);
-  };
-  if (it->second.spilled) {
-    // Compressed shards hand spilled blocks out exactly as stored on disk.
-    return block_of(load_spilled(sample_id, extent_locked(it->second)));
+  Entry loaded;
+  const Entry* entry = &it->second;
+  if (entry->spilled) {
+    // Spilled blocks are handed out exactly as stored on disk.
+    loaded = load_spilled(sample_id, extent_locked(*entry));
+    entry = &loaded;
   }
-  return block_of(it->second);
+  const auto& q = entry->blocks[static_cast<std::size_t>(block_index)];
+  if (!q.has_value()) {
+    throw CacheMissError("block " + std::to_string(block_index) +
+                         " of sample " + std::to_string(sample_id) +
+                         " not recorded");
+  }
+  return *q;
 }
 
 void ActivationCache::drop_sample(std::int64_t sample_id) {
@@ -632,10 +536,7 @@ void ActivationCache::drop_sample_locked(std::int64_t sample_id) {
 void ActivationCache::release_locked(
     std::map<std::int64_t, Entry>::iterator it) {
   std::uint64_t resident = 0;
-  for (const Tensor& block : it->second.blocks) {
-    if (block.defined()) resident += block.byte_size();
-  }
-  for (const auto& q : it->second.qblocks) {
+  for (const auto& q : it->second.blocks) {
     if (q.has_value()) resident += q->byte_size();
   }
   refund(resident);
@@ -683,20 +584,10 @@ std::int64_t ActivationCache::absorb_spilled_directory(
   std::int64_t absorbed = 0;
   for (auto& [id, loaded] : survivors) {
     if (entries_.find(id) != entries_.end()) continue;
-    for (std::size_t b = 0; b < loaded.qblocks.size(); ++b) {
-      auto& q = loaded.qblocks[b];
-      if (!q.has_value()) continue;
-      if (quantized() && q->dtype == config_.dtype) {
-        put_qblock_locked(id, static_cast<std::int64_t>(b), std::move(*q));
-      } else {
-        put_block_locked(id, static_cast<std::int64_t>(b),
-                         quant::dequantize(*q));
-      }
-    }
+    // A block spilled in another dtype is converted on the way in.
     for (std::size_t b = 0; b < loaded.blocks.size(); ++b) {
-      if (!loaded.blocks[b].defined()) continue;
-      put_block_locked(id, static_cast<std::int64_t>(b),
-                       std::move(loaded.blocks[b]));
+      put_locked(id, static_cast<std::int64_t>(b),
+                 std::move(*loaded.blocks[b]));
     }
     ++absorbed;
   }

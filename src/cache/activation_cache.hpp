@@ -17,13 +17,13 @@
 // reserved length and no payload).  Records are never rewritten; clear()
 // removes the whole file.
 //
-// Storage dtype (CacheConfig::dtype): fp32 entries are stored exactly as
-// recorded; fp16/int8 entries are quantized on insert (see tensor/quant.hpp
-// for the format) and dequantized on fetch, so RAM, the ledger charge, the
-// spill log, and redistribution traffic all shrink 2-4x.  The fp32 path
-// is byte-for-byte the original code path.  get_block_q/put_block_q move
-// entries between shards in their stored representation — redistribution
-// never requantizes, so shipping a block is lossless.
+// Storage dtype (CacheConfig::dtype): every block is stored as a
+// quant::QTensor in the shard's dtype, written on insert and dequantized on
+// fetch (see tensor/quant.hpp for the formats).  A kF32 block is a
+// bit-exact copy of the recorded floats; fp16/int8 shrink RAM, the ledger
+// charge, the spill log and redistribution traffic 2-4x.  get_block_q/
+// put_block_q move blocks between shards in their stored representation —
+// redistribution never requantizes, so shipping a block is lossless.
 //
 // Disk-backed shards additionally support prefetch(): a background reader
 // thread reloads the announced samples into a staging buffer while the
@@ -58,8 +58,8 @@ struct CacheConfig {
   std::int64_t num_blocks = 0;  // activations per sample (= L + 1)
   bool disk_backed = false;
   std::string directory;  // required when disk_backed
-  // Storage precision for cached activations.  kF32 keeps the original
-  // bit-exact behaviour; kF16/kI8 quantize on insert.
+  // Storage precision for cached activations.  kF32 stores the recorded
+  // floats bit-exactly; kF16/kI8 quantize on insert.
   quant::Dtype dtype = quant::Dtype::kF32;
   // Optional ledger to charge in-memory cache bytes against.
   dist::MemoryLedger* ledger = nullptr;
@@ -96,16 +96,16 @@ class ActivationCache : public pipeline::ActivationRecorder,
   // Single cached activation [T, H] as fp32 (dequantized when the shard is
   // compressed); throws CacheMissError if absent.
   Tensor get_block(std::int64_t sample_id, std::int64_t block_index) const;
+  // Stores an fp32 activation [T, H] in the shard dtype.
   void put_block(std::int64_t sample_id, std::int64_t block_index,
-                 Tensor activation);
-  // The stored representation of a block: compressed shards return the
-  // quantized bytes verbatim, fp32 shards a bit-exact kF32 repack.  The
-  // lossless pair for shard-to-shard moves (redistribution, salvage).
+                 const Tensor& activation);
+  // The stored representation of a block, verbatim.  The lossless pair for
+  // shard-to-shard moves (redistribution, salvage).
   quant::QTensor get_block_q(std::int64_t sample_id,
                              std::int64_t block_index) const;
   // Stores a block in its wire representation.  A payload matching the
-  // shard dtype is stored verbatim; a mismatched one is converted through
-  // fp32 (at most one requantization).
+  // shard dtype is stored verbatim; another dtype is converted through
+  // fp32 once.
   void put_block_q(std::int64_t sample_id, std::int64_t block_index,
                    quant::QTensor payload);
   // Drops a sample's blocks from this shard (after shipping them away).
@@ -115,22 +115,20 @@ class ActivationCache : public pipeline::ActivationRecorder,
   // still holds into this shard, in ascending id order, skipping samples
   // already held.  The last record for a sample wins and a tombstone
   // removes it; replay stops at the first invalid record, so a writer
-  // killed mid-append loses only that sample.  Handles both the fp32 and
-  // the compressed payload formats.  Returns samples absorbed.
+  // killed mid-append loses only that sample.  Blocks spilled in another
+  // dtype are converted as put_block_q does.  Returns samples absorbed.
   std::int64_t absorb_spilled_directory(const std::string& directory);
 
   std::int64_t num_blocks() const { return config_.num_blocks; }
-  quant::Dtype dtype() const { return config_.dtype; }
   std::uint64_t memory_bytes() const;  // resident RAM bytes
   std::uint64_t total_bytes() const;   // RAM + spilled
   void clear();
 
  private:
   struct Entry {
-    // Exactly one of blocks/qblocks is populated: blocks for fp32 shards,
-    // qblocks for fp16/int8 shards (and for salvaged compressed entries).
-    std::vector<Tensor> blocks;  // per-block activations [T, H]
-    std::vector<std::optional<quant::QTensor>> qblocks;
+    // Per-block activations [T, H] in the shard dtype (an entry parsed
+    // from a salvaged log keeps the dtype it was spilled in).
+    std::vector<std::optional<quant::QTensor>> blocks;
     std::int64_t present = 0;  // how many blocks are defined
     bool spilled = false;      // on disk, RAM copy evicted
     std::uint64_t spilled_bytes = 0;
@@ -165,7 +163,6 @@ class ActivationCache : public pipeline::ActivationRecorder,
     std::thread thread;
   };
 
-  bool quantized() const { return config_.dtype != quant::Dtype::kF32; }
   std::string log_path() const;
   void maybe_spill(std::int64_t sample_id, Entry& entry);
   // Appends bytes to the spill log (opening it on first use); returns the
@@ -175,15 +172,13 @@ class ActivationCache : public pipeline::ActivationRecorder,
     return {log_, entry.offset, entry.bytes};
   }
   static Entry load_spilled(std::int64_t sample_id, const Extent& extent);
-  // Parses one spill stream (either format) into a RAM entry.
+  // Parses one spill record's payload into a RAM entry.
   static Entry read_spilled_entry(std::istream& in);
   void charge(std::uint64_t bytes);
   void refund(std::uint64_t bytes);
 
-  void put_block_locked(std::int64_t sample_id, std::int64_t block_index,
-                        Tensor activation);
-  void put_qblock_locked(std::int64_t sample_id, std::int64_t block_index,
-                         quant::QTensor q);
+  void put_locked(std::int64_t sample_id, std::int64_t block_index,
+                  quant::QTensor q);
   void drop_sample_locked(std::int64_t sample_id);
   // Forgets an entry: refunds its RAM and its spilled-byte accounting.
   void release_locked(std::map<std::int64_t, Entry>::iterator it);

@@ -1,6 +1,7 @@
 #include "cache/redistribution.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 #include <map>
 #include <numeric>
 #include <set>
@@ -9,6 +10,17 @@
 #include "pipeline/stage_worker.hpp"  // tag constants
 
 namespace pac::cache {
+
+namespace {
+
+// A small fp32 control frame (count or header) as a kF32 QTensor.
+quant::QTensor floats(std::initializer_list<float> values) {
+  return quant::quantize_rows(std::data(values),
+                              {static_cast<std::int64_t>(values.size())},
+                              quant::Dtype::kF32);
+}
+
+}  // namespace
 
 RedistStats redistribute_cache(
     dist::DeviceContext& ctx, ActivationCache& shard,
@@ -36,34 +48,24 @@ RedistStats redistribute_cache(
   }
 
   // Announce counts, then stream items.  Sends never block, so issuing all
-  // sends before any recv is deadlock-free.  Compressed shards ship their
-  // stored representation (losslessly — no requantization on the move);
-  // fp32 shards keep the original frames byte-for-byte.
-  const bool compressed = shard.dtype() != quant::Dtype::kF32;
+  // sends before any recv is deadlock-free.  Every frame is a QTensor:
+  // payloads ship in the shard's stored representation (losslessly — no
+  // requantization on the move), and counts and headers as kF32 frames,
+  // whose wire bytes equal a plain fp32 send.
   for (int peer : group) {
     if (peer == me) continue;
     const auto it = outgoing.find(peer);
-    const std::int64_t n =
-        it == outgoing.end() ? 0
-                             : static_cast<std::int64_t>(it->second.size());
-    ctx.comm.send(peer, tag_count,
-                  Tensor::full({1}, static_cast<float>(n)));
+    const std::size_t n = it == outgoing.end() ? 0 : it->second.size();
+    ctx.comm.send_q(peer, tag_count, floats({static_cast<float>(n)}));
     if (it == outgoing.end()) continue;
     for (const auto& [sample, block] : it->second) {
-      Tensor header = Tensor::from_vector(
-          {2}, {static_cast<float>(sample), static_cast<float>(block)});
-      ctx.comm.send(peer, tag_header, std::move(header));
-      if (compressed) {
-        quant::QTensor payload = shard.get_block_q(sample, block);
-        stats.payload_bytes_sent += payload.byte_size();
-        ++stats.items_sent;
-        ctx.comm.send_q(peer, tag_payload, std::move(payload));
-      } else {
-        Tensor payload = shard.get_block(sample, block);
-        stats.payload_bytes_sent += payload.byte_size();
-        ++stats.items_sent;
-        ctx.comm.send(peer, tag_payload, std::move(payload));
-      }
+      ctx.comm.send_q(peer, tag_header,
+                      floats({static_cast<float>(sample),
+                              static_cast<float>(block)}));
+      quant::QTensor payload = shard.get_block_q(sample, block);
+      stats.payload_bytes_sent += payload.byte_size();
+      ++stats.items_sent;
+      ctx.comm.send_q(peer, tag_payload, std::move(payload));
     }
   }
 
@@ -71,16 +73,13 @@ RedistStats redistribute_cache(
   for (int peer : group) {
     if (peer == me) continue;
     const auto n = static_cast<std::int64_t>(
-        ctx.comm.recv(peer, tag_count).at({0}));
+        quant::dequantize(ctx.comm.recv_q(peer, tag_count)).at({0}));
     for (std::int64_t i = 0; i < n; ++i) {
-      Tensor header = ctx.comm.recv(peer, tag_header);
+      const Tensor header =
+          quant::dequantize(ctx.comm.recv_q(peer, tag_header));
       const auto sample = static_cast<std::int64_t>(header.at({0}));
       const auto block = static_cast<std::int64_t>(header.at({1}));
-      if (compressed) {
-        shard.put_block_q(sample, block, ctx.comm.recv_q(peer, tag_payload));
-      } else {
-        shard.put_block(sample, block, ctx.comm.recv(peer, tag_payload));
-      }
+      shard.put_block_q(sample, block, ctx.comm.recv_q(peer, tag_payload));
       ++stats.items_received;
     }
   }

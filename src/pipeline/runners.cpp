@@ -15,22 +15,11 @@
 
 namespace pac::pipeline {
 
-void RecoveryLog::stage_params(int epoch, const nn::ParameterList& params) {
+void RecoveryLog::commit_epoch(int epoch, const nn::ParameterList& params,
+                               double mean_loss) {
   std::lock_guard<std::mutex> guard(mutex_);
-  auto& staged = pending_[epoch];
   for (nn::Parameter* p : params) {
-    staged[p->name()] = p->value().clone();
-  }
-}
-
-void RecoveryLog::commit_epoch(int epoch, double mean_loss) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  auto it = pending_.find(epoch);
-  if (it != pending_.end()) {
-    for (auto& [name, value] : it->second) {
-      committed_[name] = std::move(value);
-    }
-    pending_.erase(it);
+    committed_[p->name()] = p->value().clone();
   }
   losses_[epoch] = mean_loss;
   epochs_completed_ = std::max(epochs_completed_, epoch + 1);
@@ -219,10 +208,9 @@ RunResult run_training(dist::EdgeCluster& cluster,
         std::vector<std::int64_t> idx(static_cast<std::size_t>(rows));
         std::iota(idx.begin(), idx.end(), eval_cursor);
         auto batch = dataset.make_eval_batch(idx);
-        auto chunks = worker.eval_mini_batch(batch);
         // Last-stage owners ship their logits to the leader.
-        for (auto& chunk : chunks) {
-          ctx.comm.send(leader, tags::kEvalLogits, chunk.logits);
+        for (Tensor& logits : worker.eval_mini_batch(batch)) {
+          ctx.comm.send(leader, tags::kEvalLogits, std::move(logits));
         }
         if (ctx.rank == leader) {
           const std::vector<std::int64_t> bounds =
@@ -486,10 +474,9 @@ RunResult run_cached_data_parallel(
         result.epoch_losses[static_cast<std::size_t>(e)] = mean_loss;
         // Pure DP: every rank holds the full trainable set and the loss
         // AllReduce already proves all ranks finished the epoch, so one
-        // rank per process stages and commits the restore point.
+        // rank per process commits the restore point.
         if (config.recovery != nullptr) {
-          config.recovery->stage_params(epoch, trainable);
-          config.recovery->commit_epoch(epoch, mean_loss);
+          config.recovery->commit_epoch(epoch, trainable, mean_loss);
         }
       }
     }

@@ -31,17 +31,16 @@ using ModelFactory = std::function<std::unique_ptr<model::Model>()>;
 
 // Epoch-boundary recovery state shared between a phase-2 run and the
 // session that may have to resume it after a device death.  As each epoch
-// finishes, the run stages the adapter values and commits the epoch,
-// promoting the staged values into the restore point.  A death mid-epoch
-// therefore always finds a *consistent* restore point: the last epoch the
-// run completed.  (Phase 1 restarts from scratch instead.)  Thread-safe.
+// finishes, the run commits the adapter values as the restore point.  A
+// death mid-epoch therefore always finds a *consistent* restore point: the
+// last epoch the run completed.  (Phase 1 restarts from scratch instead.)
+// Thread-safe.
 class RecoveryLog {
  public:
-  // Stages one stage-group's trainable values for `epoch` (deep copies).
-  void stage_params(int epoch, const nn::ParameterList& params);
-  // Promotes everything staged for `epoch` into the restore point and
-  // records the epoch's mean loss.  Replayed epochs overwrite.
-  void commit_epoch(int epoch, double mean_loss);
+  // Deep-copies `params` into the restore point and records the epoch's
+  // mean loss.  Replayed epochs overwrite.
+  void commit_epoch(int epoch, const nn::ParameterList& params,
+                    double mean_loss);
 
   int epochs_completed() const;
   bool has_restore_point() const;
@@ -53,7 +52,6 @@ class RecoveryLog {
  private:
   mutable std::mutex mutex_;
   int epochs_completed_ = 0;
-  std::map<int, std::map<std::string, Tensor>> pending_;
   std::map<std::string, Tensor> committed_;
   std::map<int, double> losses_;
 };

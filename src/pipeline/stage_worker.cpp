@@ -389,9 +389,8 @@ void StageWorker::synchronize_and_step(nn::Optimizer& optimizer) {
   ctx_.comm.flush_sends();
 }
 
-std::vector<StageWorker::EvalChunk> StageWorker::eval_mini_batch(
-    const data::Batch& batch) {
-  std::vector<EvalChunk> out;
+std::vector<Tensor> StageWorker::eval_mini_batch(const data::Batch& batch) {
+  std::vector<Tensor> out;
   if (!participates()) return out;
   minibatch_rows_ = batch.tokens.size(0);
   const std::vector<MicroSlice> micros = local_micros(minibatch_rows_);
@@ -403,12 +402,7 @@ std::vector<StageWorker::EvalChunk> StageWorker::eval_mini_batch(
       state = block->forward(state);
     }
     if (is_last_stage()) {
-      EvalChunk chunk;
-      for (std::int64_t r = ms.row_begin; r < ms.row_end; ++r) {
-        chunk.batch_rows.push_back(r);
-      }
-      chunk.logits = state.hidden;
-      out.push_back(std::move(chunk));
+      out.push_back(state.hidden);
     } else {
       send_forward_outputs(ms, state);
     }
@@ -423,14 +417,6 @@ nn::ParameterList StageWorker::stage_trainable_params() {
     for (nn::Parameter* p : block->parameters()) {
       if (p->trainable()) out.push_back(p);
     }
-  }
-  return out;
-}
-
-nn::ParameterList StageWorker::stage_params() {
-  nn::ParameterList out;
-  for (model::PipelineBlock* block : stage_blocks_) {
-    block->collect_parameters(out);
   }
   return out;
 }

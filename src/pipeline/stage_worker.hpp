@@ -84,14 +84,9 @@ class StageWorker {
   void synchronize_and_step(nn::Optimizer& optimizer);
 
   // Forward-only pass (model must be in eval mode).  On last-stage ranks
-  // returns logits rows for the micro-batches this rank owns, paired with
-  // their positions in the batch; other ranks return an empty list.
-  struct EvalChunk {
-    std::vector<std::int64_t> batch_rows;
-    Tensor logits;
-  };
-  std::vector<EvalChunk> eval_mini_batch(
-      const data::Batch& batch);
+  // returns the logits of the micro-batches this rank owns, in micro
+  // order; other ranks return an empty list.
+  std::vector<Tensor> eval_mini_batch(const data::Batch& batch);
 
   // Abandons the in-flight mini-batch after a failure (peer death mid
   // pipeline): drops saved per-micro state, posted receives and queued
@@ -102,7 +97,6 @@ class StageWorker {
 
   // The stage's trainable parameters (for reporting / extraction).
   nn::ParameterList stage_trainable_params();
-  nn::ParameterList stage_params();
 
   // Pure compute time (block forward/backward loops only, communication
   // waits excluded) and rows processed over the last train_mini_batch.

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "model/checkpoint.hpp"
 #include "model/model.hpp"
@@ -12,7 +13,12 @@
 namespace pac::model {
 namespace {
 
-const char* kPath = "/tmp/pac_checkpoint_test.bin";
+// ctest runs each case in its own process, concurrently: one file per case.
+std::string test_path() {
+  return ::testing::TempDir() + "pac_checkpoint_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ".bin";
+}
 
 Model make_model(std::uint64_t seed) {
   TechniqueConfig tc;
@@ -23,9 +29,9 @@ Model make_model(std::uint64_t seed) {
 
 TEST(CheckpointTest, FullRoundTrip) {
   Model a = make_model(1);
-  save_parameters(a.parameters(), kPath);
+  save_parameters(a.parameters(), test_path());
   Model b = make_model(2);  // different init
-  const std::size_t loaded = load_parameters(b.parameters(), kPath);
+  const std::size_t loaded = load_parameters(b.parameters(), test_path());
   EXPECT_EQ(loaded, a.parameters().size());
   auto pa = a.parameters();
   auto pb = b.parameters();
@@ -34,7 +40,7 @@ TEST(CheckpointTest, FullRoundTrip) {
     EXPECT_EQ(ops::max_abs_diff(pa[i]->value(), pb[i]->value()), 0.0F)
         << pa[i]->name();
   }
-  std::filesystem::remove(kPath);
+  std::filesystem::remove(test_path());
 }
 
 TEST(CheckpointTest, TrainableSubsetRestoresAdapters) {
@@ -45,11 +51,11 @@ TEST(CheckpointTest, TrainableSubsetRestoresAdapters) {
     Tensor noise = Tensor::randn(p->value().shape(), rng, 0.1F);
     p->value().add_(noise);
   }
-  save_trainable_parameters(a.parameters(), kPath);
+  save_trainable_parameters(a.parameters(), test_path());
 
   Model b = make_model(3);  // same seed: identical backbone
   const std::size_t loaded =
-      load_parameters(b.parameters(), kPath, LoadMode::kSubset);
+      load_parameters(b.parameters(), test_path(), LoadMode::kSubset);
   EXPECT_EQ(loaded, a.trainable_parameters().size());
   auto ta = a.trainable_parameters();
   auto tb = b.trainable_parameters();
@@ -58,46 +64,48 @@ TEST(CheckpointTest, TrainableSubsetRestoresAdapters) {
   }
   // Strict mode must reject the adapter-only file.
   Model c = make_model(3);
-  EXPECT_THROW(load_parameters(c.parameters(), kPath, LoadMode::kStrict),
-               InvalidArgument);
-  std::filesystem::remove(kPath);
+  EXPECT_THROW(
+      load_parameters(c.parameters(), test_path(), LoadMode::kStrict),
+      InvalidArgument);
+  std::filesystem::remove(test_path());
 }
 
 TEST(CheckpointTest, ShapeMismatchRejected) {
   Model a = make_model(5);
-  save_parameters(a.parameters(), kPath);
+  save_parameters(a.parameters(), test_path());
   TechniqueConfig tc;
   tc.technique = Technique::kParallelAdapters;
   tc.pa_reduction = 2;  // different side width -> shape mismatch
   Model b(tiny(2, 16, 2, 32, 8), tc, TaskSpec{}, 5);
-  EXPECT_THROW(load_parameters(b.parameters(), kPath), InvalidArgument);
-  std::filesystem::remove(kPath);
+  EXPECT_THROW(load_parameters(b.parameters(), test_path()), InvalidArgument);
+  std::filesystem::remove(test_path());
 }
 
 TEST(CheckpointTest, UnknownNameRejected) {
   Model a = make_model(6);
-  save_parameters(a.parameters(), kPath);
+  save_parameters(a.parameters(), test_path());
   // A model with fewer layers lacks some checkpointed names.
   TechniqueConfig tc;
   tc.technique = Technique::kParallelAdapters;
   tc.pa_reduction = 4;
   Model b(tiny(1, 16, 2, 32, 8), tc, TaskSpec{}, 6);
-  EXPECT_THROW(load_parameters(b.parameters(), kPath, LoadMode::kSubset),
-               InvalidArgument);
-  std::filesystem::remove(kPath);
+  EXPECT_THROW(
+      load_parameters(b.parameters(), test_path(), LoadMode::kSubset),
+      InvalidArgument);
+  std::filesystem::remove(test_path());
 }
 
 TEST(CheckpointTest, MissingFileAndBadMagic) {
   Model a = make_model(7);
-  EXPECT_THROW(load_parameters(a.parameters(), "/tmp/pac_no_such_file.bin"),
+  EXPECT_THROW(load_parameters(a.parameters(), test_path() + ".missing"),
                Error);
-  std::ofstream bad("/tmp/pac_bad_magic.bin", std::ios::binary);
+  std::ofstream bad(test_path(), std::ios::binary);
   const std::uint32_t junk = 0xdeadbeef;
   bad.write(reinterpret_cast<const char*>(&junk), sizeof(junk));
   bad.close();
-  EXPECT_THROW(load_parameters(a.parameters(), "/tmp/pac_bad_magic.bin"),
+  EXPECT_THROW(load_parameters(a.parameters(), test_path()),
                Error);
-  std::filesystem::remove("/tmp/pac_bad_magic.bin");
+  std::filesystem::remove(test_path());
 }
 
 TEST(CheckpointTest, ResumedTrainingMatchesUninterrupted) {
@@ -126,9 +134,9 @@ TEST(CheckpointTest, ResumedTrainingMatchesUninterrupted) {
   Model first = make_model(13);
   nn::Sgd opt2(0.05F);
   train_steps(first, opt2, 3);
-  save_parameters(first.parameters(), kPath);
+  save_parameters(first.parameters(), test_path());
   Model resumed = make_model(99);  // totally different init
-  load_parameters(resumed.parameters(), kPath);
+  load_parameters(resumed.parameters(), test_path());
   nn::Sgd opt3(0.05F);
   train_steps(resumed, opt3, 3);
 
@@ -138,7 +146,7 @@ TEST(CheckpointTest, ResumedTrainingMatchesUninterrupted) {
     EXPECT_LT(ops::max_abs_diff(ps[i]->value(), pr[i]->value()), 1e-6F)
         << ps[i]->name();
   }
-  std::filesystem::remove(kPath);
+  std::filesystem::remove(test_path());
 }
 
 TEST(CheckpointTest, AdapterOnlyMidEpochResumeMatchesUninterrupted) {
@@ -173,13 +181,13 @@ TEST(CheckpointTest, AdapterOnlyMidEpochResumeMatchesUninterrupted) {
   Model first = make_model(17);
   nn::Sgd opt2(0.05F);
   train_steps(first, opt2, 5);  // dies mid-epoch, 5 of 7 steps done
-  save_trainable_parameters(first.parameters(), kPath);
+  save_trainable_parameters(first.parameters(), test_path());
 
   // Fresh process: same config/seed regenerate the frozen backbone;
   // only the adapter subset comes from the checkpoint.
   Model resumed = make_model(17);
   const std::size_t loaded =
-      load_parameters(resumed.parameters(), kPath, LoadMode::kSubset);
+      load_parameters(resumed.parameters(), test_path(), LoadMode::kSubset);
   EXPECT_EQ(loaded, first.trainable_parameters().size());
   nn::Sgd opt3(0.05F);
   const double resumed_loss = train_steps(resumed, opt3, 2);
@@ -192,7 +200,7 @@ TEST(CheckpointTest, AdapterOnlyMidEpochResumeMatchesUninterrupted) {
     EXPECT_LT(ops::max_abs_diff(ps[i]->value(), pr[i]->value()), 1e-6F)
         << ps[i]->name();
   }
-  std::filesystem::remove(kPath);
+  std::filesystem::remove(test_path());
 }
 
 }  // namespace

@@ -304,6 +304,32 @@ TEST(QuantTest, QuantizedSpillFilesRoundTripAndSalvage) {
                               quant::dequantize(stored[0])),
             0.0F);
 
+  // An fp32 spill log salvaged into an int8 shard: quantized once on
+  // absorb, to exactly the bytes a direct int8 insert stores.
+  cache::CacheConfig f32cfg;
+  f32cfg.num_blocks = 2;
+  f32cfg.disk_backed = true;
+  f32cfg.directory = dir + "/f32";
+  cache::ActivationCache f32shard(f32cfg);
+  std::vector<Tensor> originals;
+  for (std::int64_t b = 0; b < 2; ++b) {
+    originals.push_back(Tensor::randn({4, 8}, rng));
+    f32shard.put_block(0, b, originals.back());
+  }
+  EXPECT_EQ(f32shard.memory_bytes(), 0U);  // spilled as fp32
+  cache::CacheConfig i8cfg = cc;
+  i8cfg.directory = dir + "/shard5";
+  cache::ActivationCache i8shard(i8cfg);
+  EXPECT_EQ(i8shard.absorb_spilled_directory(f32cfg.directory), 1);
+  for (std::int64_t b = 0; b < 2; ++b) {
+    const QTensor want =
+        quant::quantize(originals[static_cast<std::size_t>(b)], Dtype::kI8);
+    const QTensor got = i8shard.get_block_q(0, b);
+    EXPECT_EQ(got.dtype, Dtype::kI8);
+    EXPECT_EQ(got.scales, want.scales);
+    EXPECT_EQ(got.data, want.data);
+  }
+
   // A torn compressed record (writer killed mid-append) is dropped
   // cleanly, together with nothing before it.  The shard's log holds three
   // equal-sized records, one per sample.
@@ -400,7 +426,7 @@ TEST(QuantTest, QuantizedCountersTrackResidencyAndSavings) {
 // ---- redistribution -----------------------------------------------------
 
 TEST(QuantTest, RedistributionShipsCompressedBytes) {
-  for (auto dt : {Dtype::kF16, Dtype::kI8}) {
+  for (auto dt : {Dtype::kF32, Dtype::kF16, Dtype::kI8}) {
     constexpr int kWorld = 2;
     constexpr std::int64_t kBlocks = 2, kT = 4, kH = 24;
     dist::EdgeCluster cluster(kWorld,
@@ -429,11 +455,16 @@ TEST(QuantTest, RedistributionShipsCompressedBytes) {
           ctx, *shards[static_cast<std::size_t>(ctx.rank)],
           [](std::int64_t sid) { return sid < 3 ? 0 : 1; }, {0, 1});
     });
-    // Payload accounting is the compressed size: strictly under half (or
-    // ~a quarter for int8) of the fp32 bytes for the 3 shipped samples.
+    // Payload accounting is the stored size: exactly the fp32 bytes for
+    // kF32, strictly under half (or ~a quarter for int8) of them for the
+    // compressed dtypes, for the 3 shipped samples.
     const std::uint64_t fp32_bytes = 3ULL * kBlocks * kT * kH * 4;
     EXPECT_EQ(stats[0].items_sent, 3ULL * kBlocks);
-    EXPECT_LT(stats[0].payload_bytes_sent, fp32_bytes / 2 + 1);
+    if (dt == Dtype::kF32) {
+      EXPECT_EQ(stats[0].payload_bytes_sent, fp32_bytes);
+    } else {
+      EXPECT_LT(stats[0].payload_bytes_sent, fp32_bytes / 2 + 1);
+    }
     if (dt == Dtype::kI8) {
       EXPECT_LT(stats[0].payload_bytes_sent, fp32_bytes / 3);
     }

@@ -133,10 +133,12 @@ BENCHMARK(BM_PipelineGPipe);
 enum class CommBackend { kInProc, kTcpLoopback };
 
 // `trace_path` non-empty: one live TraceSession (+ counters) spans every
-// iteration, dumped there at the end.
+// iteration, dumped there at the end.  `link_sleeps` false turns the
+// modeled link's sleeps off.
 void run_comm_pipeline_bench(benchmark::State& state, CommBackend backend,
                              double shape_mbps = 0.0,
-                             const std::string& trace_path = "") {
+                             const std::string& trace_path = "",
+                             bool link_sleeps = true) {
   data::DatasetConfig dcfg;
   dcfg.task = data::GlueTask::kSst2;
   dcfg.train_samples = 32;
@@ -154,7 +156,7 @@ void run_comm_pipeline_bench(benchmark::State& state, CommBackend backend,
   pipeline::StageAssignment s0{0, 13, {0}, {}};
   pipeline::StageAssignment s1{13, 14, {1}, {}};
   dist::LinkModel lan;  // paper testbed: 128 Mbps, 1 ms — slept for real
-  lan.simulate_delay = true;
+  lan.simulate_delay = link_sleeps;
   dist::FaultPlan faults;
   if (shape_mbps > 0.0) {
     // WAN token-bucket shaping on top of the modeled link: bursts ride the
@@ -194,6 +196,17 @@ void BM_CommPipelineMiniBatch(benchmark::State& state) {
 // waits, so CPU time would both misreport the result and make the harness
 // run hundreds of iterations to fill --benchmark_min_time.
 BENCHMARK(BM_CommPipelineMiniBatch)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// The same mini-batch with no link sleeps: an in-process send that cannot
+// wait is delivered on the rank thread, so this row prices the pipeline's
+// compute and its rank-to-rank hand-offs with no sender-thread hop.
+void BM_CommPipelineMiniBatchNoLink(benchmark::State& state) {
+  run_comm_pipeline_bench(state, CommBackend::kInProc, 0.0, "",
+                          /*link_sleeps=*/false);
+}
+BENCHMARK(BM_CommPipelineMiniBatchNoLink)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -9,7 +9,8 @@
 #   --suite kernels  micro_kernels -> BENCH_kernels.json (default)
 #   --suite comm     micro_dist BM_Comm* (overlapped pipeline mini-batch on
 #                    the simulated 128 Mbps link over in-proc, TCP
-#                    loopback and WAN-shaped links, cache prefetch, and the
+#                    loopback and WAN-shaped links, the same mini-batch
+#                    in-proc with no link sleeps, cache prefetch, and the
 #                    quantized-cache session with its cache/redistribution
 #                    byte counters), BM_AllReduce (ring vs naive, in-proc,
 #                    no link sleeps), BM_CacheQuantizeRoundTrip (codec

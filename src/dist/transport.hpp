@@ -131,6 +131,13 @@ class Transport {
     return false;
   }
 
+  // True when a send can block or sleep before it returns: link sleeps,
+  // fault-plan delays, shaping and transient retries, or wire
+  // back-pressure.  The Communicator hands such sends to its sender thread
+  // and delivers the rest inline on the calling rank thread.  Fixed for
+  // the transport's lifetime.
+  virtual bool send_may_wait() const { return true; }
+
   // Root-cause death bookkeeping.  Cascading failures mark several ranks
   // dead (a survivor that unwinds closes its own links); the *root* death is
   // the one recovery should absorb.  First report wins; -1 when none.
@@ -184,6 +191,11 @@ class InProcTransport final : public Transport {
   bool closed() const override;
   void close_rank(int rank) override;
   bool rank_dead(int rank) const override;
+  // Only link sleeps and an active fault plan make an in-process send
+  // wait; otherwise a send is one mailbox push under its mutex.
+  bool send_may_wait() const override {
+    return link_.simulate_delay || faults_.active();
+  }
 
  private:
   struct Mailbox {

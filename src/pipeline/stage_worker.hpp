@@ -15,7 +15,8 @@
 // Communication always overlaps compute: outgoing activations and
 // gradients go through Communicator::isend, so link-delay sleeps and
 // transient-retry backoffs run on the sender thread while this rank keeps
-// computing; the statically-known schedule lets the worker pre-post irecv
+// computing (a send that cannot wait is delivered inline); the
+// statically-known schedule lets the worker pre-post irecv
 // futures for every incoming tensor of the mini-batch up front.  The grad
 // AllReduce runs once per mini-batch on the rank thread, after the last
 // backward: the stage's trainable grads, in reverse block order, form one

@@ -58,18 +58,17 @@ void Communicator::rethrow_deferred_error() const {
 bool Communicator::has_pending_locked(int to, int tag) const {
   if (inflight_key_ && *inflight_key_ == std::make_pair(to, tag)) return true;
   for (const QueuedSend& q : queue_) {
-    if (q.to == to && q.tag == tag) return true;
+    if (q.to == to && q.msg.tag == tag) return true;
   }
   return false;
 }
 
-void Communicator::send_with_retry(int to, int tag, Tensor payload) {
+void Communicator::send_with_retry(int to, const Message& msg) {
   for (int attempt = 0;; ++attempt) {
     try {
-      // Tensor copies are shared-storage handle copies, so retrying with a
-      // fresh handle after a transient failure costs nothing.
-      Tensor handle = payload;
-      transport_->send(rank_, to, tag, std::move(handle));
+      // Each attempt ships a copy, so a failed one leaves `msg` intact for
+      // the retry (a Tensor copy shares storage; a QTensor copy is deep).
+      transport_->send_message(to, msg);
       return;
     } catch (const TransientSendError&) {
       if (attempt >= policy_.max_send_retries) throw;
@@ -81,88 +80,36 @@ void Communicator::send_with_retry(int to, int tag, Tensor payload) {
   }
 }
 
-void Communicator::send(int to, int tag, Tensor payload) {
+void Communicator::send_message(int to, const Message& msg) {
   {
     std::unique_lock<std::mutex> lk(async_mutex_);
     rethrow_deferred_error();
     // Preserve per-(to, tag) FIFO: a blocking send must not overtake isends
     // already queued for the same key.
     drained_cv_.wait(lk, [&] {
-      return deferred_error_ || !has_pending_locked(to, tag);
+      return deferred_error_ || !has_pending_locked(to, msg.tag);
     });
     rethrow_deferred_error();
   }
-  send_with_retry(to, tag, std::move(payload));
+  send_with_retry(to, msg);
+}
+
+void Communicator::send(int to, int tag, Tensor payload) {
+  send_message(to, Message{rank_, tag, std::move(payload), std::nullopt});
 }
 
 void Communicator::send_q(int to, int tag, quant::QTensor payload) {
-  {
-    std::unique_lock<std::mutex> lk(async_mutex_);
-    rethrow_deferred_error();
-    drained_cv_.wait(lk, [&] {
-      return deferred_error_ || !has_pending_locked(to, tag);
-    });
-    rethrow_deferred_error();
-  }
-  for (int attempt = 0;; ++attempt) {
-    try {
-      // QTensor copies are deep, but retries only happen under injected
-      // transient faults — never on the clean path.
-      quant::QTensor copy = payload;
-      transport_->send_q(rank_, to, tag, std::move(copy));
-      return;
-    } catch (const TransientSendError&) {
-      if (attempt >= policy_.max_send_retries) throw;
-      obs::CounterRegistry::instance().add("comm.transient_retries", 1);
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          policy_.send_backoff_ms * static_cast<double>(attempt + 1) *
-          backoff_jitter(policy_.backoff_jitter_seed, rank_, attempt)));
-    }
-  }
+  send_message(to, Message{rank_, tag, Tensor(), std::move(payload)});
 }
 
-quant::QTensor Communicator::recv_q(int from, int tag) {
+Message Communicator::recv_message(int from, int tag) {
   {
     std::lock_guard<std::mutex> lk(async_mutex_);
     rethrow_deferred_error();
   }
   if (policy_.recv_timeout_ms <= 0.0) {
-    return transport_->recv_q(rank_, from, tag);
-  }
-  double wait_ms = policy_.recv_timeout_ms;
-  int degraded_windows = 0;
-  for (int attempt = 0; attempt <= policy_.max_recv_retries;) {
-    const double jittered =
-        wait_ms * backoff_jitter(policy_.backoff_jitter_seed, rank_,
-                                 attempt + degraded_windows);
-    auto result = transport_->recv_q_for(
-        rank_, from, tag,
-        std::chrono::milliseconds(
-            std::max<std::int64_t>(1, static_cast<std::int64_t>(jittered))));
-    if (result.has_value()) return std::move(*result);
-    if (transport_->link_degraded(from) &&
-        degraded_windows < policy_.max_degraded_windows) {
-      ++degraded_windows;  // reconnect window: the presumption clock freezes
-      continue;
-    }
-    ++attempt;
-    wait_ms *= 2.0;
-  }
-  transport_->report_root_death(from);
-  throw PeerDeadError(from, "rank " + std::to_string(from) +
-                                " presumed dead: recv_q(tag " +
-                                std::to_string(tag) + ") timed out after " +
-                                std::to_string(policy_.max_recv_retries + 1) +
-                                " attempts");
-}
-
-Tensor Communicator::recv(int from, int tag) {
-  {
-    std::lock_guard<std::mutex> lk(async_mutex_);
-    rethrow_deferred_error();
-  }
-  if (policy_.recv_timeout_ms <= 0.0) {
-    return transport_->recv(rank_, from, tag);
+    // An untimed receive returns only with a message or by throwing.
+    return transport_->recv_message(rank_, from, tag, std::nullopt).value();
   }
   double wait_ms = policy_.recv_timeout_ms;
   int degraded_windows = 0;
@@ -173,7 +120,7 @@ Tensor Communicator::recv(int from, int tag) {
     const double jittered =
         wait_ms * backoff_jitter(policy_.backoff_jitter_seed, rank_,
                                  attempt + degraded_windows);
-    auto result = transport_->recv_for(
+    auto result = transport_->recv_message(
         rank_, from, tag,
         std::chrono::milliseconds(
             std::max<std::int64_t>(1, static_cast<std::int64_t>(jittered))));
@@ -198,6 +145,14 @@ Tensor Communicator::recv(int from, int tag) {
                                 " attempts");
 }
 
+Tensor Communicator::recv(int from, int tag) {
+  return message_to_tensor(recv_message(from, tag));
+}
+
+quant::QTensor Communicator::recv_q(int from, int tag) {
+  return message_to_q(recv_message(from, tag));
+}
+
 void Communicator::isend(int to, int tag, Tensor payload) {
   std::lock_guard<std::mutex> lk(async_mutex_);
   rethrow_deferred_error();
@@ -207,11 +162,14 @@ void Communicator::isend(int to, int tag, Tensor payload) {
     // isend, so nothing can be ahead of this message, and the lock stays
     // held, so no other comm call sees it half-sent.
     int death = -1;
-    std::exception_ptr error = deliver(to, tag, std::move(payload), death);
+    std::exception_ptr error = deliver(
+        to, Message{rank_, tag, std::move(payload), std::nullopt},
+        death);
     if (error) defer_failure_locked(error, death);
     return;
   }
-  queue_.push_back(QueuedSend{to, tag, std::move(payload)});
+  queue_.push_back(QueuedSend{
+      to, Message{rank_, tag, std::move(payload), std::nullopt}});
   if (obs::enabled()) {
     obs::CounterRegistry::instance().high_water(
         "comm.isend_queue_depth.rank" + std::to_string(rank_),
@@ -266,10 +224,10 @@ std::optional<int> Communicator::deferred_death_rank() const {
   return death_rank_;
 }
 
-std::exception_ptr Communicator::deliver(int to, int tag, Tensor payload,
+std::exception_ptr Communicator::deliver(int to, const Message& msg,
                                          int& death) {
   try {
-    send_with_retry(to, tag, std::move(payload));
+    send_with_retry(to, msg);
   } catch (const RankDeathError& e) {
     death = e.rank();
     return std::current_exception();
@@ -299,16 +257,16 @@ void Communicator::sender_main() {
       async_cv_.wait(lk, [&] { return stop_ || !queue_.empty(); });
     }
     if (queue_.empty()) break;  // stop requested and nothing left to send
-    QueuedSend msg = std::move(queue_.front());
+    QueuedSend next = std::move(queue_.front());
     queue_.pop_front();
-    inflight_key_ = std::make_pair(msg.to, msg.tag);
+    inflight_key_ = std::make_pair(next.to, next.msg.tag);
     lk.unlock();
 
     std::exception_ptr error;
     int death = -1;
     {
-      PAC_TRACE_SCOPE("sender_send", msg.to, msg.tag);
-      error = deliver(msg.to, msg.tag, std::move(msg.payload), death);
+      PAC_TRACE_SCOPE("sender_send", next.to, next.msg.tag);
+      error = deliver(next.to, next.msg, death);
     }
 
     lk.lock();
@@ -335,24 +293,6 @@ int Communicator::group_index(const std::vector<int>& group) const {
   PAC_CHECK(it != group.end(), "rank " << rank_
                                        << " not a member of the group");
   return static_cast<int>(it - group.begin());
-}
-
-void Communicator::barrier(const std::vector<int>& group, int tag) {
-  const int me = group_index(group);
-  const int root = group[0];
-  Tensor token({1});
-  if (rank_ == root) {
-    for (std::size_t i = 1; i < group.size(); ++i) {
-      recv(group[i], tag);
-    }
-    for (std::size_t i = 1; i < group.size(); ++i) {
-      send(group[i], tag, token.clone());
-    }
-  } else {
-    (void)me;
-    send(root, tag, token.clone());
-    recv(root, tag);
-  }
 }
 
 Tensor Communicator::broadcast(Tensor payload, int root,
@@ -489,25 +429,6 @@ void Communicator::allreduce_direct(Tensor& t, const std::vector<int>& group,
       dst.add_(terms[(c + k) % g].slice0(b, e));
     }
   }
-}
-
-std::vector<Tensor> Communicator::allgather(const Tensor& t,
-                                            const std::vector<int>& group,
-                                            int tag) {
-  const int me = group_index(group);
-  std::vector<Tensor> out(group.size());
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    if (group[i] == rank_) continue;
-    send(group[i], tag, t.clone());
-  }
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    if (static_cast<int>(i) == me) {
-      out[i] = t.clone();
-    } else {
-      out[i] = recv(group[i], tag);
-    }
-  }
-  return out;
 }
 
 }  // namespace pac::dist

@@ -193,22 +193,17 @@ class Communicator {
   double compute_throttle() const;
 
   // All collectives require `group` sorted, unique, containing rank().
-  void barrier(const std::vector<int>& group, int tag);
   // Returns the root's tensor on every rank (root passes its payload).
   Tensor broadcast(Tensor payload, int root, const std::vector<int>& group,
                    int tag);
   // In-place sum across the group.
   void allreduce_sum(Tensor& t, const std::vector<int>& group, int tag,
                      AllReduceAlgo algo = AllReduceAlgo::kRing);
-  // Returns every rank's tensor, in group order.
-  std::vector<Tensor> allgather(const Tensor& t, const std::vector<int>& group,
-                                int tag);
 
  private:
   struct QueuedSend {
     int to;
-    int tag;
-    Tensor payload;
+    Message msg;
   };
 
   int group_index(const std::vector<int>& group) const;
@@ -216,13 +211,17 @@ class Communicator {
   void allreduce_direct(Tensor& t, const std::vector<int>& group, int tag);
   void allreduce_naive(Tensor& t, const std::vector<int>& group, int tag);
 
-  // The synchronous retry/backoff send (shared by send and the sender
-  // thread).
-  void send_with_retry(int to, int tag, Tensor payload);
+  // The blocking send behind send and send_q: waits out queued isends on
+  // (to, msg.tag), then sends with retry.
+  void send_message(int to, const Message& msg);
+  // The one retry/backoff send loop (blocking sends and async deliveries).
+  void send_with_retry(int to, const Message& msg);
+  // The one policy receive loop behind recv, recv_q and PendingRecv.
+  Message recv_message(int from, int tag);
   // One async delivery (sender thread or isend's inline path): returns the
   // failure instead of throwing it, and sets `death` to the rank of an
   // injected RankDeathError.
-  std::exception_ptr deliver(int to, int tag, Tensor payload, int& death);
+  std::exception_ptr deliver(int to, const Message& msg, int& death);
   // Records a failed async delivery for the next comm call to rethrow
   // (first failure wins) and drops the queue behind it.
   void defer_failure_locked(std::exception_ptr error, int death);

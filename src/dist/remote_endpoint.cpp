@@ -8,147 +8,47 @@ namespace pac::dist {
 
 RemoteEndpointBase::RemoteEndpointBase(int world_size, int rank,
                                        LinkModel link, FaultPlan faults)
-    : Transport(world_size, link, std::move(faults)), rank_(rank) {
+    : Transport(world_size, link, std::move(faults)),
+      rank_(rank),
+      box_(rank),
+      drained_(static_cast<std::size_t>(world_size)) {
   check_rank(rank, "endpoint");
   for (int i = 0; i < world_size; ++i) {
-    dead_.push_back(std::make_unique<std::atomic<bool>>(false));
-    drained_.push_back(std::make_unique<std::atomic<bool>>(false));
     send_mutex_.push_back(std::make_unique<std::mutex>());
   }
 }
 
-void RemoteEndpointBase::flush_deferred(Mailbox& box,
-                                        const std::pair<int, int>* key) {
-  if (box.deferred.empty()) return;
-  if (key != nullptr) {
-    auto it = box.deferred.find(*key);
-    if (it == box.deferred.end()) return;
-    auto& queue = box.queues[*key];
-    for (auto& msg : it->second) queue.push_back(std::move(msg));
-    box.deferred.erase(it);
-    return;
-  }
-  for (auto& [k, parked] : box.deferred) {
-    auto& queue = box.queues[k];
-    for (auto& msg : parked) queue.push_back(std::move(msg));
-  }
-  box.deferred.clear();
-}
-
-void RemoteEndpointBase::deposit(Message msg) {
-  const int from = msg.source;
-  const int tag = msg.tag;
-  const bool park = faults_.active() && faults_.defer(from, rank_, tag);
-  const auto key = std::make_pair(from, tag);
-  {
-    std::lock_guard<std::mutex> guard(box_.mutex);
-    if (park) {
-      box_.deferred[key].push_back(std::move(msg));
-    } else {
-      flush_deferred(box_, &key);
-      box_.queues[key].push_back(std::move(msg));
-      flush_deferred(box_, nullptr);
-    }
-  }
-  faults_.message_delivered(from, rank_, tag);
-  box_.arrived.notify_all();
-}
-
-void RemoteEndpointBase::send_framed(
-    int from, int to, int tag, Message msg, std::uint64_t bytes,
-    std::vector<std::uint8_t> (*encode)(const Message&)) {
-  check_rank(from, "send source");
-  check_rank(to, "send destination");
-  PAC_CHECK(from == rank_, "endpoint of rank " << rank_
-                               << " cannot send as rank " << from);
-  if (closed_.load()) {
-    throw ChannelClosedError("send on closed transport");
-  }
-  maybe_inject_death(from);
-  if (dead_[static_cast<std::size_t>(from)]->load()) {
-    throw PeerDeadError(from, "send from dead rank " + std::to_string(from));
-  }
-  if (dead_[static_cast<std::size_t>(to)]->load()) {
-    throw PeerDeadError(to, "send to dead rank " + std::to_string(to));
-  }
-  run_send_faults(from, to, tag, bytes);
-  record_send(from, to, bytes);
+void RemoteEndpointBase::deliver(int to, Message msg) {
+  PAC_CHECK(msg.source == rank_, "endpoint of rank "
+                                     << rank_ << " cannot send as rank "
+                                     << msg.source);
   if (to == rank_) {
     // Self-send: deposit locally; the deposit advances the fault sequence.
-    deposit(std::move(msg));
+    box_.deposit(std::move(msg), faults_);
     return;
   }
-  const auto frame = encode(msg);
+  const auto frame = msg.q.has_value()
+                         ? wire::encode_data_q(msg.source, msg.tag, *msg.q)
+                         : wire::encode_data(msg.source, msg.tag, msg.payload);
   {
     std::lock_guard<std::mutex> guard(
         *send_mutex_[static_cast<std::size_t>(to)]);
     wire_send(to, frame);
   }
-  faults_.message_delivered(from, to, tag);
+  faults_.message_delivered(msg.source, to, msg.tag);
 }
 
-void RemoteEndpointBase::send(int from, int to, int tag, Tensor payload) {
-  Message msg;
-  msg.source = from;
-  msg.tag = tag;
-  msg.payload = std::move(payload);
-  const std::uint64_t bytes = msg.payload_bytes();
-  send_framed(from, to, tag, std::move(msg), bytes, [](const Message& m) {
-    return wire::encode_data(m.source, m.tag, m.payload);
-  });
-}
-
-void RemoteEndpointBase::send_q(int from, int to, int tag,
-                                quant::QTensor payload) {
-  Message msg;
-  msg.source = from;
-  msg.tag = tag;
-  msg.q = std::move(payload);
-  const std::uint64_t bytes = msg.payload_bytes();
-  send_framed(from, to, tag, std::move(msg), bytes, [](const Message& m) {
-    return wire::encode_data_q(m.source, m.tag, *m.q);
-  });
-}
-
-std::optional<Message> RemoteEndpointBase::recv_impl(
+std::optional<Message> RemoteEndpointBase::recv_message(
     int to, int from, int tag,
     const std::optional<std::chrono::milliseconds>& timeout) {
   check_rank(to, "recv destination");
   check_rank(from, "recv source");
   PAC_CHECK(to == rank_, "endpoint of rank " << rank_
                              << " cannot recv as rank " << to);
-  maybe_inject_death(to);
-  std::unique_lock<std::mutex> lock(box_.mutex);
-  const auto key = std::make_pair(from, tag);
-  const auto ready = [&] {
-    if (closed_.load()) return true;
-    flush_deferred(box_, &key);
-    auto it = box_.queues.find(key);
-    if (it != box_.queues.end() && !it->second.empty()) return true;
-    // A dead peer unblocks the receiver only once the inbound wire has
-    // quiesced, so messages already on the wire keep drain semantics.
-    return dead_[static_cast<std::size_t>(from)]->load() &&
-           drained_[static_cast<std::size_t>(from)]->load();
-  };
-  if (timeout.has_value()) {
-    if (!box_.arrived.wait_for(lock, *timeout, ready)) {
-      return std::nullopt;
-    }
-  } else {
-    box_.arrived.wait(lock, ready);
-  }
-  if (closed_.load()) {
-    throw ChannelClosedError("recv aborted: transport closed");
-  }
-  auto it = box_.queues.find(key);
-  if (it != box_.queues.end() && !it->second.empty()) {
-    Message msg = std::move(it->second.front());
-    it->second.pop_front();
-    record_recv(from, to, msg.payload_bytes());
-    return msg;
-  }
-  throw PeerDeadError(from, "recv aborted: rank " + std::to_string(from) +
-                                " is dead");
+  // A dead peer unblocks the receiver only once the inbound wire has
+  // quiesced, so messages already on the wire keep drain semantics.
+  return receive(box_, to, from, tag, timeout,
+                 &drained_[static_cast<std::size_t>(from)]);
 }
 
 void RemoteEndpointBase::handle_frame(wire::Frame frame) {
@@ -162,7 +62,7 @@ void RemoteEndpointBase::handle_frame(wire::Frame frame) {
       } else if (frame.payload_defined) {
         msg.payload = std::move(frame.payload);
       }
-      deposit(std::move(msg));
+      box_.deposit(std::move(msg), faults_);
       break;
     }
     case wire::FrameType::kRankDead:
@@ -191,50 +91,23 @@ void RemoteEndpointBase::handle_frame(wire::Frame frame) {
 
 void RemoteEndpointBase::mark_dead_local(int rank) {
   check_rank(rank, "mark_dead_local");
-  if (dead_[static_cast<std::size_t>(rank)]->exchange(true)) return;
-  wake_all();
+  if (dead_[static_cast<std::size_t>(rank)].exchange(true)) return;
+  box_.wake();
 }
 
 void RemoteEndpointBase::set_drained(int rank) {
   check_rank(rank, "set_drained");
-  if (drained_[static_cast<std::size_t>(rank)]->exchange(true)) return;
-  wake_all();
+  if (drained_[static_cast<std::size_t>(rank)].exchange(true)) return;
+  box_.wake();
 }
 
 bool RemoteEndpointBase::drained(int rank) const {
-  return drained_[static_cast<std::size_t>(rank)]->load();
+  return drained_[static_cast<std::size_t>(rank)].load();
 }
 
 void RemoteEndpointBase::mark_closed_local() {
   if (closed_.exchange(true)) return;
-  wake_all();
-}
-
-void RemoteEndpointBase::wake_all() {
-  { std::lock_guard<std::mutex> guard(box_.mutex); }
-  box_.arrived.notify_all();
-}
-
-void RemoteEndpointBase::close() {
-  if (closed_.exchange(true)) {
-    return;
-  }
-  on_close();
-  wake_all();
-}
-
-void RemoteEndpointBase::close_rank(int rank) {
-  check_rank(rank, "close_rank");
-  if (dead_[static_cast<std::size_t>(rank)]->exchange(true)) {
-    return;
-  }
-  on_close_rank(rank);
-  wake_all();
-}
-
-bool RemoteEndpointBase::rank_dead(int rank) const {
-  check_rank(rank, "rank_dead");
-  return dead_[static_cast<std::size_t>(rank)]->load();
+  box_.wake();
 }
 
 }  // namespace pac::dist

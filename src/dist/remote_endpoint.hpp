@@ -1,32 +1,33 @@
 // Shared machinery for transport backends whose ranks live in different
 // processes (shm rings, TCP sockets).
 //
-// A RemoteEndpointBase is the Transport of exactly ONE rank: sends go out
-// through the backend's wire (`wire_send`), receives block on a local
-// mailbox that backend pump threads fill via `deposit_remote`.  The fault
-// pipeline runs sender-side for delays/transient failures/death and
-// receiver-side for reorder decisions; because fault decisions are pure
-// hashes of (seed, link, tag, per-link sequence) and each side observes the
-// same sequence numbers, the schedule matches the in-process oracle exactly.
+// A RemoteEndpointBase is the Transport of exactly ONE rank.  Send
+// admission, the closed/dead flags and the Mailbox (deposit with reorder
+// parking, blocking and timed receive) are the Transport base's, shared
+// with the in-process oracle; this class adds what a wire needs on top.
+// Sends to other ranks are encoded and go out through the backend's wire
+// (`wire_send`); receives block on this rank's Mailbox, which the
+// backend's pump threads fill via `handle_frame`.  The fault pipeline runs
+// sender-side for delays/transient failures/death and receiver-side for
+// reorder decisions; because fault decisions are pure hashes of (seed,
+// link, tag, per-link sequence) and each side observes the same sequence
+// numbers, the schedule matches the in-process oracle exactly.
 //
 // Drain semantics across a real wire: InProcTransport can atomically decide
 // "no more messages from rank r" the instant r is marked dead; a wire
 // cannot — bytes may still be in flight.  So a blocked receiver is woken
-// with PeerDeadError only once the backend declares the link *drained*
-// (ring empty / socket quiesced after the death was observed).  Messages
-// that made it onto the wire before the death stay receivable, matching the
-// oracle's drain guarantee.
+// with PeerDeadError only once the backend also declares the link
+// *drained* (ring empty / socket quiesced after the death was observed).
+// Messages that made it onto the wire before the death stay receivable,
+// matching the oracle's drain guarantee.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "dist/transport.hpp"
@@ -41,12 +42,9 @@ class RemoteEndpointBase : public Transport {
 
   int rank() const { return rank_; }
 
-  void send(int from, int to, int tag, Tensor payload) override;
-  void send_q(int from, int to, int tag, quant::QTensor payload) override;
-  void close() override;
-  bool closed() const override { return closed_.load(); }
-  void close_rank(int rank) override;
-  bool rank_dead(int rank) const override;
+  std::optional<Message> recv_message(
+      int to, int from, int tag,
+      const std::optional<std::chrono::milliseconds>& timeout) override;
 
  protected:
   // --- implemented by the backend ---------------------------------------
@@ -55,9 +53,9 @@ class RemoteEndpointBase : public Transport {
   virtual void wire_send(int to, const std::vector<std::uint8_t>& frame) = 0;
   // Propagates a rank death to other processes (best effort) and arranges
   // for drained(rank) to become true once the inbound link quiesces.
-  virtual void on_close_rank(int rank) = 0;
+  void on_close_rank(int rank) override = 0;
   // Propagates whole-world close (best effort) and stops pumps.
-  virtual void on_close() = 0;
+  void on_close() override = 0;
 
   // --- called by backend pump threads ------------------------------------
   // Handles a decoded inbound frame (DATA deposit, RANK_DEAD, CLOSE).
@@ -70,36 +68,17 @@ class RemoteEndpointBase : public Transport {
   void set_drained(int rank);
   bool drained(int rank) const;
   void mark_closed_local();
-  // Wakes every blocked receiver so it re-evaluates its predicate.
-  void wake_all();
-
-  std::optional<Message> recv_impl(
-      int to, int from, int tag,
-      const std::optional<std::chrono::milliseconds>& timeout) override;
 
   const int rank_;
-  std::atomic<bool> closed_{false};
 
  private:
-  struct Mailbox {
-    std::mutex mutex;
-    std::condition_variable arrived;
-    std::map<std::pair<int, int>, std::deque<Message>> queues;
-    std::map<std::pair<int, int>, std::deque<Message>> deferred;
-  };
-
-  static void flush_deferred(Mailbox& box,
-                             const std::pair<int, int>* key_or_null);
-  void deposit(Message msg);
-  // Shared body of send/send_q: prechecks, fault pipeline, stats, then
-  // either a local deposit (self-send) or a wire_send of `frame`.
-  void send_framed(int from, int to, int tag, Message msg,
-                   std::uint64_t bytes,
-                   std::vector<std::uint8_t> (*encode)(const Message&));
+  // A self-send deposits locally; anything else is encoded and shipped
+  // with wire_send.
+  void deliver(int to, Message msg) override;
+  void wake_receivers() override { box_.wake(); }
 
   Mailbox box_;
-  std::vector<std::unique_ptr<std::atomic<bool>>> dead_;
-  std::vector<std::unique_ptr<std::atomic<bool>>> drained_;
+  std::vector<std::atomic<bool>> drained_;
   // Serializes wire_send per destination: the main thread and the async
   // sender may write the same link concurrently.
   std::vector<std::unique_ptr<std::mutex>> send_mutex_;

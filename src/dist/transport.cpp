@@ -28,6 +28,7 @@ Transport::Transport(int world_size, LinkModel link, FaultPlan faults)
       link_(link),
       faults_(std::move(faults), world_size) {
   PAC_CHECK(world_size > 0, "transport needs at least one rank");
+  dead_ = std::vector<std::atomic<bool>>(static_cast<std::size_t>(world_size));
 }
 
 void Transport::check_rank(int rank, const char* what) const {
@@ -49,6 +50,52 @@ void Transport::maybe_inject_death(int rank) {
     close_rank(rank);
     throw RankDeathError(rank);
   }
+}
+
+void Transport::close() {
+  if (closed_.exchange(true)) return;
+  on_close();
+  wake_receivers();
+}
+
+void Transport::close_rank(int rank) {
+  check_rank(rank, "close_rank");
+  if (dead_[static_cast<std::size_t>(rank)].exchange(true)) return;
+  on_close_rank(rank);
+  wake_receivers();
+}
+
+bool Transport::rank_dead(int rank) const {
+  check_rank(rank, "rank_dead");
+  return dead_[static_cast<std::size_t>(rank)].load();
+}
+
+void Transport::send(int from, int to, int tag, Tensor payload) {
+  send_message(to, Message{from, tag, std::move(payload), std::nullopt});
+}
+
+void Transport::send_q(int from, int to, int tag, quant::QTensor payload) {
+  send_message(to, Message{from, tag, Tensor(), std::move(payload)});
+}
+
+void Transport::send_message(int to, Message msg) {
+  const int from = msg.source;
+  check_rank(from, "send source");
+  check_rank(to, "send destination");
+  if (closed_.load()) {
+    throw ChannelClosedError("send on closed transport");
+  }
+  maybe_inject_death(from);
+  if (dead_[static_cast<std::size_t>(from)].load()) {
+    throw PeerDeadError(from, "send from dead rank " + std::to_string(from));
+  }
+  if (dead_[static_cast<std::size_t>(to)].load()) {
+    throw PeerDeadError(to, "send to dead rank " + std::to_string(to));
+  }
+  const std::uint64_t bytes = msg.payload_bytes();
+  run_send_faults(from, to, msg.tag, bytes);
+  record_send(from, to, bytes);
+  deliver(to, std::move(msg));
 }
 
 void Transport::run_send_faults(int from, int to, int tag,
@@ -101,17 +148,22 @@ void Transport::record_send(int from, int to, std::uint64_t bytes) {
   s.bytes += bytes;
 }
 
-void Transport::record_recv(int from, int to, std::uint64_t bytes) {
-  if (obs::enabled()) {
-    obs::CounterRegistry::instance().add(link_counter("recv_bytes", from, to),
-                                         static_cast<std::int64_t>(bytes));
+std::optional<Message> Transport::receive(
+    Mailbox& box, int to, int from, int tag,
+    const std::optional<std::chrono::milliseconds>& timeout,
+    const std::atomic<bool>* peer_drained) {
+  maybe_inject_death(to);
+  std::optional<Message> msg =
+      box.receive(from, tag, timeout, closed_,
+                  dead_[static_cast<std::size_t>(from)], peer_drained);
+  if (msg.has_value() && obs::enabled()) {
+    obs::CounterRegistry::instance().add(
+        link_counter("recv_bytes", from, to),
+        static_cast<std::int64_t>(msg->payload_bytes()));
   }
+  return msg;
 }
 
-namespace {
-
-// A compressed message is decompressed only here, at the fp32 consumption
-// point; recv_q callers get the stored bytes untouched.
 Tensor message_to_tensor(Message&& msg) {
   if (msg.q.has_value()) return quant::dequantize(*msg.q);
   return std::move(msg.payload);
@@ -124,32 +176,20 @@ quant::QTensor message_to_q(Message&& msg) {
   return quant::quantize(msg.payload, quant::Dtype::kF32);
 }
 
-}  // namespace
-
+// An untimed receive returns only with a message or by throwing.
 Tensor Transport::recv(int to, int from, int tag) {
-  auto result = recv_impl(to, from, tag, std::nullopt);
-  PAC_CHECK(result.has_value(), "untimed recv returned without a message");
-  return message_to_tensor(std::move(*result));
+  return message_to_tensor(recv_message(to, from, tag, std::nullopt).value());
 }
 
 std::optional<Tensor> Transport::recv_for(int to, int from, int tag,
                                           std::chrono::milliseconds timeout) {
-  auto result = recv_impl(to, from, tag, timeout);
+  auto result = recv_message(to, from, tag, timeout);
   if (!result.has_value()) return std::nullopt;
   return message_to_tensor(std::move(*result));
 }
 
 quant::QTensor Transport::recv_q(int to, int from, int tag) {
-  auto result = recv_impl(to, from, tag, std::nullopt);
-  PAC_CHECK(result.has_value(), "untimed recv returned without a message");
-  return message_to_q(std::move(*result));
-}
-
-std::optional<quant::QTensor> Transport::recv_q_for(
-    int to, int from, int tag, std::chrono::milliseconds timeout) {
-  auto result = recv_impl(to, from, tag, timeout);
-  if (!result.has_value()) return std::nullopt;
-  return message_to_q(std::move(*result));
+  return message_to_q(recv_message(to, from, tag, std::nullopt).value());
 }
 
 LinkStats Transport::stats(int from, int to) const {
@@ -168,155 +208,114 @@ std::uint64_t Transport::total_bytes() const {
 }
 
 // ---------------------------------------------------------------------------
-// InProcTransport
+// Mailbox
 
-InProcTransport::InProcTransport(int world_size, LinkModel link,
-                                 FaultPlan faults)
-    : Transport(world_size, link, std::move(faults)) {
-  mailboxes_.reserve(static_cast<std::size_t>(world_size));
-  dead_.reserve(static_cast<std::size_t>(world_size));
-  for (int i = 0; i < world_size; ++i) {
-    mailboxes_.push_back(std::make_unique<Mailbox>());
-    dead_.push_back(std::make_unique<std::atomic<bool>>(false));
-  }
-}
-
-void InProcTransport::flush_deferred(Mailbox& box,
-                                     const std::pair<int, int>* key_or_null) {
-  if (box.deferred.empty()) return;
+void Mailbox::flush_deferred(const Key* key_or_null) {
+  if (deferred_.empty()) return;
   if (key_or_null != nullptr) {
-    auto it = box.deferred.find(*key_or_null);
-    if (it == box.deferred.end()) return;
-    auto& queue = box.queues[*key_or_null];
+    auto it = deferred_.find(*key_or_null);
+    if (it == deferred_.end()) return;
+    auto& queue = queues_[*key_or_null];
     for (auto& msg : it->second) queue.push_back(std::move(msg));
-    box.deferred.erase(it);
+    deferred_.erase(it);
     return;
   }
-  for (auto& [key, parked] : box.deferred) {
-    auto& queue = box.queues[key];
+  for (auto& [key, parked] : deferred_) {
+    auto& queue = queues_[key];
     for (auto& msg : parked) queue.push_back(std::move(msg));
   }
-  box.deferred.clear();
+  deferred_.clear();
 }
 
-void InProcTransport::send(int from, int to, int tag, Tensor payload) {
-  Message msg;
-  msg.source = from;
-  msg.tag = tag;
-  msg.payload = std::move(payload);
-  const std::uint64_t bytes = msg.payload_bytes();
-  send_message(from, to, tag, std::move(msg), bytes);
-}
-
-void InProcTransport::send_q(int from, int to, int tag,
-                             quant::QTensor payload) {
-  Message msg;
-  msg.source = from;
-  msg.tag = tag;
-  msg.q = std::move(payload);
-  const std::uint64_t bytes = msg.payload_bytes();
-  send_message(from, to, tag, std::move(msg), bytes);
-}
-
-void InProcTransport::send_message(int from, int to, int tag, Message msg,
-                                   std::uint64_t bytes) {
-  check_rank(from, "send source");
-  check_rank(to, "send destination");
-  if (closed_.load()) {
-    throw ChannelClosedError("send on closed transport");
-  }
-  maybe_inject_death(from);
-  if (dead_[static_cast<std::size_t>(from)]->load()) {
-    throw PeerDeadError(from, "send from dead rank " + std::to_string(from));
-  }
-  if (dead_[static_cast<std::size_t>(to)]->load()) {
-    throw PeerDeadError(to, "send to dead rank " + std::to_string(to));
-  }
-  run_send_faults(from, to, tag, bytes);
-  record_send(from, to, bytes);
-  const bool park = faults_.active() && faults_.defer(from, to, tag);
-  Mailbox& box = *mailboxes_[static_cast<std::size_t>(to)];
-  const auto key = std::make_pair(from, tag);
+void Mailbox::deposit(Message msg, FaultInjector& faults) {
+  const int from = msg.source;
+  const int tag = msg.tag;
+  const bool park = faults.active() && faults.defer(from, rank_, tag);
+  const Key key{from, tag};
   {
-    std::lock_guard<std::mutex> box_guard(box.mutex);
+    std::lock_guard<std::mutex> guard(mutex_);
     if (park) {
-      // Parked until a later message (or a matching receiver) flushes it —
-      // a legal reorder: only cross-key messages can overtake it.
-      box.deferred[key].push_back(std::move(msg));
+      deferred_[key].push_back(std::move(msg));
     } else {
       // Same-key parked messages must keep their FIFO position.
-      flush_deferred(box, &key);
-      box.queues[key].push_back(std::move(msg));
+      flush_deferred(&key);
+      queues_[key].push_back(std::move(msg));
       // Everything parked on other keys has now been overtaken; deliver.
-      flush_deferred(box, nullptr);
+      flush_deferred(nullptr);
     }
   }
-  faults_.message_delivered(from, to, tag);
-  box.arrived.notify_all();
+  faults.message_delivered(from, rank_, tag);
+  arrived_.notify_all();
 }
 
-std::optional<Message> InProcTransport::recv_impl(
-    int to, int from, int tag,
-    const std::optional<std::chrono::milliseconds>& timeout) {
-  check_rank(to, "recv destination");
-  check_rank(from, "recv source");
-  maybe_inject_death(to);
-  Mailbox& box = *mailboxes_[static_cast<std::size_t>(to)];
-  std::unique_lock<std::mutex> box_lock(box.mutex);
-  const auto key = std::make_pair(from, tag);
+std::optional<Message> Mailbox::receive(
+    int from, int tag,
+    const std::optional<std::chrono::milliseconds>& timeout,
+    const std::atomic<bool>& closed, const std::atomic<bool>& peer_dead,
+    const std::atomic<bool>* peer_drained) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  const Key key{from, tag};
   const auto ready = [&] {
-    if (closed_.load()) return true;
-    flush_deferred(box, &key);
-    auto it = box.queues.find(key);
-    if (it != box.queues.end() && !it->second.empty()) return true;
-    return dead_[static_cast<std::size_t>(from)]->load();
+    if (closed.load()) return true;
+    flush_deferred(&key);
+    auto it = queues_.find(key);
+    if (it != queues_.end() && !it->second.empty()) return true;
+    return peer_dead.load() &&
+           (peer_drained == nullptr || peer_drained->load());
   };
   if (timeout.has_value()) {
-    if (!box.arrived.wait_for(box_lock, *timeout, ready)) {
-      return std::nullopt;
-    }
+    if (!arrived_.wait_for(lock, *timeout, ready)) return std::nullopt;
   } else {
-    box.arrived.wait(box_lock, ready);
+    arrived_.wait(lock, ready);
   }
-  if (closed_.load()) {
+  if (closed.load()) {
     throw ChannelClosedError("recv aborted: transport closed");
   }
-  auto it = box.queues.find(key);
-  if (it != box.queues.end() && !it->second.empty()) {
+  auto it = queues_.find(key);
+  if (it != queues_.end() && !it->second.empty()) {
     // Drain semantics: messages a now-dead peer already delivered are
     // still handed out so receivers can finish in-flight work.
     Message msg = std::move(it->second.front());
     it->second.pop_front();
-    record_recv(from, to, msg.payload_bytes());
     return msg;
   }
   throw PeerDeadError(from, "recv aborted: rank " + std::to_string(from) +
                                 " is dead");
 }
 
-void InProcTransport::close() {
-  closed_.store(true);
-  for (auto& box : mailboxes_) {
-    // Lock/unlock pairs with waiting receivers to avoid lost wakeups.
-    std::lock_guard<std::mutex> box_guard(box->mutex);
-  }
-  for (auto& box : mailboxes_) box->arrived.notify_all();
+void Mailbox::wake() {
+  // Lock/unlock pairs with waiting receivers to avoid lost wakeups.
+  { std::lock_guard<std::mutex> guard(mutex_); }
+  arrived_.notify_all();
 }
 
-bool InProcTransport::closed() const { return closed_.load(); }
+// ---------------------------------------------------------------------------
+// InProcTransport
 
-void InProcTransport::close_rank(int rank) {
-  check_rank(rank, "close_rank");
-  if (dead_[static_cast<std::size_t>(rank)]->exchange(true)) return;
-  for (auto& box : mailboxes_) {
-    std::lock_guard<std::mutex> box_guard(box->mutex);
+InProcTransport::InProcTransport(int world_size, LinkModel link,
+                                 FaultPlan faults)
+    : Transport(world_size, link, std::move(faults)) {
+  mailboxes_.reserve(static_cast<std::size_t>(world_size));
+  for (int i = 0; i < world_size; ++i) {
+    mailboxes_.push_back(std::make_unique<Mailbox>(i));
   }
-  for (auto& box : mailboxes_) box->arrived.notify_all();
 }
 
-bool InProcTransport::rank_dead(int rank) const {
-  check_rank(rank, "rank_dead");
-  return dead_[static_cast<std::size_t>(rank)]->load();
+void InProcTransport::deliver(int to, Message msg) {
+  mailboxes_[static_cast<std::size_t>(to)]->deposit(std::move(msg), faults_);
+}
+
+std::optional<Message> InProcTransport::recv_message(
+    int to, int from, int tag,
+    const std::optional<std::chrono::milliseconds>& timeout) {
+  check_rank(to, "recv destination");
+  check_rank(from, "recv source");
+  return receive(*mailboxes_[static_cast<std::size_t>(to)], to, from, tag,
+                 timeout, /*peer_drained=*/nullptr);
+}
+
+void InProcTransport::wake_receivers() {
+  for (auto& box : mailboxes_) box->wake();
 }
 
 }  // namespace pac::dist

@@ -1,5 +1,5 @@
-// Message transport between edge devices — abstract contract plus the
-// in-process reference backend.
+// Message transport between edge devices — abstract contract, the mailbox
+// every backend shares, and the in-process reference backend.
 //
 // Cooperative message passing in the MPI style: a send deposits a message in
 // the receiver's mailbox keyed by (source, tag); a recv blocks on a
@@ -7,6 +7,14 @@
 // without a predicate).  Per-link byte counters feed the communication
 // model; `close()` wakes every blocked receiver with ChannelClosedError so
 // one failing device cannot deadlock the cluster.
+//
+// Shared by all three backends, so the oracle and the backends it checks
+// cannot drift apart: the Mailbox (per-(source, tag) queues, reorder
+// parking, blocking and timed receive with drain semantics) and, in the
+// Transport base, send admission, the closed and per-rank dead flags, and
+// close / close_rank.  A backend only delivers an admitted message (a
+// mailbox deposit, or an encoded frame on its wire) and picks the mailbox
+// a receive waits on.
 //
 // Failure model (rank-scoped, identical across backends): `close_rank(r)`
 // marks one device dead without touching the rest of the world.  Receivers
@@ -83,8 +91,58 @@ struct LinkStats {
   std::uint64_t bytes = 0;
 };
 
+// Converts a received message to the caller's representation.  A
+// compressed payload is dequantized only at this fp32 consumption point;
+// `message_to_q` hands a compressed payload back untouched and repacks a
+// plain fp32 one as a bit-exact kF32 QTensor.
+Tensor message_to_tensor(Message&& msg);
+quant::QTensor message_to_q(Message&& msg);
+
+// One rank's inbox, shared by every backend: per-(source, tag) FIFO queues,
+// the FaultPlan's reorder parking, and the blocking or timed receive with
+// drain semantics.  The in-process oracle keeps one per rank; a remote
+// endpoint keeps one for its own rank, filled by its pump threads.
+class Mailbox {
+ public:
+  explicit Mailbox(int rank) : rank_(rank) {}
+
+  // Queues `msg` under (msg.source, msg.tag) and advances the link's fault
+  // sequence.  When the plan defers it, the message is parked until a later
+  // deposit (or a matching receiver) flushes it: a legal reorder, because
+  // only messages on other keys can overtake it.
+  void deposit(Message msg, FaultInjector& faults);
+  // Waits for the next (from, tag) message, forever or up to `timeout`
+  // (nullopt once it expires).  Throws ChannelClosedError once `closed`,
+  // and PeerDeadError once the peer is gone with nothing left to drain:
+  // gone means `peer_dead`, and also `*peer_drained` when the backend
+  // passes one (a wire may still carry the dead peer's last messages).
+  std::optional<Message> receive(
+      int from, int tag,
+      const std::optional<std::chrono::milliseconds>& timeout,
+      const std::atomic<bool>& closed, const std::atomic<bool>& peer_dead,
+      const std::atomic<bool>* peer_drained);
+  // Wakes every blocked receiver so it re-evaluates its predicate.
+  void wake();
+
+ private:
+  using Key = std::pair<int, int>;  // (source, tag)
+
+  // Moves parked messages for `key` (or all keys) into the live queues.
+  // Caller holds mutex_.
+  void flush_deferred(const Key* key_or_null);
+
+  const int rank_;
+  std::mutex mutex_;
+  std::condition_variable arrived_;
+  std::map<Key, std::deque<Message>> queues_;
+  std::map<Key, std::deque<Message>> deferred_;
+};
+
 // Abstract transport contract.  All backends implement exactly these
-// semantics; tests/transport_conformance_test.cpp holds them to it.
+// semantics; tests/transport_conformance_test.cpp holds them to it.  The
+// base owns everything the backends share: send admission, the closed and
+// per-rank dead flags, and close / close_rank.  A backend supplies the
+// delivery of an admitted message and the receive from its mailbox.
 class Transport {
  public:
   Transport(int world_size, LinkModel link, FaultPlan faults);
@@ -96,31 +154,40 @@ class Transport {
   int world_size() const { return world_size_; }
   const LinkModel& link() const { return link_; }
 
-  virtual void send(int from, int to, int tag, Tensor payload) = 0;
+  void send(int from, int to, int tag, Tensor payload);
   // Ships a compressed payload; the link is charged the compressed bytes.
-  virtual void send_q(int from, int to, int tag, quant::QTensor payload) = 0;
-  // Blocks until a message with (from, tag) arrives at `to`.  A compressed
-  // message is dequantized here, at the consumption point.
+  void send_q(int from, int to, int tag, quant::QTensor payload);
+  // Sends `msg` from msg.source to `to`.  Admission, shared by every
+  // backend: closed check, injected death, dead-source and
+  // dead-destination checks, the send-fault pipeline and the link stats;
+  // then the backend delivers.
+  void send_message(int to, Message msg);
+
+  // Blocks until a message with (from, tag) arrives at `to` — or, with a
+  // timeout, returns nullopt once it expires — and returns it as stored.
+  // Throws ChannelClosedError on close and PeerDeadError once a dead
+  // peer's delivered messages are drained.
+  virtual std::optional<Message> recv_message(
+      int to, int from, int tag,
+      const std::optional<std::chrono::milliseconds>& timeout) = 0;
+  // recv_message, dequantized to fp32.
   Tensor recv(int to, int from, int tag);
-  // Bounded wait: nullopt on timeout (still throws on close / dead peer).
   std::optional<Tensor> recv_for(int to, int from, int tag,
                                  std::chrono::milliseconds timeout);
   // Compressed receive: returns the QTensor exactly as sent (a plain fp32
   // send arrives as a bit-exact kF32 repack).
   quant::QTensor recv_q(int to, int from, int tag);
-  std::optional<quant::QTensor> recv_q_for(int to, int from, int tag,
-                                           std::chrono::milliseconds timeout);
 
   // Wakes all blocked receivers with ChannelClosedError; subsequent sends
   // and recvs throw too.  Used on whole-cluster teardown.
-  virtual void close() = 0;
-  virtual bool closed() const = 0;
+  void close();
+  bool closed() const { return closed_.load(); }
 
   // Marks one rank dead.  Receivers blocked on it wake with PeerDeadError;
   // already-delivered messages from it stay receivable until drained; all
   // other links keep working.  Idempotent.
-  virtual void close_rank(int rank) = 0;
-  virtual bool rank_dead(int rank) const = 0;
+  void close_rank(int rank);
+  bool rank_dead(int rank) const;
 
   // True while the link to `rank` is known-lost but still inside its
   // reconnect budget (TCP only; other backends never degrade).  The
@@ -154,28 +221,45 @@ class Transport {
   FaultInjector& fault_injector() { return faults_; }
 
  protected:
-  void check_rank(int rank, const char* what) const;
-  // Records per-link stats and observability counters for a send.
-  void record_send(int from, int to, std::uint64_t bytes);
-  void record_recv(int from, int to, std::uint64_t bytes);
-  // If the fault plan schedules `rank`'s death at this op, closes the rank
-  // (via the backend's close_rank) and throws RankDeathError.
-  void maybe_inject_death(int rank);
-  // Runs the send-side fault pipeline shared by every backend: transient
-  // failure, injected delay, modeled link sleep.  Caller has already done
-  // closed/dead checks.  Throws TransientSendError as scheduled.
-  void run_send_faults(int from, int to, int tag, std::uint64_t bytes);
+  // --- implemented by the backend ---------------------------------------
+  // Delivers an admitted message to `to`.
+  virtual void deliver(int to, Message msg) = 0;
+  // Wakes every receiver blocked in this object's mailboxes.
+  virtual void wake_receivers() = 0;
+  // Propagation hooks for backends whose ranks live in other processes;
+  // each runs once, on the first close / close_rank, before receivers wake.
+  virtual void on_close() {}
+  virtual void on_close_rank(int rank) { (void)rank; }
 
-  virtual std::optional<Message> recv_impl(
-      int to, int from, int tag,
-      const std::optional<std::chrono::milliseconds>& timeout) = 0;
+  void check_rank(int rank, const char* what) const;
+  // The receive shared by every backend: injected death, the mailbox wait
+  // (a dead `from` counts as gone once `*peer_drained` also holds, when
+  // given), and the receive counters.
+  std::optional<Message> receive(
+      Mailbox& box, int to, int from, int tag,
+      const std::optional<std::chrono::milliseconds>& timeout,
+      const std::atomic<bool>* peer_drained);
 
   int world_size_;
   LinkModel link_;
   FaultInjector faults_;
+  std::atomic<bool> closed_{false};
+  std::vector<std::atomic<bool>> dead_;
+  std::atomic<int> root_dead_{-1};
+
+ private:
+  // Records per-link stats and observability counters for a send.
+  void record_send(int from, int to, std::uint64_t bytes);
+  // If the fault plan schedules `rank`'s death at this op, closes the rank
+  // and throws RankDeathError.
+  void maybe_inject_death(int rank);
+  // Runs the send-side fault pipeline: transient failure, injected delay,
+  // WAN shaping, modeled link sleep.  Throws TransientSendError as
+  // scheduled.
+  void run_send_faults(int from, int to, int tag, std::uint64_t bytes);
+
   mutable std::mutex stats_mutex_;
   std::map<std::pair<int, int>, LinkStats> stats_;
-  std::atomic<int> root_dead_{-1};
 };
 
 // The original single-process backend: every rank lives in one process and
@@ -185,12 +269,9 @@ class InProcTransport final : public Transport {
   explicit InProcTransport(int world_size, LinkModel link = {},
                            FaultPlan faults = {});
 
-  void send(int from, int to, int tag, Tensor payload) override;
-  void send_q(int from, int to, int tag, quant::QTensor payload) override;
-  void close() override;
-  bool closed() const override;
-  void close_rank(int rank) override;
-  bool rank_dead(int rank) const override;
+  std::optional<Message> recv_message(
+      int to, int from, int tag,
+      const std::optional<std::chrono::milliseconds>& timeout) override;
   // Only link sleeps and an active fault plan make an in-process send
   // wait; otherwise a send is one mailbox push under its mutex.
   bool send_may_wait() const override {
@@ -198,28 +279,10 @@ class InProcTransport final : public Transport {
   }
 
  private:
-  struct Mailbox {
-    std::mutex mutex;
-    std::condition_variable arrived;
-    std::map<std::pair<int, int>, std::deque<Message>> queues;
-    // Parked messages awaiting deferred (reordered) delivery.
-    std::map<std::pair<int, int>, std::deque<Message>> deferred;
-  };
-
-  // Moves parked messages for `key` (or all keys) into the live queues.
-  // Caller must hold box.mutex.
-  static void flush_deferred(Mailbox& box,
-                             const std::pair<int, int>* key_or_null);
-  // Shared body of send/send_q: fault pipeline, stats, mailbox deposit.
-  void send_message(int from, int to, int tag, Message msg,
-                    std::uint64_t bytes);
-  std::optional<Message> recv_impl(
-      int to, int from, int tag,
-      const std::optional<std::chrono::milliseconds>& timeout) override;
+  void deliver(int to, Message msg) override;
+  void wake_receivers() override;
 
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-  std::atomic<bool> closed_{false};
-  std::vector<std::unique_ptr<std::atomic<bool>>> dead_;
 };
 
 }  // namespace pac::dist

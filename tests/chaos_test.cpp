@@ -757,24 +757,5 @@ TEST(ChaosTest, TransientFailuresAreCapped) {
   EXPECT_EQ(failures, 3);  // counter reset per logical message
 }
 
-TEST(ChaosTest, ReorderingPreservesPerKeyFifo) {
-  // With reordering armed, a (src, tag) queue must still deliver its own
-  // messages in send order — only cross-key overtaking is legal.
-  dist::FaultPlan plan;
-  plan.seed = 0xF1F0;
-  plan.reorder_probability = 0.6;
-  dist::InProcTransport t(2, dist::LinkModel{}, plan);
-  constexpr int kMessages = 40;
-  for (int i = 0; i < kMessages; ++i) {
-    t.send(0, 1, /*tag=*/1, Tensor::full({1}, static_cast<float>(i)));
-    t.send(0, 1, /*tag=*/2, Tensor::full({1}, static_cast<float>(100 + i)));
-  }
-  for (int i = 0; i < kMessages; ++i) {
-    EXPECT_FLOAT_EQ(t.recv(1, 0, 1).at({0}), static_cast<float>(i));
-    EXPECT_FLOAT_EQ(t.recv(1, 0, 2).at({0}),
-                    static_cast<float>(100 + i));
-  }
-}
-
 }  // namespace
 }  // namespace pac::core

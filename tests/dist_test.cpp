@@ -192,36 +192,6 @@ TEST(CollectiveTest, BroadcastFromNonZeroRoot) {
   for (float r : results) EXPECT_FLOAT_EQ(r, 42.0F);
 }
 
-TEST(CollectiveTest, AllGatherOrdersByGroup) {
-  EdgeCluster cluster(3, std::numeric_limits<std::uint64_t>::max());
-  std::vector<int> group{0, 1, 2};
-  std::atomic<int> checks{0};
-  cluster.run([&](DeviceContext& ctx) {
-    Tensor mine = Tensor::full({1}, static_cast<float>(ctx.rank * 10));
-    auto all = ctx.comm.allgather(mine, group, 60);
-    ASSERT_EQ(all.size(), 3U);
-    for (int i = 0; i < 3; ++i) {
-      EXPECT_FLOAT_EQ(all[static_cast<std::size_t>(i)].at({0}),
-                      static_cast<float>(i * 10));
-    }
-    ++checks;
-  });
-  EXPECT_EQ(checks.load(), 3);
-}
-
-TEST(CollectiveTest, BarrierSynchronizes) {
-  EdgeCluster cluster(4, std::numeric_limits<std::uint64_t>::max());
-  std::vector<int> group{0, 1, 2, 3};
-  std::atomic<int> before{0};
-  std::atomic<bool> ordering_ok{true};
-  cluster.run([&](DeviceContext& ctx) {
-    ++before;
-    ctx.comm.barrier(group, 70);
-    if (before.load() != 4) ordering_ok.store(false);
-  });
-  EXPECT_TRUE(ordering_ok.load());
-}
-
 TEST(CollectiveTest, GroupValidation) {
   EdgeCluster cluster(2, std::numeric_limits<std::uint64_t>::max());
   EXPECT_THROW(cluster.run([&](DeviceContext& ctx) {

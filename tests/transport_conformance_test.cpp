@@ -261,6 +261,39 @@ TEST_P(ConformanceTest, FifoPerLinkAndTag) {
   }
 }
 
+TEST_P(ConformanceTest, ReorderingPreservesPerKeyFifo) {
+  // With reordering armed, a (src, tag) queue must still deliver its own
+  // messages in send order — only cross-key overtaking is legal.  Messages
+  // are parked where they land: in the oracle's mailbox for rank 1, or in
+  // rank 1's endpoint mailbox as its pump deposits them.
+  FaultPlan plan;
+  plan.seed = 0xF1F0;
+  plan.reorder_probability = 0.6;
+  World w(GetParam(), 2, LinkModel{}, plan);
+  constexpr int kMessages = 40;
+  for (int i = 0; i < kMessages; ++i) {
+    w.at(0).send(0, 1, /*tag=*/1, Tensor::full({1}, static_cast<float>(i)));
+    w.at(0).send(0, 1, /*tag=*/2,
+                 Tensor::full({1}, static_cast<float>(100 + i)));
+  }
+  for (int i = 0; i < kMessages; ++i) {
+    EXPECT_FLOAT_EQ(w.at(1).recv(1, 0, 1).at({0}), static_cast<float>(i));
+    EXPECT_FLOAT_EQ(w.at(1).recv(1, 0, 2).at({0}),
+                    static_cast<float>(100 + i));
+  }
+  // Not vacuous: replaying the plan's defer decisions over the same
+  // per-(link, tag) sequence shows that the deposits above parked messages.
+  FaultInjector replay(plan, 2);
+  int parked = 0;
+  for (int i = 0; i < kMessages; ++i) {
+    for (int tag : {1, 2}) {
+      parked += replay.defer(0, 1, tag) ? 1 : 0;
+      replay.message_delivered(0, 1, tag);
+    }
+  }
+  EXPECT_GT(parked, 0);
+}
+
 TEST_P(ConformanceTest, RecvForTimesOutThenDelivers) {
   World w(GetParam(), 2);
   EXPECT_FALSE(
@@ -349,6 +382,9 @@ TEST_P(ConformanceTest, RootDeathRecordIsSharedAndFirstWins) {
   EXPECT_EQ(w.at(0).first_dead_rank(), -1);
   w.at(1).report_root_death(1);
   ASSERT_TRUE(World::eventually([&] { return w.at(0).first_dead_rank() == 1; }));
+  // Rank 1's report must have reached rank 2's endpoint before rank 2
+  // reports its own death, or rank 2 would legitimately record itself.
+  ASSERT_TRUE(World::eventually([&] { return w.at(2).first_dead_rank() == 1; }));
   w.at(2).report_root_death(2);  // too late: first report wins
   EXPECT_EQ(w.at(0).first_dead_rank(), 1);
   EXPECT_EQ(w.at(2).first_dead_rank(), 1);
@@ -459,7 +495,6 @@ TEST_P(ConformanceTest, CollectivesMatchAcrossBackends) {
   std::iota(group.begin(), group.end(), 0);
 
   std::vector<float> reduced(kWorld), naive(kWorld), bcast(kWorld);
-  std::vector<std::vector<float>> gathered(kWorld);
   cluster.run([&](DeviceContext& ctx) {
     Tensor t = Tensor::full({13}, static_cast<float>(ctx.rank + 1));
     ctx.comm.allreduce_sum(t, group, 100, AllReduceAlgo::kRing);
@@ -472,26 +507,12 @@ TEST_P(ConformanceTest, CollectivesMatchAcrossBackends) {
     Tensor b = ctx.rank == 2 ? Tensor::full({3}, 7.0F) : Tensor();
     b = ctx.comm.broadcast(std::move(b), 2, group, 300);
     bcast[static_cast<std::size_t>(ctx.rank)] = b.at({1});
-
-    auto all = ctx.comm.allgather(
-        Tensor::full({1}, static_cast<float>(ctx.rank * 10)), group, 400);
-    for (const Tensor& g : all) {
-      gathered[static_cast<std::size_t>(ctx.rank)].push_back(g.at({0}));
-    }
-    ctx.comm.barrier(group, 500);
   });
 
   for (int r = 0; r < kWorld; ++r) {
     EXPECT_FLOAT_EQ(reduced[static_cast<std::size_t>(r)], 10.0F);
     EXPECT_FLOAT_EQ(naive[static_cast<std::size_t>(r)], 100.0F);
     EXPECT_FLOAT_EQ(bcast[static_cast<std::size_t>(r)], 7.0F);
-    ASSERT_EQ(gathered[static_cast<std::size_t>(r)].size(),
-              static_cast<std::size_t>(kWorld));
-    for (int g = 0; g < kWorld; ++g) {
-      EXPECT_FLOAT_EQ(gathered[static_cast<std::size_t>(r)]
-                              [static_cast<std::size_t>(g)],
-                      static_cast<float>(g * 10));
-    }
   }
 
   // One payload on each side of the g = 4 crossover at the default link

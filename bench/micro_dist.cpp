@@ -2,7 +2,8 @@
 // point-to-point, ring vs naive AllReduce (ablation §5 of DESIGN.md),
 // 1F1B vs GPipe end-to-end on the executed engine, and the BM_Comm*
 // rows — the overlapped pipeline on a simulated 128 Mbps link (in-proc,
-// TCP loopback, WAN-shaped, traced) and cold vs prefetched cache fetches
+// TCP loopback, WAN-shaped, traced), a multi-mini-batch epoch on
+// hybrid_live's 2x2 plan, and cold vs prefetched cache fetches
 // (recorded to BENCH_comm.json by scripts/bench.sh --suite comm).
 #include <benchmark/benchmark.h>
 
@@ -207,6 +208,44 @@ void BM_CommPipelineMiniBatchNoLink(benchmark::State& state) {
                           /*link_sleeps=*/false);
 }
 BENCHMARK(BM_CommPipelineMiniBatchNoLink)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// One epoch of several mini-batches on hybrid_live's shape: the
+// Parallel Adapters model tiny(6, 48, 4, 64, 16), batch 16 in 4 micros, and
+// the 2x2 plan S0[blocks 0..3; devs 0 1] | S1[blocks 4..7; devs 2 3], with
+// no link sleeps.  A single mini-batch cannot show the first stage running
+// the next mini-batch's backbone ahead across the optimizer step; 8 can.
+void BM_CommPipelineEpochNoLink(benchmark::State& state) {
+  constexpr std::int64_t kMiniBatches = 8;
+  data::DatasetConfig dcfg;
+  dcfg.task = data::GlueTask::kMrpc;
+  dcfg.train_samples = 16 * kMiniBatches;
+  dcfg.eval_samples = 8;
+  dcfg.seq_len = 16;
+  dcfg.vocab = 64;
+  data::SyntheticGlueDataset ds(dcfg);
+  auto factory = [] {
+    model::TechniqueConfig tc;
+    tc.technique = model::Technique::kParallelAdapters;
+    return std::make_unique<model::Model>(model::tiny(6, 48, 4, 64, 16), tc,
+                                          model::TaskSpec{}, 12);
+  };
+  pipeline::RunConfig cfg;
+  cfg.plan.stages = {pipeline::StageAssignment{0, 4, {0, 1}, {}},
+                     pipeline::StageAssignment{4, 8, {2, 3}, {}}};
+  cfg.plan.num_micro_batches = 4;
+  cfg.batch_size = 16;
+  cfg.epochs = 1;
+  cfg.run_eval = false;
+  for (auto _ : state) {
+    dist::EdgeCluster cluster(4, std::numeric_limits<std::uint64_t>::max());
+    auto r = run_training(cluster, ds, factory, cfg);
+    benchmark::DoNotOptimize(r.epoch_losses.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kMiniBatches);
+}
+BENCHMARK(BM_CommPipelineEpochNoLink)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

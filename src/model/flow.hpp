@@ -37,7 +37,20 @@ class PipelineBlock {
  public:
   virtual ~PipelineBlock() = default;
 
-  virtual FlowState forward(const FlowState& in) = 0;
+  // forward is the side half applied to the backbone half.  The backbone
+  // half fills `hidden` (b_i) and `pad_mask`; the side half adds what
+  // reads the side network, a_i = f_i(b_i, a_{i-1}), from `in` and the
+  // backbone half's output `out`.  Under Parallel Adapters the backbone
+  // half of the embedding and encoder blocks reads no trainable weight, so
+  // it may run before an optimizer step its side half must follow (see
+  // StageWorker's run-ahead).  The head has no backbone half.
+  FlowState forward(const FlowState& in) {
+    FlowState out = forward_backbone(in);
+    forward_side(in, out);
+    return out;
+  }
+  virtual FlowState forward_backbone(const FlowState& in) = 0;
+  virtual void forward_side(const FlowState& in, FlowState& out) = 0;
   virtual FlowGrad backward(const FlowGrad& dout) = 0;
   virtual void collect_parameters(nn::ParameterList& out) = 0;
   virtual const std::string& name() const = 0;

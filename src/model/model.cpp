@@ -25,15 +25,18 @@ class EmbeddingBlock : public PipelineBlock {
  public:
   explicit EmbeddingBlock(Model* m) : m_(m), name_("embedding") {}
 
-  FlowState forward(const FlowState& in) override {
+  FlowState forward_backbone(const FlowState& in) override {
     PAC_CHECK(in.tokens.defined(), "embedding block needs tokens");
     FlowState out;
     out.hidden = m_->embedding_->forward(in.tokens);
     out.pad_mask = make_pad_mask(in.tokens, m_->config_.pad_token);
+    return out;
+  }
+
+  void forward_side(const FlowState& /*in*/, FlowState& out) override {
     if (m_->uses_parallel_adapters()) {
       out.adapter = m_->side_entry_->forward(out.hidden);
     }
-    return out;
   }
 
   FlowGrad backward(const FlowGrad& dout) override {
@@ -67,7 +70,7 @@ class EncoderBlock : public PipelineBlock {
         index_(index),
         name_("encoder_layer_" + std::to_string(index)) {}
 
-  FlowState forward(const FlowState& in) override {
+  FlowState forward_backbone(const FlowState& in) override {
     PAC_CHECK(in.hidden.defined(), name_ << ": missing hidden input");
     FlowState out;
     out.pad_mask = in.pad_mask;
@@ -77,12 +80,14 @@ class EncoderBlock : public PipelineBlock {
     }
     out.hidden = m_->layers_[static_cast<std::size_t>(index_)]->forward(
         in.hidden);
-    if (m_->uses_parallel_adapters()) {
-      PAC_CHECK(in.adapter.defined(), name_ << ": missing adapter state");
-      out.adapter = m_->side_blocks_[static_cast<std::size_t>(index_)]
-                        ->forward(out.hidden, in.adapter);
-    }
     return out;
+  }
+
+  void forward_side(const FlowState& in, FlowState& out) override {
+    if (!m_->uses_parallel_adapters()) return;
+    PAC_CHECK(in.adapter.defined(), name_ << ": missing adapter state");
+    out.adapter = m_->side_blocks_[static_cast<std::size_t>(index_)]->forward(
+        out.hidden, in.adapter);
   }
 
   FlowGrad backward(const FlowGrad& dout) override {
@@ -120,7 +125,9 @@ class HeadBlock : public PipelineBlock {
  public:
   explicit HeadBlock(Model* m) : m_(m), name_("head") {}
 
-  FlowState forward(const FlowState& in) override {
+  FlowState forward_backbone(const FlowState& /*in*/) override { return {}; }
+
+  void forward_side(const FlowState& in, FlowState& out) override {
     PAC_CHECK(in.hidden.defined(), "head block needs hidden input");
     Tensor combined = in.hidden;
     if (m_->uses_parallel_adapters()) {
@@ -137,9 +144,7 @@ class HeadBlock : public PipelineBlock {
     Tensor pooled = in.pad_mask.defined()
                         ? ops::masked_mean_over_dim1(normed, in.pad_mask)
                         : ops::mean_over_dim1(normed);
-    FlowState out;
     out.hidden = m_->head_->forward(pooled);  // logits [B, C]
-    return out;
   }
 
   FlowGrad backward(const FlowGrad& dout) override {
@@ -334,17 +339,18 @@ Tensor Model::forward_cached(const std::vector<Tensor>& cached,
                 cached_tensors_per_sample(),
             "expected " << cached_tensors_per_sample()
                         << " cached activations, got " << cached.size());
-  Tensor a = side_entry_->forward(cached[0]);  // a_0 from b_0
-  for (std::int64_t i = 0; i < config_.encoder_layers; ++i) {
-    a = side_blocks_[static_cast<std::size_t>(i)]->forward(
-        cached[static_cast<std::size_t>(i + 1)], a);
+  // The cached b_i stand in for the backbone halves; the side halves and
+  // the head are the blocks' own, so phase-1 and phase-2 predictions are
+  // identical.
+  FlowState state;
+  for (std::size_t i = 0; i < cached.size(); ++i) {
+    FlowState out;
+    out.hidden = cached[i];
+    out.pad_mask = pad_mask;
+    blocks_[i]->forward_side(state, out);
+    state = std::move(out);
   }
-  // Reuse the head block so phase-1 and phase-2 predictions are identical.
-  FlowState head_in;
-  head_in.hidden = cached.back();
-  head_in.adapter = a;
-  head_in.pad_mask = pad_mask;
-  return blocks_.back()->forward(head_in).hidden;
+  return blocks_.back()->forward(state).hidden;
 }
 
 void Model::backward_cached(const Tensor& dlogits) {

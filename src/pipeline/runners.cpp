@@ -1,7 +1,6 @@
 #include "pipeline/runners.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <mutex>
 
 #include "common/logging.hpp"
@@ -151,12 +150,17 @@ RunResult run_training(dist::EdgeCluster& cluster,
       data::BatchPlan plan(dataset.train_size(), config.batch_size,
                            config.shuffle_seed + static_cast<std::uint64_t>(e));
       double loss_sum = 0.0;
+      data::Batch batch = dataset.make_train_batch(plan.batch(0));
       for (std::int64_t b = 0; b < plan.num_batches(); ++b) {
-        auto batch = dataset.make_train_batch(plan.batch(b));
+        // The next batch of this epoch, so the worker can run ahead.
+        data::Batch next;
+        const bool has_next = b + 1 < plan.num_batches();
+        if (has_next) next = dataset.make_train_batch(plan.batch(b + 1));
         // Record activations only on the first epoch — later epochs
         // would overwrite identical data (the backbone is frozen).
         ActivationRecorder* rec = e == 0 ? recorder : nullptr;
-        loss_sum += worker.train_mini_batch(batch, rec);
+        loss_sum += worker.train_mini_batch(batch, rec,
+                                            has_next ? &next : nullptr);
         worker.synchronize_and_step(optimizer);
         if (config.health != nullptr) {
           auto verdict = config.health->record_minibatch(
@@ -169,6 +173,7 @@ RunResult run_training(dist::EdgeCluster& cluster,
             throw elastic::StragglerDetectedError(std::move(*verdict));
           }
         }
+        batch = std::move(next);
       }
       // Combine the weighted loss shares held by last-stage ranks.
       Tensor loss_buf = Tensor::full({1}, static_cast<float>(loss_sum));
@@ -397,7 +402,7 @@ RunResult run_cached_data_parallel(
             }
             source->prefetch(next_ids);
           }
-          const auto compute_begin = std::chrono::steady_clock::now();
+          const ThreadCpuTimer compute;
           std::vector<Tensor> acts = source->fetch(ids);
           nn::LossResult r;
           {
@@ -419,12 +424,8 @@ RunResult run_cached_data_parallel(
           }
           step_loss = r.loss;
           step_rows = static_cast<std::int64_t>(ids.size());
-          const double compute_s =
-              std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - compute_begin)
-                  .count();
           step_compute_s = elastic::apply_compute_throttle(
-              compute_s, ctx.comm.compute_throttle());
+              compute.seconds(), ctx.comm.compute_throttle());
           // Weight grads by the local row share before the global sum so
           // the AllReduced gradient is the global batch mean.
         }

@@ -6,14 +6,6 @@
 
 namespace pac::pipeline {
 
-const char* schedule_name(ScheduleKind kind) {
-  switch (kind) {
-    case ScheduleKind::k1F1B: return "1F1B";
-    case ScheduleKind::kGPipe: return "GPipe";
-  }
-  return "?";
-}
-
 std::int64_t hybrid_warmup(const std::vector<std::int64_t>& group_sizes,
                            std::int64_t stage) {
   PAC_CHECK(stage >= 0 &&

@@ -20,8 +20,6 @@ namespace pac::pipeline {
 
 enum class ScheduleKind { k1F1B, kGPipe };
 
-const char* schedule_name(ScheduleKind kind);
-
 struct PipeOp {
   enum class Kind { kForward, kBackward };
   Kind kind;

@@ -1,8 +1,8 @@
 #include "pipeline/stage_worker.hpp"
 
 #include <algorithm>
-#include <chrono>
 
+#include "common/timer.hpp"
 #include "elastic/health.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
@@ -33,6 +33,8 @@ StageWorker::StageWorker(dist::DeviceContext& ctx, model::Model& model,
   group_ = st.devices;
   group_index_ = plan_.index_in_group(ctx_.rank);
   block_begin_ = st.block_begin;
+  runs_ahead_ = is_first_stage() && plan_.num_stages() > 1 &&
+                model_.uses_parallel_adapters();
   auto all_blocks = model_.blocks();
   for (std::int64_t b = st.block_begin; b < st.block_end; ++b) {
     stage_blocks_.push_back(all_blocks[static_cast<std::size_t>(b)]);
@@ -76,6 +78,10 @@ void StageWorker::drain() {
   pending_backward_ = 0;
   minibatch_loss_ = 0.0;
   minibatch_rows_ = 0;
+  if (stash_.has_value()) {
+    inflight_act_bytes_ += stash_->charge;
+    stash_.reset();
+  }
   if (inflight_act_bytes_ > 0) {
     ctx_.ledger.release(dist::MemClass::kActivations, inflight_act_bytes_);
     inflight_act_bytes_ = 0;
@@ -212,55 +218,82 @@ void StageWorker::send_forward_outputs(const MicroSlice& ms,
 
 // ---- train / eval ------------------------------------------------------
 
+std::uint64_t StageWorker::activation_charge(
+    std::int64_t hidden_bytes, std::int64_t adapter_bytes) const {
+  const auto blocks = static_cast<double>(stage_blocks_.size());
+  std::uint64_t retained = 0;
+  if (model_.backprop_backbone()) {
+    retained += static_cast<std::uint64_t>(
+        kRetainedPerBlockOutput * static_cast<double>(hidden_bytes) * blocks);
+  }
+  retained += static_cast<std::uint64_t>(
+      kRetainedPerBlockOutput * static_cast<double>(adapter_bytes) * blocks);
+  return retained;
+}
+
+std::vector<model::FlowState> StageWorker::forward_backbone(
+    const model::FlowState& input, const data::Batch& batch,
+    const MicroSlice& ms, ActivationRecorder* recorder) {
+  std::vector<std::int64_t> micro_ids;
+  if (recorder != nullptr) {
+    micro_ids.assign(batch.sample_ids.begin() + ms.row_begin,
+                     batch.sample_ids.begin() + ms.row_end);
+  }
+  const std::int64_t last_backbone_block = model_.num_blocks() - 2;
+  std::vector<model::FlowState> out;
+  out.reserve(stage_blocks_.size());
+  for (std::size_t i = 0; i < stage_blocks_.size(); ++i) {
+    out.push_back(
+        stage_blocks_[i]->forward_backbone(i == 0 ? input : out[i - 1]));
+    const std::int64_t global_index =
+        block_begin_ + static_cast<std::int64_t>(i);
+    if (recorder != nullptr && global_index <= last_backbone_block) {
+      recorder->record(micro_ids, global_index, out.back().hidden);
+    }
+  }
+  return out;
+}
+
 model::FlowState StageWorker::forward_micro(
     const data::Batch& batch, const MicroSlice& ms,
     ActivationRecorder* recorder) {
   PAC_TRACE_SCOPE("fwd_micro", ctx_.rank, ms.micro);
   model::FlowState state = receive_forward_inputs(batch, ms);
 
-  std::vector<std::int64_t> micro_ids;
-  if (recorder != nullptr) {
-    micro_ids.assign(
-        batch.sample_ids.begin() + ms.row_begin,
-        batch.sample_ids.begin() + ms.row_end);
+  const ThreadCpuTimer compute;
+  std::vector<model::FlowState> backbone;
+  const bool stashed = stash_.has_value();
+  std::uint64_t retained = 0;
+  if (stashed) {
+    // Run ahead during the previous mini-batch: only the side half is
+    // left, and the stash's charge becomes this micro's in-flight charge.
+    PAC_CHECK(std::equal(stash_->sample_ids.begin(), stash_->sample_ids.end(),
+                         batch.sample_ids.begin() + ms.row_begin,
+                         batch.sample_ids.begin() + ms.row_end),
+              "run-ahead stash does not hold micro " << ms.micro
+                                                     << "'s rows");
+    backbone = std::move(stash_->backbone);
+    retained = stash_->charge;
+    stash_.reset();
+  } else {
+    backbone = forward_backbone(state, batch, ms, recorder);
   }
-
-  const std::int64_t last_backbone_block = model_.num_blocks() - 2;
-  const auto compute_begin = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < stage_blocks_.size(); ++i) {
-    state = stage_blocks_[i]->forward(state);
-    const std::int64_t global_index =
-        block_begin_ + static_cast<std::int64_t>(i);
-    if (recorder != nullptr && global_index <= last_backbone_block) {
-      recorder->record(micro_ids, global_index, state.hidden);
-    }
+    stage_blocks_[i]->forward_side(state, backbone[i]);
+    state = std::move(backbone[i]);
   }
-  const double compute_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    compute_begin)
-          .count();
-  mb_compute_seconds_ +=
-      elastic::apply_compute_throttle(compute_s, ctx_.comm.compute_throttle());
+  mb_compute_seconds_ += elastic::apply_compute_throttle(
+      compute.seconds(), ctx_.comm.compute_throttle());
 
   // Ledger: retained activations for this in-flight micro-batch.
-  std::uint64_t retained = 0;
-  if (state.hidden.defined()) {
-    const double per_block =
-        static_cast<double>(state.hidden.byte_size());
-    if (model_.backprop_backbone()) {
-      retained += static_cast<std::uint64_t>(
-          kRetainedPerBlockOutput * per_block *
-          static_cast<double>(stage_blocks_.size()));
-    }
+  if (!stashed) {
+    retained = activation_charge(
+        state.hidden.defined() ? state.hidden.byte_size() : 0,
+        state.adapter.defined() ? state.adapter.byte_size() : 0);
+    ctx_.ledger.allocate(dist::MemClass::kActivations, retained);
   }
-  if (state.adapter.defined()) {
-    retained += static_cast<std::uint64_t>(
-        kRetainedPerBlockOutput *
-        static_cast<double>(state.adapter.byte_size()) *
-        static_cast<double>(stage_blocks_.size()));
-  }
-  ctx_.ledger.allocate(dist::MemClass::kActivations, retained);
   inflight_act_bytes_ += retained;
+  act_high_water_ = std::max(act_high_water_, inflight_act_bytes_);
 
   if (is_last_stage()) {
     // state.hidden holds the logits; compute the loss now, weighted so the
@@ -287,6 +320,36 @@ model::FlowState StageWorker::forward_micro(
   return state;
 }
 
+void StageWorker::run_ahead(const data::Batch& next,
+                            ActivationRecorder* recorder) {
+  const std::vector<MicroSlice> micros = local_micros(next.tokens.size(0));
+  if (micros.empty()) return;
+  const MicroSlice& ms = micros.front();
+  // The stage's outputs will be [rows, T, H] and [rows, T, r] fp32.
+  const std::int64_t positions =
+      (ms.row_end - ms.row_begin) * next.tokens.size(1);
+  const auto f32 = static_cast<std::int64_t>(sizeof(float));
+  const std::uint64_t charge =
+      activation_charge(positions * model_.config().hidden * f32,
+                        positions * model_.side_width() * f32);
+  // Memory rule: the stash must fit under the kActivations high-water this
+  // mini-batch already reached, so run-ahead never raises the peak.
+  if (inflight_act_bytes_ + charge > act_high_water_) return;
+
+  PAC_TRACE_SCOPE("fwd_micro", ctx_.rank, ms.micro);
+  const ThreadCpuTimer compute;
+  Stash stash;
+  stash.backbone =
+      forward_backbone(receive_forward_inputs(next, ms), next, ms, recorder);
+  stash.sample_ids.assign(next.sample_ids.begin() + ms.row_begin,
+                          next.sample_ids.begin() + ms.row_end);
+  stash.charge = charge;
+  stash.compute_seconds = elastic::apply_compute_throttle(
+      compute.seconds(), ctx_.comm.compute_throttle());
+  ctx_.ledger.allocate(dist::MemClass::kActivations, charge);
+  stash_ = std::move(stash);
+}
+
 void StageWorker::backward_micro(const MicroSlice& ms) {
   PAC_TRACE_SCOPE("bwd_micro", ctx_.rank, ms.micro);
   model::FlowGrad grad;
@@ -310,17 +373,13 @@ void StageWorker::backward_micro(const MicroSlice& ms) {
     }
   }
 
-  const auto compute_begin = std::chrono::steady_clock::now();
+  const ThreadCpuTimer compute;
   for (std::int64_t i = static_cast<std::int64_t>(stage_blocks_.size()) - 1;
        i >= 0; --i) {
     grad = stage_blocks_[static_cast<std::size_t>(i)]->backward(grad);
   }
-  const double compute_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    compute_begin)
-          .count();
-  mb_compute_seconds_ +=
-      elastic::apply_compute_throttle(compute_s, ctx_.comm.compute_throttle());
+  mb_compute_seconds_ += elastic::apply_compute_throttle(
+      compute.seconds(), ctx_.comm.compute_throttle());
 
   // This micro's retained activations are now free.  All micros retain the
   // same estimate within a mini-batch (sizes differ by at most one row);
@@ -348,13 +407,15 @@ void StageWorker::backward_micro(const MicroSlice& ms) {
   }
 }
 
-double StageWorker::train_mini_batch(
-    const data::Batch& batch,
-    ActivationRecorder* recorder) {
+double StageWorker::train_mini_batch(const data::Batch& batch,
+                                     ActivationRecorder* recorder,
+                                     const data::Batch* next) {
   if (!participates()) return 0.0;
   minibatch_loss_ = 0.0;
   minibatch_rows_ = batch.tokens.size(0);
-  mb_compute_seconds_ = 0.0;
+  // A stash run ahead during the previous mini-batch is this one's work.
+  mb_compute_seconds_ = stash_.has_value() ? stash_->compute_seconds : 0.0;
+  act_high_water_ = 0;
   mb_local_rows_ = 0;
   const std::vector<MicroSlice> micros = local_micros(minibatch_rows_);
   for (const MicroSlice& ms : micros) {
@@ -365,12 +426,18 @@ double StageWorker::train_mini_batch(
       plan_.num_stages(), stage_warmup(plan_, stage_));
   post_receives(micros, ops);
   pending_backward_ = 0;
-  for (const PipeOp& op : ops) {
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const PipeOp& op = ops[i];
     const MicroSlice& ms = micros[static_cast<std::size_t>(op.micro)];
     if (op.kind == PipeOp::Kind::kForward) {
       ++pending_backward_;
       forward_micro(batch, ms, recorder);
     } else {
+      // The last backward is where the first stage waits longest: the
+      // gradient has to come back through the whole pipeline.
+      if (runs_ahead_ && next != nullptr && i + 1 == ops.size()) {
+        run_ahead(*next, recorder);
+      }
       backward_micro(ms);
       --pending_backward_;
     }

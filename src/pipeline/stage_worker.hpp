@@ -22,10 +22,21 @@
 // backward: the stage's trainable grads, in reverse block order, form one
 // flat buffer reduced in ring order over a fixed tag, so values never
 // depend on timing (see DESIGN.md, "Async communication engine").
+//
+// Backbone run-ahead: under Parallel Adapters the backbone activations b_i
+// read no trainable weight.  The first stage of a multi-stage plan
+// therefore runs the backbone half of the next mini-batch's first local
+// micro-batch just before its last backward (where it would otherwise
+// wait for the gradient), and that micro's forward later runs only the
+// side half.  The stash is taken only while it fits under the kActivations
+// high-water the stage already reached in this mini-batch, so the ledger
+// peak does not move; messages, grad order and values do not change
+// (DESIGN.md §5e, "Backbone run-ahead").
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "data/dataset.hpp"
@@ -76,9 +87,12 @@ class StageWorker {
   // schedule), accumulating gradients.  Returns this rank's weighted loss
   // contribution (nonzero only on last-stage ranks).  The grad AllReduce
   // completes before this returns; pair every call with
-  // synchronize_and_step.
+  // synchronize_and_step.  `next`, when given, is the batch the next call
+  // trains on: the first stage may run part of its backbone ahead (and
+  // record it) while it waits for this mini-batch's last gradient.
   double train_mini_batch(const data::Batch& batch,
-                          ActivationRecorder* recorder);
+                          ActivationRecorder* recorder,
+                          const data::Batch* next = nullptr);
 
   // Steps the optimizer on the group-reduced grads.  Call once per
   // mini-batch after train_mini_batch.
@@ -100,10 +114,11 @@ class StageWorker {
   nn::ParameterList stage_trainable_params();
 
   // Pure compute time (block forward/backward loops only, communication
-  // waits excluded) and rows processed over the last train_mini_batch.
-  // The elastic HealthMonitor consumes these: in a pipeline a slow rank
-  // inflates every rank's wall clock, but only its own compute time
-  // isolates it.  Any injected compute throttle is already included.
+  // waits excluded; the rank thread's CPU clock) and rows processed over
+  // the last train_mini_batch, run-ahead compute included.  The elastic
+  // HealthMonitor consumes these: in a pipeline a slow rank inflates every
+  // rank's wall clock, but only its own compute time isolates it.  Any
+  // injected compute throttle is already included.
   double minibatch_compute_seconds() const { return mb_compute_seconds_; }
   std::int64_t minibatch_local_rows() const { return mb_local_rows_; }
 
@@ -139,10 +154,22 @@ class StageWorker {
                      const std::vector<PipeOp>& ops);
   void post_eval_receives(const std::vector<MicroSlice>& micros);
 
+  // Backbone halves of the stage's blocks for micro `ms` of `batch`, one
+  // FlowState per block; records each b_i.
+  std::vector<model::FlowState> forward_backbone(
+      const model::FlowState& input, const data::Batch& batch,
+      const MicroSlice& ms, ActivationRecorder* recorder);
   model::FlowState forward_micro(
       const data::Batch& batch, const MicroSlice& ms,
       ActivationRecorder* recorder);
+  // Stashes the backbone half of `next`'s first local micro-batch when the
+  // memory rule allows it.
+  void run_ahead(const data::Batch& next, ActivationRecorder* recorder);
   void backward_micro(const MicroSlice& ms);
+  // Ledger estimate of one in-flight micro-batch whose stage outputs are
+  // `hidden_bytes` of backbone and `adapter_bytes` of side state.
+  std::uint64_t activation_charge(std::int64_t hidden_bytes,
+                                  std::int64_t adapter_bytes) const;
   // Sums the stage's trainable grads across its device group.
   void reduce_grads();
 
@@ -174,11 +201,23 @@ class StageWorker {
   std::int64_t mb_local_rows_ = 0;
   std::int64_t pending_backward_ = 0;  // micros forwarded but not reversed
 
+  // Backbone run-ahead (see the file comment).
+  struct Stash {
+    std::vector<std::int64_t> sample_ids;    // the stashed micro's rows
+    std::vector<model::FlowState> backbone;  // per stage block
+    std::uint64_t charge = 0;                // its kActivations estimate
+    double compute_seconds = 0.0;            // counted in its mini-batch
+  };
+  bool runs_ahead_ = false;
+  std::optional<Stash> stash_;
+
   // Ledger registration (released in the destructor).
   std::uint64_t weights_bytes_ = 0;
   std::uint64_t grad_bytes_ = 0;
   std::uint64_t optimizer_bytes_ = 0;
-  std::uint64_t inflight_act_bytes_ = 0;  // currently registered activations
+  std::uint64_t inflight_act_bytes_ = 0;  // forwarded micros' activations
+  // Highest in-flight kActivations charge this mini-batch.
+  std::uint64_t act_high_water_ = 0;
 };
 
 }  // namespace pac::pipeline

@@ -4,10 +4,14 @@
 // absorption, deferred failure surfacing, PendingRecv futures — plus the
 // end-to-end guarantees the trainers build on it: link timing must not
 // change a single bit of the loss trajectory or the final parameters, and
-// the cache prefetcher must serve exactly the tensors a cold fetch would.
+// the cache prefetcher must serve exactly the tensors a cold fetch would,
+// and the first stage's backbone run-ahead must stay inside its activation
+// peak and record exactly what a plan without it records.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <map>
@@ -361,6 +365,8 @@ TEST(AsyncCommTest, AsyncTrainingIsTimingIndependent) {
 
   // Delays and legal reordering shift when sends land, receives complete
   // and the AllReduce starts — but never which values meet in which order.
+  // (Stage 0 also runs each next backbone ahead while it waits; where that
+  // lands in time must not matter either.)
   dist::FaultPlan storm;
   storm.seed = 0x7141E;
   storm.delay_probability = 0.3;
@@ -464,6 +470,122 @@ TEST(AsyncCommTest, InlineAndSenderThreadSendsTrainIdentically) {
     EXPECT_EQ(s.thread_name, "rank" + std::to_string(s.rank)) << name;
   }
   EXPECT_GT(pipeline_sends, 0);
+}
+
+// ---------------------------------------------------------------------------
+// backbone run-ahead: the first stage overlaps the next backbone with the
+// gradient wait, inside its activation high-water
+// ---------------------------------------------------------------------------
+
+TEST(AsyncCommTest, FirstStageRunsTheNextBackboneAheadWithinItsActivationPeak) {
+  auto ds = tiny_dataset();
+  pipeline::RunConfig cfg;
+  cfg.plan = hybrid_2x2();
+  cfg.batch_size = 8;
+  cfg.epochs = 1;
+  cfg.lr = 5e-3F;
+  cfg.run_eval = false;
+
+  obs::TraceSession trace;
+  dist::EdgeCluster cluster(4, std::numeric_limits<std::uint64_t>::max());
+  pipeline::run_training(cluster, ds, tiny_factory(), cfg);
+
+  // 24 samples / batch 8 = 3 mini-batches; each stage-0 rank owns 2 of the
+  // 4 micros of each.  Mini-batches 1 and 2 each get one more fwd_micro
+  // span: the backbone half of their first micro, run before the previous
+  // mini-batch's grad AllReduce.
+  constexpr int kMiniBatches = 3;
+  for (int rank : {0, 1}) {
+    SCOPED_TRACE("rank " + std::to_string(rank));
+    std::vector<std::int64_t> fwd_begins;
+    std::vector<std::int64_t> reduce_begins;
+    for (const obs::SpanRecord& s : trace.spans()) {
+      if (s.rank != rank) continue;
+      const std::string name = s.name;
+      if (name == "fwd_micro") fwd_begins.push_back(s.begin_ns);
+      if (name == "allreduce_bucket") reduce_begins.push_back(s.begin_ns);
+    }
+    std::sort(reduce_begins.begin(), reduce_begins.end());
+    ASSERT_EQ(reduce_begins.size(), static_cast<std::size_t>(kMiniBatches));
+    EXPECT_EQ(fwd_begins.size(),
+              static_cast<std::size_t>(2 * kMiniBatches + kMiniBatches - 1));
+    for (int k = 0; k + 1 < kMiniBatches; ++k) {
+      const auto before = std::count_if(
+          fwd_begins.begin(), fwd_begins.end(), [&](std::int64_t t) {
+            return t < reduce_begins[static_cast<std::size_t>(k)];
+          });
+      EXPECT_EQ(before, 3 * (k + 1)) << "mini-batch " << k;
+    }
+  }
+
+  // The peaks equal those of the schedule without run-ahead.  A stage-0
+  // micro (2 rows x 8 positions) retains 4 x its [2, 8, 4] fp32 side state
+  // per block over 3 blocks: 3072 B, two in flight at 1F1B's peak.  The
+  // last stage ends in the head and retains no side state.
+  const std::uint64_t expected_peaks[] = {6144, 6144, 0, 0};
+  for (int r = 0; r < 4; ++r) {
+    const dist::MemoryLedger& ledger = cluster.ledger(r);
+    EXPECT_EQ(ledger.peak(dist::MemClass::kActivations),
+              expected_peaks[r])
+        << "rank " << r;
+    EXPECT_EQ(ledger.current_total(), 0U) << "rank " << r;
+  }
+}
+
+TEST(AsyncCommTest, RunAheadRecordsTheSameCacheAsAPlanWithoutIt) {
+  // A 2-stage plan runs ahead while it records; a 1-stage plan never
+  // does.  With the same micro split both compute every b_i from the same
+  // rows, so the recorded cache must match byte for byte.
+  auto ds = tiny_dataset();
+  using Recorded = std::map<std::pair<std::int64_t, std::int64_t>, Tensor>;
+  auto record = [&](const pipeline::ParallelPlan& plan, int world) {
+    pipeline::RunConfig cfg;
+    cfg.plan = plan;
+    cfg.batch_size = 8;
+    cfg.epochs = 2;
+    cfg.lr = 5e-3F;
+    cfg.run_eval = false;
+    std::vector<std::unique_ptr<cache::ActivationCache>> shards;
+    std::vector<pipeline::ActivationRecorder*> recorders;
+    for (int r = 0; r < world; ++r) {
+      cache::CacheConfig cc;
+      cc.num_blocks = 5;  // b_0 .. b_4 of tiny(4 encoder layers)
+      shards.push_back(std::make_unique<cache::ActivationCache>(cc));
+      recorders.push_back(shards.back().get());
+    }
+    dist::EdgeCluster cluster(world,
+                              std::numeric_limits<std::uint64_t>::max());
+    pipeline::run_training(cluster, ds, tiny_factory(), cfg, &recorders);
+    Recorded out;
+    for (const auto& shard : shards) {
+      for (const auto& [sample, block] : shard->held_blocks()) {
+        EXPECT_TRUE(
+            out.emplace(std::make_pair(sample, block),
+                        shard->get_block(sample, block))
+                .second)
+            << "sample " << sample << " block " << block << " recorded twice";
+      }
+    }
+    return out;
+  };
+
+  pipeline::ParallelPlan one_stage;
+  one_stage.stages = {pipeline::StageAssignment{0, 6, {0, 1}, {}}};
+  one_stage.num_micro_batches = 4;
+  const Recorded want = record(one_stage, 2);
+  const Recorded got = record(hybrid_2x2(), 4);
+
+  ASSERT_EQ(want.size(), static_cast<std::size_t>(24 * 5));
+  ASSERT_EQ(got.size(), want.size());
+  for (const auto& [key, tensor] : want) {
+    auto it = got.find(key);
+    ASSERT_NE(it, got.end()) << key.first << "/" << key.second;
+    ASSERT_EQ(it->second.shape(), tensor.shape());
+    EXPECT_EQ(std::memcmp(it->second.data(), tensor.data(),
+                          static_cast<std::size_t>(tensor.byte_size())),
+              0)
+        << "sample " << key.first << " block " << key.second;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@
 #include <thread>
 
 #include "core/session.hpp"
+#include "dist/rendezvous.hpp"
 #include "dist/transport_factories.hpp"
 #include "obs/counters.hpp"
+#include "obs/trace.hpp"
 #include "service/dispatcher.hpp"
 #include "tensor/ops.hpp"
 
@@ -303,6 +305,146 @@ TEST(ChaosTest, AsyncRankDeathMidOverlapRecovers) {
   ASSERT_EQ(recovered.dead_ranks.size(), 1U);
   EXPECT_EQ(recovered.dead_ranks[0], 2);
   expect_same_trajectory(recovered, survivors, 1e-6);
+}
+
+// ---- schedule 4b: death while a backbone run-ahead stash is held ----
+//
+// The first stage of a multi-stage plan runs the next mini-batch's first
+// backbone half while it waits for its last gradient, and holds that stash
+// (charged to its ledger) across the optimizer step.
+
+pipeline::ModelFactory chaos_model_factory() {
+  return [] {
+    const SessionConfig cfg = chaos_session_config();
+    return std::make_unique<model::Model>(
+        cfg.model, cfg.technique,
+        model::TaskSpec{model::TaskKind::kClassification, 2}, 4242);
+  };
+}
+
+pipeline::RunConfig two_by_two_run() {
+  pipeline::RunConfig cfg;
+  cfg.plan.stages = {pipeline::StageAssignment{0, 3, {0, 1}, {}},
+                     pipeline::StageAssignment{3, 6, {2, 3}, {}}};
+  cfg.plan.num_micro_batches = 4;
+  cfg.batch_size = 8;
+  cfg.epochs = 2;
+  cfg.lr = 5e-3F;
+  return cfg;
+}
+
+int fwd_micro_spans_of(obs::TraceSession& trace, int rank) {
+  int n = 0;
+  for (const obs::SpanRecord& s : trace.spans()) {
+    if (s.rank == rank && std::string(s.name) == "fwd_micro") ++n;
+  }
+  return n;
+}
+
+TEST(ChaosTest, DeathWhileRunAheadStashIsHeldLeaksNoLedgerCharge) {
+  auto ds = small_dataset();
+  dist::FaultPlan death;
+  death.seed = 0x57A5;
+  // Rank 0 forwards micros 0 and 2 (two sends each), then receives each
+  // one's adapter gradient: op 6 is the second receive, the wait its
+  // run-ahead fills, so the stash is held when the rank dies.
+  death.death_after_ops = {{0, 6}};
+  obs::TraceSession trace;
+  dist::EdgeCluster cluster(4, std::numeric_limits<std::uint64_t>::max());
+  cluster.set_fault_plan(death);
+  EXPECT_THROW(pipeline::run_training(cluster, ds, chaos_model_factory(),
+                                      two_by_two_run()),
+               RankDeathError);
+
+  EXPECT_EQ(fwd_micro_spans_of(trace, 0), 3);  // micros 0, 2 + run-ahead
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_EQ(cluster.ledger(r).current_total(), 0U) << "rank " << r;
+  }
+}
+
+TEST(ChaosTest, DeathWhileRunAheadStashIsHeldRecoversOntoSurvivors) {
+  // 64 KB profiled blocks against a 256 KB budget force a pipeline whose
+  // first stage, device 0, owns all 4 micros of a mini-batch:
+  //   S0[blocks 0..0; devs 0] | S1[blocks 1..2; devs 1] | S2[..; devs 2 3]
+  auto run = [](const dist::FaultPlan& faults, const std::vector<int>& dead) {
+    auto ds = small_dataset();
+    dist::EdgeCluster cluster(4, 256 * 1024);
+    for (int r : dead) cluster.mark_dead(r);
+    cluster.set_fault_plan(faults);
+    Session session(cluster, ds, chaos_session_config());
+    return session.run();
+  };
+  const SessionReport survivors = run(dist::FaultPlan{}, /*dead=*/{0});
+  EXPECT_GT(survivors.plan.plan.num_stages(), 1);
+
+  dist::FaultPlan death;
+  death.seed = 0x57A6;
+  // Device 0's 1F1B ops: F0 F1 F2 B0 F3 B1 B2 B3, two sends per forward
+  // and one receive per backward.  Op 12 is B3's receive: the run-ahead
+  // stash was taken just before it.
+  death.death_after_ops = {{0, 12}};
+  obs::TraceSession trace;
+  const SessionReport recovered = run(death, {});
+  EXPECT_EQ(fwd_micro_spans_of(trace, 0), 5);  // 4 micros + run-ahead
+
+  EXPECT_EQ(recovered.rank_deaths, 1);
+  ASSERT_EQ(recovered.dead_ranks.size(), 1U);
+  EXPECT_EQ(recovered.dead_ranks[0], 0);
+  expect_same_trajectory(recovered, survivors, 1e-6);
+}
+
+// ---- schedule 4c: one run split over two clusters, wired over TCP ----
+
+// Two EdgeClusters in one process stand in for two machines: one hosts
+// ranks {0, 1} (stage 0), the other {2, 3} (stage 1), in one TCP mesh
+// wired through the rendezvous service.  Each side exports the full
+// trainable set through the stage leaders' broadcast, and both must equal
+// the single-cluster in-process run bit for bit ("Tcp" in the name keeps
+// it off the TSan pass).
+TEST(ChaosTest, SplitClustersOverTcpRendezvousMatchInProcOracle) {
+  auto ds = small_dataset();
+  const pipeline::RunConfig cfg = two_by_two_run();
+  dist::EdgeCluster oracle_cluster(4,
+                                   std::numeric_limits<std::uint64_t>::max());
+  const pipeline::RunResult oracle =
+      pipeline::run_training(oracle_cluster, ds, chaos_model_factory(), cfg);
+
+  dist::RendezvousServer server;
+  server.start();
+  dist::TcpRendezvousOptions opts;
+  opts.server_port = server.port();
+  opts.run_id = "split_clusters";
+  auto run_side = [&](std::vector<int> local, pipeline::RunResult& out) {
+    try {
+      dist::EdgeCluster cluster(4, std::numeric_limits<std::uint64_t>::max());
+      cluster.set_local_ranks(std::move(local));
+      cluster.set_transport_factory(dist::make_tcp_rendezvous_factory(opts));
+      // A side that fails must not leave the other blocked forever.
+      dist::CommPolicy policy;
+      policy.recv_timeout_ms = 2000.0;
+      cluster.set_comm_policy(policy);
+      out = pipeline::run_training(cluster, ds, chaos_model_factory(), cfg);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << e.what();
+    }
+  };
+  pipeline::RunResult first;
+  pipeline::RunResult second;
+  std::thread other([&] { run_side({2, 3}, second); });
+  run_side({0, 1}, first);
+  other.join();
+  server.stop();
+
+  EXPECT_EQ(first.eval_metric, oracle.eval_metric);  // leader rank 0
+  for (const pipeline::RunResult* side : {&first, &second}) {
+    EXPECT_EQ(side->epoch_losses, oracle.epoch_losses);
+    ASSERT_EQ(side->trainable_values.size(), oracle.trainable_values.size());
+    for (const auto& [name, value] : oracle.trainable_values) {
+      auto it = side->trainable_values.find(name);
+      ASSERT_NE(it, side->trainable_values.end()) << name;
+      EXPECT_EQ(ops::max_abs_diff(value, it->second), 0.0F) << name;
+    }
+  }
 }
 
 // ---- schedule 5: compute stragglers (elastic runtime) ----

@@ -7,6 +7,7 @@
 #include <limits>
 #include <numeric>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -60,6 +61,17 @@ TEST(MemoryLedgerTest, ScopedAllocReleasesOnScopeExit) {
   EXPECT_EQ(ledger.peak_total(), 60U);
   ledger.reset_peaks();
   EXPECT_EQ(ledger.peak_total(), 0U);
+}
+
+TEST(MemoryLedgerTest, EveryClassHasItsOwnName) {
+  // OOM messages and the benchmark's per-class peak rows key on these.
+  std::vector<std::string> names;
+  for (int c = 0; c < static_cast<int>(MemClass::kNumClasses); ++c) {
+    names.emplace_back(mem_class_name(static_cast<MemClass>(c)));
+    EXPECT_NE(names.back(), "?") << c;
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(std::unique(names.begin(), names.end()), names.end());
 }
 
 TEST(TransportTest, PointToPointDelivery) {
@@ -461,6 +473,27 @@ TEST(ClusterTest, DeviceFailurePropagatesAndUnblocksPeers) {
                DeviceOomError);
 }
 
+TEST(ClusterTest, DeathOnTheSenderThreadIsReportedAndStaysDead) {
+  // The injected death fires on rank 0's sender thread (an active fault
+  // plan sends every isend through it), and rank 0's function returns
+  // normally: run() must still report the death as the root cause and
+  // keep the rank dead for later runs.
+  EdgeCluster cluster(2, std::numeric_limits<std::uint64_t>::max());
+  FaultPlan death;
+  death.death_after_ops = {{0, 1}};
+  cluster.set_fault_plan(death);
+  EXPECT_THROW(cluster.run([](DeviceContext& ctx) {
+    if (ctx.rank != 0) return;
+    ctx.comm.isend(1, 5, Tensor::full({1}, 1.0F));
+    while (!ctx.comm.deferred_death_rank().has_value()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }),
+               RankDeathError);
+  EXPECT_TRUE(cluster.is_dead(0));
+  EXPECT_FALSE(cluster.is_dead(1));
+}
+
 TEST(ClusterTest, LedgerBudgetEnforcedInsideRun) {
   EdgeCluster cluster(2, /*memory_budget_bytes=*/1024);
   EXPECT_THROW(cluster.run([&](DeviceContext& ctx) {
@@ -571,6 +604,11 @@ TEST(RendezvousTest, UnreachableServerThrowsFromAnnounce) {
       client.announce("run", 0, TcpPeer{"127.0.0.1", 1}, /*timeout_ms=*/100),
       TransportError);
   EXPECT_FALSE(client.lookup("run", 0).has_value());
+}
+
+TEST(RendezvousTest, BindingATakenPortThrows) {
+  RendezvousServer first;
+  EXPECT_THROW(RendezvousServer second(first.port()), TransportError);
 }
 
 TEST(RendezvousTest, MalformedRequestsGetErrNotCrash) {

@@ -338,6 +338,42 @@ TEST(OpsTest, LayerNormBackwardMatchesFiniteDifference) {
   }
 }
 
+TEST(OpsTest, LayerNormBackwardOverPooledRowsMatchesInlineRowBlocks) {
+  // 1024 rows of 64 features split across the thread pool; 128-row blocks
+  // stay under the dispatch threshold and run inline.  dx rows are
+  // independent (exact); dgamma/dbeta sum the same terms in another order.
+  Rng rng(37);
+  const std::int64_t rows = 1024;
+  const std::int64_t cols = 64;
+  const std::int64_t block = 128;
+  Tensor x = Tensor::randn({rows, cols}, rng);
+  Tensor gamma = Tensor::uniform({cols}, rng, 0.5F, 1.5F);
+  Tensor beta = Tensor::randn({cols}, rng, 0.1F);
+  Tensor dy = Tensor::randn({rows, cols}, rng);
+
+  ops::LayerNormContext ctx;
+  ops::layernorm(x, gamma, beta, 1e-5F, &ctx);
+  Tensor dgamma = Tensor::zeros({cols});
+  Tensor dbeta = Tensor::zeros({cols});
+  Tensor dx = ops::layernorm_backward(dy, gamma, ctx, dgamma, dbeta);
+
+  Tensor block_dgamma = Tensor::zeros({cols});
+  Tensor block_dbeta = Tensor::zeros({cols});
+  for (std::int64_t r = 0; r < rows; r += block) {
+    ops::LayerNormContext block_ctx;
+    ops::layernorm(x.slice0(r, r + block).clone(), gamma, beta, 1e-5F,
+                   &block_ctx);
+    Tensor block_dx =
+        ops::layernorm_backward(dy.slice0(r, r + block).clone(), gamma,
+                                block_ctx, block_dgamma, block_dbeta);
+    EXPECT_EQ(ops::max_abs_diff(block_dx, dx.slice0(r, r + block).clone()),
+              0.0F)
+        << "rows " << r;
+  }
+  EXPECT_LT(ops::max_abs_diff(block_dgamma, dgamma), 1e-3F);
+  EXPECT_LT(ops::max_abs_diff(block_dbeta, dbeta), 1e-3F);
+}
+
 TEST(OpsTest, EmbeddingGatherAndScatter) {
   Tensor table = Tensor::from_vector({3, 2}, {0, 1, 10, 11, 20, 21});
   Tensor ids = Tensor::from_vector({2, 2}, {2, 0, 1, 1});

@@ -27,11 +27,9 @@ int main() {
     sim_cfg.input = input;
     sim_cfg.plan = plan;
 
-    sim_cfg.schedule = pipeline::ScheduleKind::k1F1B;
     auto r1 = sim::simulate_minibatch(sim_cfg);
 
-    sim_cfg.schedule = pipeline::ScheduleKind::kGPipe;
-    sim_cfg.input.gpipe_memory = true;
+    sim_cfg.input.schedule = pipeline::ScheduleKind::kGPipe;
     auto r2 = sim::simulate_minibatch(sim_cfg);
 
     auto peak = [](const std::vector<std::uint64_t>& v) {

@@ -290,7 +290,6 @@ SessionReport Session::run_attempt() {
   {
     pipeline::RunConfig run;
     run.plan = report.plan.plan;
-    run.schedule = config_.schedule;
     run.batch_size = config_.batch_size;
     run.epochs = cache_phase ? 1 : config_.epochs;
     run.lr = config_.lr;

@@ -53,7 +53,6 @@ struct SessionConfig {
   // activations).
   quant::Dtype cache_dtype = quant::Dtype::kF32;
 
-  pipeline::ScheduleKind schedule = pipeline::ScheduleKind::k1F1B;
   bool run_eval = true;
 
   // Phase 2 prefetches disk-cached activations in the background unless

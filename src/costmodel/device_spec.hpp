@@ -16,6 +16,7 @@
 //       of milliseconds per micro-batch on embedded flash", §5.2).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 namespace pac::costmodel {
@@ -31,6 +32,25 @@ struct DeviceModel {
   }
 };
 
+// The two schedules of a ring-ordered AllReduce of a `bytes`-byte payload
+// over `group` members, on links costing a = latency_s per message and
+// b = 8 / bandwidth_bps seconds per byte (dist/communicator.hpp):
+//   ring   — reduce-scatter then all-gather, 2(g-1) hops of N/g bytes;
+//   direct — every member sends its whole buffer to every peer at once.
+// The runtime's schedule choice and the planner's price both read these.
+inline double ring_allreduce_seconds(double bytes, int group,
+                                     double latency_s, double bandwidth_bps) {
+  const double g = static_cast<double>(group);
+  return 2.0 * (g - 1.0) * (latency_s + bytes / g * 8.0 / bandwidth_bps);
+}
+
+inline double direct_allreduce_seconds(double bytes, int group,
+                                       double latency_s,
+                                       double bandwidth_bps) {
+  const double g = static_cast<double>(group);
+  return latency_s + (g - 1.0) * bytes * 8.0 / bandwidth_bps;
+}
+
 struct NetworkModel {
   double bandwidth_bps = 128e6;  // paper: 128 Mbps LAN
   // Effective per-message overhead: LAN RTT plus userspace TCP
@@ -45,13 +65,15 @@ struct NetworkModel {
     return latency_s + static_cast<double>(bytes) * 8.0 / bandwidth_bps;
   }
 
-  // Ring AllReduce of `bytes` (fp32 gradient bytes) across `group` devices.
+  // AllReduce of `bytes` (fp32 gradient bytes) across `group` devices,
+  // priced as the schedule the runtime picks (dist::allreduce_sum runs
+  // the cheaper of ring and direct; see allreduce_prefers_direct).
   double allreduce_seconds(std::uint64_t bytes, int group) const {
     if (group <= 1 || bytes == 0) return 0.0;
-    const double g = static_cast<double>(group);
-    const double chunk =
-        static_cast<double>(bytes) * allreduce_wire_factor / g;
-    return 2.0 * (g - 1.0) * (chunk * 8.0 / bandwidth_bps + latency_s);
+    const double wire = static_cast<double>(bytes) * allreduce_wire_factor;
+    return std::min(
+        ring_allreduce_seconds(wire, group, latency_s, bandwidth_bps),
+        direct_allreduce_seconds(wire, group, latency_s, bandwidth_bps));
   }
 };
 

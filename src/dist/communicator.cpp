@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "common/error.hpp"
+#include "costmodel/device_spec.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 
@@ -25,12 +26,11 @@ double backoff_jitter(std::uint64_t seed, int rank, int attempt) {
 
 bool allreduce_prefers_direct(const LinkModel& link, int group_size,
                               std::uint64_t bytes) {
-  if (group_size <= 2) return true;
-  const double g = group_size;
-  const double alpha = link.latency_s;
-  const double beta = 8.0 / link.bandwidth_bps;
-  return (g - 1.0) * (g - 2.0) * static_cast<double>(bytes) * beta <=
-         g * (2.0 * g - 3.0) * alpha;
+  const auto n = static_cast<double>(bytes);
+  return costmodel::direct_allreduce_seconds(n, group_size, link.latency_s,
+                                             link.bandwidth_bps) <=
+         costmodel::ring_allreduce_seconds(n, group_size, link.latency_s,
+                                           link.bandwidth_bps);
 }
 
 double Communicator::compute_throttle() const {

@@ -94,7 +94,8 @@ struct CommPolicy {
 };
 
 // True when the direct schedule's modeled cost is no higher than the
-// ring's for an N-byte payload over `group_size` members:
+// ring's for an N-byte payload over `group_size` members (both costs from
+// costmodel/device_spec.hpp, which the planner prices with too), i.e.
 // (g-1)(g-2)*N*b <= g(2g-3)*a.  Always true for g = 2; at the default
 // 128 Mbps / 1 ms link, g = 4 goes direct up to about 53 KB.
 bool allreduce_prefers_direct(const LinkModel& link, int group_size,

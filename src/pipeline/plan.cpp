@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "pipeline/schedule.hpp"
 
 namespace pac::pipeline {
 
@@ -50,17 +49,22 @@ std::vector<std::int64_t> micro_row_bounds(std::int64_t rows,
 }
 
 std::int64_t stage_warmup(const ParallelPlan& plan, std::int64_t stage) {
-  std::vector<std::int64_t> group_sizes;
-  for (const auto& st : plan.stages) {
-    group_sizes.push_back(static_cast<std::int64_t>(st.devices.size()));
-  }
-  if (!plan.weighted()) return hybrid_warmup(group_sizes, stage);
+  PAC_CHECK(stage >= 0 && stage < plan.num_stages(),
+            "stage " << stage << " out of range");
+  // The downstream pipeline depth in *global* micro-batches.
   std::int64_t downstream = 0;
   for (std::size_t q = static_cast<std::size_t>(stage) + 1;
-       q < group_sizes.size(); ++q) {
-    downstream += group_sizes[q];
+       q < plan.stages.size(); ++q) {
+    downstream += static_cast<std::int64_t>(plan.stages[q].devices.size());
   }
-  return downstream;
+  if (plan.weighted()) return downstream;
+  // Uniform ownership deals this group every own-th micro, so the hybrid
+  // warmup counts that depth in local micros:
+  //     warmup(p) = ceil( sum_{q > p} group_size(q) / group_size(p) ).
+  const auto own = static_cast<std::int64_t>(
+      plan.stages[static_cast<std::size_t>(stage)].devices.size());
+  PAC_CHECK(own >= 1, "empty stage group");
+  return (downstream + own - 1) / own;
 }
 
 bool ParallelPlan::weighted() const {

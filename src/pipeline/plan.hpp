@@ -81,11 +81,13 @@ struct ParallelPlan {
 };
 
 // 1F1B warmup (forwards before the first backward) that stage `stage` of
-// `plan` must use.  Non-uniform device groups need hybrid_warmup or
-// adjacent stages deadlock on each other's first backward; weighted
-// ownership can hand one member several consecutive micros, so weighted
-// plans take the full downstream depth instead.  The executed stage
-// workers and the event simulator both route through this.
+// `plan` must use; the one rule the stage workers, the event simulator and
+// the planner's memory check all read.  The classic (num_stages - stage -
+// 1) only holds for uniform groups: non-uniform groups take the hybrid
+// warmup ceil(sum_{q > stage} |group q| / |group stage|) or adjacent
+// stages deadlock on each other's first backward, and weighted ownership
+// can hand one member several consecutive micros, so weighted plans take
+// the full downstream depth sum_{q > stage} |group q| instead.
 std::int64_t stage_warmup(const ParallelPlan& plan, std::int64_t stage);
 
 }  // namespace pac::pipeline

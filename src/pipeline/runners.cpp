@@ -126,14 +126,75 @@ RunResult run_training(dist::EdgeCluster& cluster,
   const std::vector<int> participants = config.plan.participating_ranks();
   PAC_CHECK(!participants.empty(), "plan uses no devices");
   const int leader = participants[0];
-  const int reporter = reporting_rank(cluster, participants);
+  // The ranks that leave the run holding its losses and trainables.  In
+  // one process the participants fill the shared result.  Across
+  // processes every alive rank receives them (hand_off below), so a
+  // process whose ranks the plan leaves idle still starts phase 2 from
+  // the trained adapters.
+  const bool one_process = cluster.all_ranks_local();
+  const std::vector<int> holders =
+      one_process ? participants : cluster.alive_ranks();
+  const int reporter = reporting_rank(cluster, holders);
+  const auto num_batches = static_cast<double>(
+      data::BatchPlan(dataset.train_size(), config.batch_size,
+                      config.shuffle_seed)
+          .num_batches());
+  // Records each epoch's mean loss from the AllReduced loss sums.
+  auto record_losses = [&](const Tensor& loss_sums) {
+    std::lock_guard<std::mutex> result_guard(result_mutex);
+    for (int e = 0; e < config.epochs; ++e) {
+      result.epoch_losses[static_cast<std::size_t>(e)] =
+          static_cast<double>(loss_sums.at({e})) / num_batches;
+    }
+  };
+
+  // Multi-process: each stage's params live only in the processes that
+  // hosted it, and the losses only in the participants', but phase 2
+  // needs both in every process.  The leader broadcasts the loss sums and
+  // each stage leader its adapters to every alive rank, idle ones too.
+  auto hand_off = [&](dist::DeviceContext& ctx, StageWorker& worker,
+                      const Tensor& loss_sums) {
+    const Tensor sums = ctx.comm.broadcast(loss_sums, leader, holders,
+                                           tags::kTrainableSync);
+    std::map<std::string, Tensor> full;
+    for (const StageAssignment& st : config.plan.stages) {
+      const int stage_leader = st.devices[0];
+      nn::ParameterList mine;
+      if (ctx.rank == stage_leader) mine = worker.stage_trainable_params();
+      Tensor count = ctx.comm.broadcast(
+          Tensor::full({1}, static_cast<float>(mine.size())), stage_leader,
+          holders, tags::kTrainableSync);
+      const auto n = static_cast<std::int64_t>(count.at({0}));
+      for (std::int64_t i = 0; i < n; ++i) {
+        nn::Parameter* p =
+            ctx.rank == stage_leader ? mine[static_cast<std::size_t>(i)]
+                                     : nullptr;
+        Tensor name_t = ctx.comm.broadcast(
+            p != nullptr ? encode_name(p->name()) : Tensor(), stage_leader,
+            holders, tags::kTrainableSync);
+        Tensor value = ctx.comm.broadcast(
+            p != nullptr ? p->value().clone() : Tensor(), stage_leader,
+            holders, tags::kTrainableSync);
+        full[decode_name(name_t)] = std::move(value);
+      }
+    }
+    if (ctx.rank == reporter) {
+      record_losses(sums);
+      std::lock_guard<std::mutex> result_guard(result_mutex);
+      result.trainable_values = std::move(full);
+    }
+  };
 
   cluster.run([&](dist::DeviceContext& ctx) {
     std::unique_ptr<model::Model> model = factory();
     model->set_training_mode(true);
     StageWorker worker(ctx, *model, config.plan, config.schedule);
-    if (!worker.participates()) return;
+    if (!worker.participates()) {
+      if (!one_process) hand_off(ctx, worker, Tensor());
+      return;
+    }
     nn::Adam optimizer(config.lr);
+    Tensor loss_sums = Tensor::zeros({config.epochs});
 
     ActivationRecorder* recorder = nullptr;
     if (recorders != nullptr) {
@@ -178,15 +239,10 @@ RunResult run_training(dist::EdgeCluster& cluster,
       // Combine the weighted loss shares held by last-stage ranks.
       Tensor loss_buf = Tensor::full({1}, static_cast<float>(loss_sum));
       ctx.comm.allreduce_sum(loss_buf, participants, tags::kLossReduce);
-      const double mean_loss = static_cast<double>(loss_buf.at({0})) /
-                               static_cast<double>(plan.num_batches());
-      if (ctx.rank == reporter) {
-        std::lock_guard<std::mutex> result_guard(result_mutex);
-        result.epoch_losses[static_cast<std::size_t>(e)] = mean_loss;
-        if (obs::enabled()) {
-          PAC_LOG_INFO << "epoch " << e << " counters:\n"
-                       << obs::CounterRegistry::instance().summary_table();
-        }
+      loss_sums.at({e}) = loss_buf.at({0});
+      if (ctx.rank == reporter && obs::enabled()) {
+        PAC_LOG_INFO << "epoch " << e << " counters:\n"
+                     << obs::CounterRegistry::instance().summary_table();
       }
     }
 
@@ -249,47 +305,17 @@ RunResult run_training(dist::EdgeCluster& cluster,
       model->set_training_mode(true);
     }
 
-    // ---- export final trainables ----
-    if (cluster.all_ranks_local()) {
-      // Group leaders only, to avoid dupes; together they cover all stages.
-      if (config.plan.index_in_group(ctx.rank) == 0) {
-        std::lock_guard<std::mutex> result_guard(result_mutex);
-        for (nn::Parameter* p : worker.stage_trainable_params()) {
-          result.trainable_values[p->name()] = p->value().clone();
-        }
-      }
-    } else {
-      // Multi-process: each stage's params live only in the processes that
-      // hosted it, but phase 2 needs the full set everywhere.  Stage
-      // leaders broadcast their adapters to all participants.
-      std::map<std::string, Tensor> full;
-      for (std::size_t s = 0; s < config.plan.stages.size(); ++s) {
-        const int stage_leader =
-            config.plan.stages[s].devices.empty()
-                ? leader
-                : config.plan.stages[s].devices[0];
-        nn::ParameterList mine;
-        if (ctx.rank == stage_leader) mine = worker.stage_trainable_params();
-        Tensor count = ctx.comm.broadcast(
-            Tensor::full({1}, static_cast<float>(mine.size())), stage_leader,
-            participants, tags::kTrainableSync);
-        const auto n = static_cast<std::int64_t>(count.at({0}));
-        for (std::int64_t i = 0; i < n; ++i) {
-          nn::Parameter* p =
-              ctx.rank == stage_leader ? mine[static_cast<std::size_t>(i)]
-                                       : nullptr;
-          Tensor name_t = ctx.comm.broadcast(
-              p != nullptr ? encode_name(p->name()) : Tensor(), stage_leader,
-              participants, tags::kTrainableSync);
-          Tensor value = ctx.comm.broadcast(
-              p != nullptr ? p->value().clone() : Tensor(), stage_leader,
-              participants, tags::kTrainableSync);
-          full[decode_name(name_t)] = std::move(value);
-        }
-      }
-      if (ctx.rank == reporter) {
-        std::lock_guard<std::mutex> result_guard(result_mutex);
-        result.trainable_values = std::move(full);
+    // ---- export losses and final trainables ----
+    if (!one_process) {
+      hand_off(ctx, worker, loss_sums);
+      return;
+    }
+    if (ctx.rank == reporter) record_losses(loss_sums);
+    // Group leaders only, to avoid dupes; together they cover all stages.
+    if (config.plan.index_in_group(ctx.rank) == 0) {
+      std::lock_guard<std::mutex> result_guard(result_mutex);
+      for (nn::Parameter* p : worker.stage_trainable_params()) {
+        result.trainable_values[p->name()] = p->value().clone();
       }
     }
   });

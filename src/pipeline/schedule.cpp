@@ -6,28 +6,10 @@
 
 namespace pac::pipeline {
 
-std::int64_t hybrid_warmup(const std::vector<std::int64_t>& group_sizes,
-                           std::int64_t stage) {
-  PAC_CHECK(stage >= 0 &&
-                stage < static_cast<std::int64_t>(group_sizes.size()),
-            "hybrid_warmup: stage out of range");
-  std::int64_t downstream = 0;
-  for (std::size_t q = static_cast<std::size_t>(stage) + 1;
-       q < group_sizes.size(); ++q) {
-    PAC_CHECK(group_sizes[q] >= 1, "empty stage group");
-    downstream += group_sizes[q];
-  }
-  const std::int64_t own = group_sizes[static_cast<std::size_t>(stage)];
-  return (downstream + own - 1) / own;
-}
-
 std::vector<PipeOp> make_schedule(ScheduleKind kind, std::int64_t num_micro,
-                                  std::int64_t stage,
-                                  std::int64_t num_stages,
                                   std::int64_t warmup_in) {
   PAC_CHECK(num_micro >= 0, "negative micro count");
-  PAC_CHECK(stage >= 0 && stage < num_stages, "stage " << stage
-                                                       << " out of range");
+  PAC_CHECK(warmup_in >= 0, "negative warmup");
   std::vector<PipeOp> ops;
   ops.reserve(static_cast<std::size_t>(2 * num_micro));
   using Kind = PipeOp::Kind;
@@ -43,8 +25,7 @@ std::vector<PipeOp> make_schedule(ScheduleKind kind, std::int64_t num_micro,
   }
 
   // 1F1B: warmup forwards, steady 1B1F, drain backwards.
-  const std::int64_t warmup = std::min(
-      num_micro, warmup_in >= 0 ? warmup_in : num_stages - stage - 1);
+  const std::int64_t warmup = std::min(num_micro, warmup_in);
   for (std::int64_t m = 0; m < warmup; ++m) {
     ops.push_back({Kind::kForward, m});
   }

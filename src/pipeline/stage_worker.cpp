@@ -421,9 +421,9 @@ double StageWorker::train_mini_batch(const data::Batch& batch,
   for (const MicroSlice& ms : micros) {
     mb_local_rows_ += ms.row_end - ms.row_begin;
   }
-  const auto ops = make_schedule(
-      schedule_, static_cast<std::int64_t>(micros.size()), stage_,
-      plan_.num_stages(), stage_warmup(plan_, stage_));
+  const auto ops =
+      make_schedule(schedule_, static_cast<std::int64_t>(micros.size()),
+                    stage_warmup(plan_, stage_));
   post_receives(micros, ops);
   pending_backward_ = 0;
   for (std::size_t i = 0; i < ops.size(); ++i) {

@@ -13,111 +13,78 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-struct RangeSums {
-  double t_fwd = 0.0;
-  double t_bwd = 0.0;
-  std::uint64_t param_bytes = 0;
-  std::uint64_t trainable_bytes = 0;
-  std::uint64_t activation_bytes = 0;
-};
-
-// Prefix sums over blocks for O(1) range queries.
-class Prefix {
- public:
-  explicit Prefix(const std::vector<BlockProfile>& blocks) {
-    sums_.resize(blocks.size() + 1);
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      RangeSums s = sums_[i];
-      s.t_fwd += blocks[i].t_fwd;
-      s.t_bwd += blocks[i].t_bwd;
-      s.param_bytes += blocks[i].param_bytes;
-      s.trainable_bytes += blocks[i].trainable_bytes;
-      s.activation_bytes += blocks[i].activation_bytes;
-      sums_[i + 1] = s;
-    }
-  }
-
-  RangeSums range(std::int64_t begin, std::int64_t end) const {
-    const RangeSums& hi = sums_[static_cast<std::size_t>(end)];
-    const RangeSums& lo = sums_[static_cast<std::size_t>(begin)];
-    return RangeSums{hi.t_fwd - lo.t_fwd, hi.t_bwd - lo.t_bwd,
-                     hi.param_bytes - lo.param_bytes,
-                     hi.trainable_bytes - lo.trainable_bytes,
-                     hi.activation_bytes - lo.activation_bytes};
-  }
-
- private:
-  std::vector<RangeSums> sums_;
-};
-
 std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
   return (a + b - 1) / b;
 }
 
-// Per-device memory of a stage holding `range`, replicated over m devices,
-// with `stages_from_here` stages remaining in the pipeline (this one
-// included).  The classic 1F1B in-flight bound at stage i of s is s - i =
-// the suffix length, which is exactly what the suffix DP knows when it
-// places a stage; evaluate_plan later re-checks with the width-aware
-// hybrid_warmup bound.
-std::uint64_t stage_memory(const PlannerInput& input, const RangeSums& range,
+// Per-device bytes of a member holding a stage's weights, gradients and
+// optimizer state plus `in_flight` micro-batches' activations.
+std::uint64_t device_bytes(const PlannerInput& input, const BlockTotals& t,
+                           std::int64_t in_flight) {
+  const double opt = input.optimizer_state_factor *
+                     static_cast<double>(t.trainable_bytes);
+  return t.param_bytes + t.trainable_bytes + static_cast<std::uint64_t>(opt) +
+         t.activation_bytes * static_cast<std::uint64_t>(in_flight);
+}
+
+// The DP's per-device memory bound for a stage replicated over m devices
+// with `stages_from_here` stages remaining (this one included).  It is an
+// approximation of the executed peak that evaluate_plan charges: every
+// member is given ceil(M/m) local micros, and 1F1B keeps the classic
+// min(local_micros, stages_from_here) in flight — the suffix length the
+// suffix DP knows when it places a stage — where the executed warmup
+// (pipeline::stage_warmup) depends on the group widths downstream and on
+// weighted ownership.  plan_hybrid re-checks every candidate exactly.
+std::uint64_t stage_memory(const PlannerInput& input, const BlockTotals& t,
                            std::int64_t m, std::int64_t stages_from_here) {
   const std::int64_t local_micros =
       std::max<std::int64_t>(1, ceil_div(input.num_micro_batches, m));
   const std::int64_t in_flight =
-      input.gpipe_memory ? local_micros
-                         : std::min(local_micros, stages_from_here);
-  const double opt = input.optimizer_state_factor *
-                     static_cast<double>(range.trainable_bytes);
-  return range.param_bytes + range.trainable_bytes +
-         static_cast<std::uint64_t>(opt) +
-         range.activation_bytes * static_cast<std::uint64_t>(in_flight);
+      input.schedule == pipeline::ScheduleKind::kGPipe
+          ? local_micros
+          : std::min(local_micros, stages_from_here);
+  return device_bytes(input, t, in_flight);
 }
 
-// Stage throughput term: time this stage group needs per mini-batch.
-// The group is devices [first_rank, first_rank + m) of the planner's
-// ordered device list; heterogeneous compute scales make the slowest
-// member's share the bound (micros are dealt round-robin by index,
-// matching the executed engine).
-double stage_time(const PlannerInput& input, const RangeSums& range,
-                  std::int64_t first_rank, std::int64_t m,
-                  std::int64_t stages_from_here) {
-  if (stage_memory(input, range, m, stages_from_here) >
-      input.device_budget_bytes) {
-    return kInf;  // paper: OOM configurations cost +infinity
-  }
-  // Micros are dealt weight-proportionally to the members' compute scales
-  // (micro_owner_indices), so the bound is the slowest member's share.
+// Blocks [begin, end) on planner ranks [first_rank, first_rank + m).  A
+// group mixing compute scales carries them as weights, so faster members
+// own more micros (micro_owner_indices); a uniform group carries none.
+pipeline::StageAssignment make_stage(const PlannerInput& input,
+                                     std::int64_t begin, std::int64_t end,
+                                     std::int64_t first_rank,
+                                     std::int64_t m) {
   pipeline::StageAssignment st;
-  st.block_begin = 0;
-  st.block_end = 1;
+  st.block_begin = begin;
+  st.block_end = end;
   bool heterogeneous = false;
   for (std::int64_t j = 0; j < m; ++j) {
-    st.devices.push_back(static_cast<int>(first_rank + j));
-    const double scale =
-        input.device_scale(static_cast<int>(first_rank + j));
-    st.device_weights.push_back(scale);
-    if (scale != input.device_scale(static_cast<int>(first_rank))) {
+    const int rank = static_cast<int>(first_rank + j);
+    st.devices.push_back(rank);
+    st.device_weights.push_back(input.device_scale(rank));
+    if (input.device_scale(rank) !=
+        input.device_scale(static_cast<int>(first_rank))) {
       heterogeneous = true;
     }
   }
   if (!heterogeneous) st.device_weights.clear();
-  const std::vector<int> owners =
-      pipeline::micro_owner_indices(st, input.num_micro_batches);
-  std::vector<std::int64_t> counts(static_cast<std::size_t>(m), 0);
-  for (int o : owners) ++counts[static_cast<std::size_t>(o)];
-  double compute = 0.0;
-  for (std::int64_t j = 0; j < m; ++j) {
-    const double scale =
-        input.device_scale(static_cast<int>(first_rank + j));
-    compute = std::max(compute,
-                       static_cast<double>(
-                           counts[static_cast<std::size_t>(j)]) *
-                           (range.t_fwd + range.t_bwd) / scale);
+  return st;
+}
+
+// Stage throughput term: the time this stage group needs per mini-batch —
+// the slowest member's share of the micros plus the group AllReduce — or
+// +infinity when the stage overflows the budget (the paper's OOM rule).
+double stage_time(const PlannerInput& input, const StagePricer& pricer,
+                  const pipeline::StageAssignment& st,
+                  std::int64_t stages_from_here) {
+  const auto m = static_cast<std::int64_t>(st.devices.size());
+  const StageLoad load = pricer.load(st);
+  if (stage_memory(input, load, m, stages_from_here) >
+      input.device_budget_bytes) {
+    return kInf;
   }
-  const double allreduce = input.network.allreduce_seconds(
-      range.trainable_bytes, static_cast<int>(m));
-  return compute + allreduce;
+  return load.compute_seconds +
+         input.network.allreduce_seconds(load.trainable_bytes,
+                                         static_cast<int>(m));
 }
 
 // The partition DP shared by plan_hybrid and optimal_bottleneck_seconds.
@@ -125,11 +92,11 @@ double stage_time(const PlannerInput& input, const RangeSums& range,
 // Runs over *suffixes*: dp[y][r][s] is the best bottleneck for blocks
 // [y, n) arranged into s stages whose device groups are contiguous ranks
 // starting at r (ranks after the last group stay idle).  The stage placed
-// at (y, r, s) is the s-th from the pipeline's end, so its classic 1F1B
-// in-flight bound min(local_micros, s) is known exactly at placement time —
-// a prefix-oriented DP cannot price this bound, because a stage's distance
-// from the end is unknown while the prefix grows.  choice stores
-// (segment_end, m) for forward reconstruction.
+// at (y, r, s) is the s-th from the pipeline's end, so the classic 1F1B
+// in-flight bound min(local_micros, s) that stage_memory uses is known at
+// placement time — a prefix-oriented DP cannot price this bound, because a
+// stage's distance from the end is unknown while the prefix grows.  choice
+// stores (segment_end, m) for forward reconstruction.
 struct DpTables {
   std::int64_t n = 0;
   std::int64_t d_max = 0;
@@ -148,7 +115,7 @@ DpTables run_partition_dp(const PlannerInput& input) {
   t.n = input.num_blocks();
   t.d_max = input.num_devices;
   PAC_CHECK(t.n >= 1 && t.d_max >= 1, "planner needs blocks and devices");
-  const Prefix prefix(input.blocks);
+  const StagePricer pricer(input, input.num_micro_batches);
   t.s_max = std::min<std::int64_t>(t.d_max, t.n);
   t.dp.assign(t.idx(t.n, t.d_max, t.s_max) + 1, kInf);
   t.choice.assign(t.dp.size(), {-1, -1});
@@ -162,8 +129,8 @@ DpTables run_partition_dp(const PlannerInput& input) {
           // Final stage spanning [y, n) on ranks [r, r + m); any trailing
           // ranks stay idle, so every replication width is a candidate.
           for (std::int64_t m = 1; m <= t.d_max - r; ++m) {
-            const double time =
-                stage_time(input, prefix.range(y, t.n), r, m, s);
+            const double time = stage_time(
+                input, pricer, make_stage(input, y, t.n, r, m), s);
             if (time < best) {
               best = time;
               best_choice = {t.n, m};
@@ -176,8 +143,8 @@ DpTables run_partition_dp(const PlannerInput& input) {
             for (std::int64_t m = 1; m + (s - 1) <= t.d_max - r; ++m) {
               const double rest = t.dp[t.idx(e, r + m, s - 1)];
               if (rest == kInf) continue;
-              const double head =
-                  stage_time(input, prefix.range(y, e), r, m, s);
+              const double head = stage_time(
+                  input, pricer, make_stage(input, y, e, r, m), s);
               const double bottleneck = std::max(head, rest);
               if (bottleneck < best) {
                 best = bottleneck;
@@ -196,20 +163,52 @@ DpTables run_partition_dp(const PlannerInput& input) {
 
 }  // namespace
 
+StagePricer::StagePricer(const PlannerInput& input, std::int64_t num_micro)
+    : input_(input), num_micro_(num_micro), prefix_(input.blocks.size() + 1) {
+  for (std::size_t i = 0; i < input.blocks.size(); ++i) {
+    const BlockProfile& b = input.blocks[i];
+    BlockTotals t = prefix_[i];
+    t.t_fwd += b.t_fwd;
+    t.t_bwd += b.t_bwd;
+    t.param_bytes += b.param_bytes;
+    t.trainable_bytes += b.trainable_bytes;
+    t.activation_bytes += b.activation_bytes;
+    prefix_[i + 1] = t;
+  }
+}
+
+StageLoad StagePricer::load(const pipeline::StageAssignment& st) const {
+  const BlockTotals& hi = prefix_[static_cast<std::size_t>(st.block_end)];
+  const BlockTotals& lo = prefix_[static_cast<std::size_t>(st.block_begin)];
+  StageLoad load;
+  load.t_fwd = hi.t_fwd - lo.t_fwd;
+  load.t_bwd = hi.t_bwd - lo.t_bwd;
+  load.param_bytes = hi.param_bytes - lo.param_bytes;
+  load.trainable_bytes = hi.trainable_bytes - lo.trainable_bytes;
+  load.activation_bytes = hi.activation_bytes - lo.activation_bytes;
+  load.owners = pipeline::micro_owner_indices(st, num_micro_);
+  load.local_micros.assign(st.devices.size(), 0);
+  for (int o : load.owners) ++load.local_micros[static_cast<std::size_t>(o)];
+  for (std::size_t j = 0; j < st.devices.size(); ++j) {
+    load.compute_seconds = std::max(
+        load.compute_seconds, static_cast<double>(load.local_micros[j]) *
+                                  (load.t_fwd + load.t_bwd) /
+                                  input_.device_scale(st.devices[j]));
+  }
+  return load;
+}
+
 PlanEstimate evaluate_plan(const PlannerInput& input,
                            const pipeline::ParallelPlan& plan) {
   plan.validate(input.num_blocks(), input.num_devices);
-  const Prefix prefix(input.blocks);
+  const StagePricer pricer(input, plan.num_micro_batches);
   const std::int64_t s = plan.num_stages();
 
   PlanEstimate est;
   est.plan = plan;
   est.feasible = true;
-
-  std::vector<std::int64_t> group_sizes;
-  for (const auto& st : plan.stages) {
-    group_sizes.push_back(static_cast<std::int64_t>(st.devices.size()));
-  }
+  est.device_memory_bytes.assign(static_cast<std::size_t>(input.num_devices),
+                                 0);
 
   double steady = 0.0;
   double fill = 0.0;
@@ -217,23 +216,21 @@ PlanEstimate evaluate_plan(const PlannerInput& input,
   double allreduce = 0.0;
   for (std::int64_t i = 0; i < s; ++i) {
     const auto& st = plan.stages[static_cast<std::size_t>(i)];
-    const RangeSums range = prefix.range(st.block_begin, st.block_end);
-    const auto m = static_cast<std::int64_t>(st.devices.size());
-    // Exact in-flight bound: the generalized 1F1B warmup + 1 (GPipe keeps
-    // every local micro in flight).
-    const std::int64_t local_m = ceil_div(input.num_micro_batches, m);
-    const std::int64_t in_flight =
-        input.gpipe_memory
-            ? local_m
-            : std::min(local_m, pipeline::hybrid_warmup(group_sizes, i) + 1);
-    const double opt_bytes = input.optimizer_state_factor *
-                             static_cast<double>(range.trainable_bytes);
-    const std::uint64_t mem =
-        range.param_bytes + range.trainable_bytes +
-        static_cast<std::uint64_t>(opt_bytes) +
-        range.activation_bytes * static_cast<std::uint64_t>(in_flight);
+    const StageLoad load = pricer.load(st);
+    // Each member holds the in-flight peak of the op list it runs.
+    const std::int64_t warmup = pipeline::stage_warmup(plan, i);
+    std::uint64_t mem = 0;
+    for (std::size_t j = 0; j < st.devices.size(); ++j) {
+      const std::uint64_t dev_mem = device_bytes(
+          input, load,
+          pipeline::max_in_flight(pipeline::make_schedule(
+              input.schedule, load.local_micros[j], warmup)));
+      est.device_memory_bytes[static_cast<std::size_t>(st.devices[j])] =
+          dev_mem;
+      mem = std::max(mem, dev_mem);
+    }
     est.stage_memory_bytes.push_back(mem);
-    est.stage_weight_bytes.push_back(range.param_bytes);
+    est.stage_weight_bytes.push_back(load.param_bytes);
     if (mem > input.device_budget_bytes) {
       est.feasible = false;
       std::ostringstream os;
@@ -241,27 +238,17 @@ PlanEstimate evaluate_plan(const PlannerInput& input,
          << input.device_budget_bytes;
       est.note = os.str();
     }
-    const std::vector<int> owners =
-        pipeline::micro_owner_indices(st, input.num_micro_batches);
-    std::vector<std::int64_t> counts(st.devices.size(), 0);
-    for (int o : owners) ++counts[static_cast<std::size_t>(o)];
-    for (std::int64_t j = 0; j < m; ++j) {
-      const double scale = input.device_scale(
-          st.devices[static_cast<std::size_t>(j)]);
-      steady = std::max(steady,
-                        static_cast<double>(
-                            counts[static_cast<std::size_t>(j)]) *
-                            (range.t_fwd + range.t_bwd) / scale);
-    }
-    allreduce = std::max(allreduce,
-                         input.network.allreduce_seconds(
-                             range.trainable_bytes, static_cast<int>(m)));
+    steady = std::max(steady, load.compute_seconds);
+    allreduce = std::max(
+        allreduce, input.network.allreduce_seconds(
+                       load.trainable_bytes,
+                       static_cast<int>(st.devices.size())));
     if (i + 1 < s) {
       const auto& boundary =
           input.blocks[static_cast<std::size_t>(st.block_end - 1)];
-      fill += range.t_fwd +
+      fill += load.t_fwd +
               input.network.transfer_seconds(boundary.fwd_msg_bytes);
-      drain += range.t_bwd +
+      drain += load.t_bwd +
                input.network.transfer_seconds(boundary.bwd_msg_bytes);
     }
   }
@@ -284,7 +271,6 @@ double optimal_bottleneck_seconds(const PlannerInput& input) {
 PlanEstimate plan_hybrid(const PlannerInput& input) {
   PAC_TRACE_SCOPE("plan_hybrid", input.num_blocks(), input.num_devices);
   const DpTables tables = run_partition_dp(input);
-  const std::int64_t n = tables.n;
   const std::int64_t d_max = tables.d_max;
   const std::int64_t s_max = tables.s_max;
 
@@ -314,24 +300,11 @@ PlanEstimate plan_hybrid(const PlannerInput& input) {
       pipeline::ParallelPlan plan;
       plan.num_micro_batches = input.num_micro_batches;
       std::int64_t begin = 0;
-      int rank = 0;
+      std::int64_t rank = 0;
       for (const auto& [end, m] : segments) {
-        pipeline::StageAssignment st;
-        st.block_begin = begin;
-        st.block_end = end;
-        bool heterogeneous = false;
-        for (std::int64_t j = 0; j < m; ++j) {
-          st.devices.push_back(rank);
-          st.device_weights.push_back(input.device_scale(rank));
-          if (input.device_scale(rank) !=
-              input.device_scale(st.devices.front())) {
-            heterogeneous = true;
-          }
-          ++rank;
-        }
-        if (!heterogeneous) st.device_weights.clear();
-        plan.stages.push_back(std::move(st));
+        plan.stages.push_back(make_stage(input, begin, end, rank, m));
         begin = end;
+        rank += m;
       }
       PlanEstimate est = evaluate_plan(input, plan);
       if (est.feasible && est.minibatch_seconds < best.minibatch_seconds) {

@@ -11,6 +11,7 @@
 
 #include "costmodel/block_cost.hpp"
 #include "costmodel/device_spec.hpp"
+#include "pipeline/schedule.hpp"
 
 namespace pac::planner {
 
@@ -33,9 +34,10 @@ struct PlannerInput {
   costmodel::NetworkModel network;
   std::int64_t num_micro_batches = 8;  // per mini-batch
   double optimizer_state_factor = 2.0;  // Adam: 2x trainable bytes
-  // GPipe keeps every local micro-batch's activations in flight; 1F1B
-  // bounds them by the remaining stage count.  Affects memory checks only.
-  bool gpipe_memory = false;
+  // The schedule every stage runs.  GPipe keeps every local micro-batch's
+  // activations in flight; 1F1B bounds them by its warmup.  The planner
+  // prices memory with it and the event simulator replays it.
+  pipeline::ScheduleKind schedule = pipeline::ScheduleKind::k1F1B;
   // Relative compute speed per device (1.0 = the profiled reference).
   // Empty means homogeneous.  The DP consumes devices in this order, so
   // callers choose the ordering (paper Eq. 2 uses ordered device sets).

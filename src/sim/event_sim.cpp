@@ -31,50 +31,22 @@ SimResult simulate_minibatch(const SimConfig& config) {
   const std::int64_t s = plan.num_stages();
   const std::int64_t M = plan.num_micro_batches;
 
-  // ---- per-stage aggregate costs ----
-  struct StageCost {
-    double t_fwd = 0.0;
-    double t_bwd = 0.0;
-    std::uint64_t fwd_msg = 0;
-    std::uint64_t bwd_msg = 0;
-    std::uint64_t trainable = 0;
-  };
-  std::vector<StageCost> stage_costs(static_cast<std::size_t>(s));
-  for (std::int64_t i = 0; i < s; ++i) {
-    const auto& st = plan.stages[static_cast<std::size_t>(i)];
-    StageCost& sc = stage_costs[static_cast<std::size_t>(i)];
-    for (std::int64_t b = st.block_begin; b < st.block_end; ++b) {
-      const auto& blk = input.blocks[static_cast<std::size_t>(b)];
-      sc.t_fwd += blk.t_fwd;
-      sc.t_bwd += blk.t_bwd;
-      sc.trainable += blk.trainable_bytes;
-    }
-    const auto& boundary =
-        input.blocks[static_cast<std::size_t>(st.block_end - 1)];
-    sc.fwd_msg = boundary.fwd_msg_bytes;
-    sc.bwd_msg = boundary.bwd_msg_bytes;
-  }
+  // ---- per-stage costs and micro ownership (the planner's pricer) ----
+  const planner::StagePricer pricer(input, M);
+  std::vector<planner::StageLoad> loads;
+  for (const auto& st : plan.stages) loads.push_back(pricer.load(st));
 
-  // ---- memory feasibility (planner's model, exact stage indices) ----
+  // ---- memory feasibility (the planner's per-device model) ----
   {
     planner::PlanEstimate est = planner::evaluate_plan(input, plan);
-    result.peak_memory_per_device.assign(
-        static_cast<std::size_t>(input.num_devices), 0);
-    for (std::int64_t i = 0; i < s; ++i) {
-      for (int r : plan.stages[static_cast<std::size_t>(i)].devices) {
-        result.peak_memory_per_device[static_cast<std::size_t>(r)] =
-            est.stage_memory_bytes[static_cast<std::size_t>(i)];
-      }
-    }
+    result.peak_memory_per_device = est.device_memory_bytes;
     if (!est.feasible) {
       result.oom = true;
       result.oom_reason = est.note;
-      // Identify the first offending stage's first device.
-      for (std::int64_t i = 0; i < s; ++i) {
-        if (est.stage_memory_bytes[static_cast<std::size_t>(i)] >
+      for (int r : plan.participating_ranks()) {
+        if (est.device_memory_bytes[static_cast<std::size_t>(r)] >
             input.device_budget_bytes) {
-          result.oom_device =
-              plan.stages[static_cast<std::size_t>(i)].devices.front();
+          result.oom_device = r;
           break;
         }
       }
@@ -85,29 +57,23 @@ SimResult simulate_minibatch(const SimConfig& config) {
   // ---- build per-rank op lists (same routing as StageWorker) ----
   std::vector<RankState> ranks;
   std::map<int, std::size_t> rank_index;
-  std::vector<std::vector<int>> stage_owners;
-  for (std::int64_t i = 0; i < s; ++i) {
-    stage_owners.push_back(pipeline::micro_owner_indices(
-        plan.stages[static_cast<std::size_t>(i)], M));
-  }
   for (std::int64_t i = 0; i < s; ++i) {
     const auto& st = plan.stages[static_cast<std::size_t>(i)];
-    const auto gs = static_cast<std::int64_t>(st.devices.size());
+    const planner::StageLoad& load = loads[static_cast<std::size_t>(i)];
     const std::int64_t warmup = pipeline::stage_warmup(plan, i);
-    for (std::int64_t gi = 0; gi < gs; ++gi) {
+    for (std::size_t gi = 0; gi < st.devices.size(); ++gi) {
       RankState rs;
-      rs.rank = st.devices[static_cast<std::size_t>(gi)];
+      rs.rank = st.devices[gi];
       rs.stage = static_cast<int>(i);
       std::vector<std::int64_t> local;
       for (std::int64_t m = 0; m < M; ++m) {
-        if (stage_owners[static_cast<std::size_t>(i)]
-                        [static_cast<std::size_t>(m)] == gi) {
+        if (load.owners[static_cast<std::size_t>(m)] ==
+            static_cast<int>(gi)) {
           local.push_back(m);
         }
       }
-      rs.ops = pipeline::make_schedule(
-          config.schedule, static_cast<std::int64_t>(local.size()), i, s,
-          warmup);
+      rs.ops = pipeline::make_schedule(input.schedule, load.local_micros[gi],
+                                       warmup);
       for (const auto& op : rs.ops) {
         rs.micro_of_op.push_back(local[static_cast<std::size_t>(op.micro)]);
       }
@@ -119,8 +85,13 @@ SimResult simulate_minibatch(const SimConfig& config) {
   auto owner = [&](std::int64_t stage, std::int64_t micro) {
     const auto& st = plan.stages[static_cast<std::size_t>(stage)];
     return st.devices[static_cast<std::size_t>(
-        stage_owners[static_cast<std::size_t>(stage)]
-                    [static_cast<std::size_t>(micro)])];
+        loads[static_cast<std::size_t>(stage)]
+            .owners[static_cast<std::size_t>(micro)])];
+  };
+  // A stage's messages are sized by its last block's profile.
+  auto boundary = [&](std::int64_t stage) -> const planner::BlockProfile& {
+    return input.blocks[static_cast<std::size_t>(
+        plan.stages[static_cast<std::size_t>(stage)].block_end - 1)];
   };
 
   // Message availability times keyed by (stage, micro, is_backward).
@@ -166,8 +137,9 @@ SimResult simulate_minibatch(const SimConfig& config) {
           if (it == msg_ready.end()) break;
           input_ready = it->second;
         }
-        const StageCost& sc = stage_costs[static_cast<std::size_t>(rs.stage)];
-        const double dur = (backward ? sc.t_bwd : sc.t_fwd) /
+        const planner::StageLoad& load =
+            loads[static_cast<std::size_t>(rs.stage)];
+        const double dur = (backward ? load.t_bwd : load.t_fwd) /
                            input.device_scale(rs.rank);
         const double start = std::max(rs.clock, input_ready);
         rs.clock = start + dur;
@@ -178,12 +150,12 @@ SimResult simulate_minibatch(const SimConfig& config) {
         }
         if (!backward && rs.stage + 1 < s) {
           send_message(rs.rank, owner(rs.stage + 1, micro), rs.clock,
-                       static_cast<double>(sc.fwd_msg), rs.stage, micro,
-                       false);
+                       static_cast<double>(boundary(rs.stage).fwd_msg_bytes),
+                       rs.stage, micro, false);
         } else if (backward && rs.stage > 0) {
           send_message(rs.rank, owner(rs.stage - 1, micro), rs.clock,
-                       static_cast<double>(sc.bwd_msg), rs.stage, micro,
-                       true);
+                       static_cast<double>(boundary(rs.stage).bwd_msg_bytes),
+                       rs.stage, micro, true);
         }
         ++rs.next_op;
         --remaining;
@@ -201,8 +173,9 @@ SimResult simulate_minibatch(const SimConfig& config) {
       const auto& st = plan.stages[static_cast<std::size_t>(i)];
       const int g = static_cast<int>(st.devices.size());
       if (g <= 1) continue;
-      const double ar = input.network.allreduce_seconds(
-          stage_costs[static_cast<std::size_t>(i)].trainable, g);
+      const std::uint64_t trainable =
+          loads[static_cast<std::size_t>(i)].trainable_bytes;
+      const double ar = input.network.allreduce_seconds(trainable, g);
       // Group members finish their ops, then AllReduce together.
       double group_end = 0.0;
       for (int r : st.devices) {
@@ -210,10 +183,8 @@ SimResult simulate_minibatch(const SimConfig& config) {
                              ranks[rank_index[r]].clock);
       }
       ar_extra = std::max(ar_extra, group_end + ar - makespan);
-      result.comm_bytes +=
-          2 * static_cast<std::uint64_t>(g - 1) *
-          (stage_costs[static_cast<std::size_t>(i)].trainable /
-           static_cast<std::uint64_t>(g));
+      result.comm_bytes += 2 * static_cast<std::uint64_t>(g - 1) *
+                           (trainable / static_cast<std::uint64_t>(g));
     }
     if (ar_extra > 0.0) makespan += ar_extra;
   }

@@ -1,12 +1,14 @@
 // Discrete-event simulator for one mini-batch of pipeline execution.
 //
-// Replays the exact 1F1B (or GPipe) op sequence every rank would run —
-// same micro-batch routing as the executed StageWorker — against the
-// analytic block costs: devices are serial compute resources, each
-// directed link is a serial transfer resource, forwards/backwards wait on
-// the producing rank's message.  Output is the mini-batch makespan, the
-// per-device busy fraction (1 - bubble), peak modeled memory, and total
-// traffic.  This is what regenerates the paper's Jetson-scale timing
+// Replays the exact op sequence every rank would run — the schedule kind
+// of input.schedule, each stage's pipeline::stage_warmup, and the micro
+// owners and per-stage costs of planner::StagePricer, so the same routing
+// as the executed StageWorker — against the profiled block costs: devices
+// are serial compute resources, each directed link is a serial transfer
+// resource, forwards/backwards wait on the producing rank's message.
+// Output is the mini-batch makespan, the per-device busy fraction
+// (1 - bubble), each device's peak modeled memory (evaluate_plan's
+// per-device figure), and total traffic.  This is what regenerates the paper's Jetson-scale timing
 // numbers (Tables 2, Figs 8a/9a/11) without the hardware.
 #pragma once
 
@@ -17,9 +19,8 @@
 namespace pac::sim {
 
 struct SimConfig {
-  planner::PlannerInput input;
+  planner::PlannerInput input;  // input.schedule picks 1F1B or GPipe
   pipeline::ParallelPlan plan;
-  pipeline::ScheduleKind schedule = pipeline::ScheduleKind::k1F1B;
   bool include_allreduce = true;
   bool record_trace = false;  // fill SimResult::trace for visualization
 };

@@ -27,6 +27,7 @@ std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
 
 struct MinibatchSim {
   SimResult sim;
+  planner::PlannerInput input;
   pipeline::ParallelPlan plan;
   std::int64_t samples_per_minibatch = 0;
 };
@@ -37,10 +38,6 @@ MinibatchSim simulate_system_minibatch(SystemKind kind,
                                        const model::TechniqueConfig& tc) {
   MinibatchSim out;
   SimConfig sim_cfg;
-  sim_cfg.schedule = kind == SystemKind::kEcoFl
-                         ? pipeline::ScheduleKind::kGPipe
-                         : pipeline::ScheduleKind::k1F1B;
-
   std::int64_t micros = 1;
   std::int64_t micro_batch = cfg.global_batch;
   int devices = cfg.num_devices;
@@ -74,7 +71,10 @@ MinibatchSim simulate_system_minibatch(SystemKind kind,
   sim_cfg.input = planner::analytic_planner_input(
       cfg.model, tc, micro_shape, cfg.device, cfg.network, devices, micros,
       /*include_decoder=*/true);
-  sim_cfg.input.gpipe_memory = kind == SystemKind::kEcoFl;
+  if (kind == SystemKind::kEcoFl) {
+    sim_cfg.input.schedule = pipeline::ScheduleKind::kGPipe;
+  }
+  out.input = sim_cfg.input;
 
   const std::int64_t blocks = sim_cfg.input.num_blocks();
   switch (kind) {
@@ -299,20 +299,11 @@ ScenarioResult simulate_system(SystemKind kind,
       static_cast<double>(mb.samples_per_minibatch) /
       mb.sim.minibatch_seconds;
 
-  // Per-device weight bytes of the chosen plan.
+  // Per-device weight bytes of the chosen plan (parameter bytes do not
+  // depend on the micro shape the input was profiled at).
   {
-    planner::PlanEstimate est = planner::evaluate_plan(
-        [&] {
-          SimConfig tmp;
-          const costmodel::SeqShape shape{
-              std::max<std::int64_t>(1, config.global_batch), config.seq, 16};
-          (void)tmp;
-          return planner::analytic_planner_input(
-              config.model, tc, shape, config.device, config.network,
-              kind == SystemKind::kStandalone ? 1 : config.num_devices,
-              mb.plan.num_micro_batches, true);
-        }(),
-        mb.plan);
+    const planner::PlanEstimate est =
+        planner::evaluate_plan(mb.input, mb.plan);
     result.weight_memory_per_device.assign(
         static_cast<std::size_t>(config.num_devices), 0);
     for (std::size_t s = 0; s < mb.plan.stages.size(); ++s) {

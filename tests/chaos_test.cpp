@@ -447,6 +447,57 @@ TEST(ChaosTest, SplitClustersOverTcpRendezvousMatchInProcOracle) {
   }
 }
 
+// A plan that leaves ranks {2, 3} idle, run as two processes' worth of
+// clusters, one hosting only the idle ranks: the phase-1 hand-off must
+// reach that side too, with the same losses and trainables as the
+// in-process oracle, or its Session would start phase 2 from the initial
+// adapters ("Tcp" in the name keeps it off the TSan pass).
+TEST(ChaosTest, SplitClustersOverTcpHandResultsToTheIdleSide) {
+  auto ds = small_dataset();
+  pipeline::RunConfig cfg = two_by_two_run();
+  cfg.plan.stages = {pipeline::StageAssignment{0, 6, {0, 1}, {}}};
+  dist::EdgeCluster oracle_cluster(4,
+                                   std::numeric_limits<std::uint64_t>::max());
+  const pipeline::RunResult oracle =
+      pipeline::run_training(oracle_cluster, ds, chaos_model_factory(), cfg);
+  ASSERT_FALSE(oracle.trainable_values.empty());
+
+  dist::RendezvousServer server;
+  server.start();
+  dist::TcpRendezvousOptions opts;
+  opts.server_port = server.port();
+  opts.run_id = "split_idle_side";
+  auto run_side = [&](std::vector<int> local, pipeline::RunResult& out) {
+    try {
+      dist::EdgeCluster cluster(4, std::numeric_limits<std::uint64_t>::max());
+      cluster.set_local_ranks(std::move(local));
+      cluster.set_transport_factory(dist::make_tcp_rendezvous_factory(opts));
+      dist::CommPolicy policy;
+      policy.recv_timeout_ms = 2000.0;
+      cluster.set_comm_policy(policy);
+      out = pipeline::run_training(cluster, ds, chaos_model_factory(), cfg);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << e.what();
+    }
+  };
+  pipeline::RunResult busy;
+  pipeline::RunResult idle;
+  std::thread other([&] { run_side({2, 3}, idle); });
+  run_side({0, 1}, busy);
+  other.join();
+  server.stop();
+
+  for (const pipeline::RunResult* side : {&busy, &idle}) {
+    EXPECT_EQ(side->epoch_losses, oracle.epoch_losses);
+    ASSERT_EQ(side->trainable_values.size(), oracle.trainable_values.size());
+    for (const auto& [name, value] : oracle.trainable_values) {
+      auto it = side->trainable_values.find(name);
+      ASSERT_NE(it, side->trainable_values.end()) << name;
+      EXPECT_EQ(ops::max_abs_diff(value, it->second), 0.0F) << name;
+    }
+  }
+}
+
 // ---- schedule 5: compute stragglers (elastic runtime) ----
 //
 // A seeded throttle dilates one rank's compute mid-run.  With the elastic

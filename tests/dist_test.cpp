@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "costmodel/device_spec.hpp"
 #include "dist/cluster.hpp"
 #include "dist/rendezvous.hpp"
 #include "dist/transport_factories.hpp"
@@ -326,6 +327,53 @@ TEST(CollectiveTest, DirectScheduleCrossover) {
                                        100000));
   EXPECT_FALSE(allreduce_prefers_direct(link, 8, 53332));
   EXPECT_FALSE(allreduce_prefers_direct(LinkModel{128e6, 0.0, false}, 3, 4));
+}
+
+TEST(CollectiveTest, PlannerPricesTheScheduleTheRuntimePicks) {
+  // The planner's AllReduce price is the cheaper of the two schedules
+  // allreduce_sum can run, written out here from first principles:
+  //   ring   2(g-1)(a + N*b/g),   direct   a + (g-1)*N*b,
+  // with N the wire bytes, a the latency and b = 8 / bandwidth.
+  const std::vector<std::pair<double, double>> links{
+      {128e6, 1e-3}, {128e6, 20e-3}, {100e9, 50e-6}, {1e9, 0.0}};
+  for (const auto& [bw, lat] : links) {
+    for (double wire : {1.0, 0.5}) {
+      costmodel::NetworkModel net;
+      net.bandwidth_bps = bw;
+      net.latency_s = lat;
+      net.allreduce_wire_factor = wire;
+      for (int g : {2, 3, 4, 8}) {
+        for (std::uint64_t bytes :
+             {4ULL, 6400ULL, 53332ULL, 53336ULL, 1ULL << 16, 1ULL << 20,
+              1ULL << 30}) {
+          const double n = static_cast<double>(bytes) * wire;
+          const double b = 8.0 / bw;
+          const double ring = 2.0 * (g - 1) * (lat + n * b / g);
+          const double direct = lat + (g - 1) * n * b;
+          const double price = net.allreduce_seconds(bytes, g);
+          EXPECT_NEAR(price, std::min(ring, direct),
+                      1e-12 * std::min(ring, direct))
+              << "g " << g << " bytes " << bytes << " bw " << bw;
+          if (wire == 1.0) {
+            // The runtime's choice prices at exactly the planner's figure.
+            const bool go_direct =
+                allreduce_prefers_direct(LinkModel{bw, lat, false}, g, bytes);
+            EXPECT_EQ(price, go_direct ? costmodel::direct_allreduce_seconds(
+                                             n, g, lat, bw)
+                                       : costmodel::ring_allreduce_seconds(
+                                             n, g, lat, bw))
+                << "g " << g << " bytes " << bytes << " bw " << bw;
+            if (std::abs(ring - direct) > 1e-9 * ring) {
+              EXPECT_EQ(go_direct, direct < ring)
+                  << "g " << g << " bytes " << bytes << " bw " << bw;
+            }
+          }
+        }
+      }
+      EXPECT_EQ(net.allreduce_seconds(1 << 20, 1), 0.0);
+      EXPECT_EQ(net.allreduce_seconds(0, 4), 0.0);
+    }
+  }
 }
 
 TEST(CollectiveTest, PropertyDirectAndRingSchedulesKeepRingOrderBitForBit) {

@@ -88,8 +88,9 @@ TEST(FuzzTest, RandomPlansNeverDeadlockInSimulator) {
     sim::SimConfig cfg;
     cfg.input = input;
     cfg.plan = plan;
-    cfg.schedule = rng.bernoulli(0.5) ? pipeline::ScheduleKind::k1F1B
-                                      : pipeline::ScheduleKind::kGPipe;
+    cfg.input.schedule = rng.bernoulli(0.5)
+                             ? pipeline::ScheduleKind::k1F1B
+                             : pipeline::ScheduleKind::kGPipe;
     sim::SimResult r = sim::simulate_minibatch(cfg);  // must not throw
     ASSERT_FALSE(r.oom);
     ASSERT_GT(r.minibatch_seconds, 0.0) << plan.to_string();

@@ -95,9 +95,16 @@ TEST(PlanTest, UnusedRankReportsMinusOne) {
 // Schedules
 // ---------------------------------------------------------------------------
 
+// The warmup stage `stage` of a uniform `stages`-stage pipeline runs.
+std::int64_t pipeline_warmup(std::int64_t stage, std::int64_t stages) {
+  return stage_warmup(
+      ParallelPlan::pure_pipeline(stages, static_cast<int>(stages), 1),
+      stage);
+}
+
 TEST(ScheduleTest, OneFOneBKnownSequence) {
   // 2 stages, 4 micros, stage 0: F0 F1 B0 F2 B1 F3 B2 B3.
-  auto ops = make_schedule(ScheduleKind::k1F1B, 4, 0, 2);
+  auto ops = make_schedule(ScheduleKind::k1F1B, 4, pipeline_warmup(0, 2));
   ASSERT_EQ(ops.size(), 8U);
   using K = PipeOp::Kind;
   const std::vector<std::pair<K, std::int64_t>> expect{
@@ -117,7 +124,7 @@ TEST_P(ScheduleSweep, BothSchedulesAreCompleteAndOrdered) {
   const auto [micros, stage, stages] = GetParam();
   if (stage >= stages) GTEST_SKIP();
   for (ScheduleKind kind : {ScheduleKind::k1F1B, ScheduleKind::kGPipe}) {
-    auto ops = make_schedule(kind, micros, stage, stages);
+    auto ops = make_schedule(kind, micros, pipeline_warmup(stage, stages));
     EXPECT_EQ(ops.size(), static_cast<std::size_t>(2 * micros));
     // Every micro appears exactly once per kind; backward never precedes
     // its own forward; backwards are issued in forward order (FIFO).
@@ -143,8 +150,9 @@ TEST_P(ScheduleSweep, BothSchedulesAreCompleteAndOrdered) {
 TEST_P(ScheduleSweep, OneFOneBBoundsInFlightActivations) {
   const auto [micros, stage, stages] = GetParam();
   if (stage >= stages) GTEST_SKIP();
-  auto ops_1f1b = make_schedule(ScheduleKind::k1F1B, micros, stage, stages);
-  auto ops_gpipe = make_schedule(ScheduleKind::kGPipe, micros, stage, stages);
+  const std::int64_t warmup = pipeline_warmup(stage, stages);
+  auto ops_1f1b = make_schedule(ScheduleKind::k1F1B, micros, warmup);
+  auto ops_gpipe = make_schedule(ScheduleKind::kGPipe, micros, warmup);
   const std::int64_t bound =
       std::min<std::int64_t>(micros, stages - stage);
   EXPECT_LE(max_in_flight(ops_1f1b), bound);

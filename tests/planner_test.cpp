@@ -4,6 +4,7 @@
 
 #include "common/timer.hpp"
 #include "pipeline/plan.hpp"
+#include "pipeline/schedule.hpp"
 #include "planner/planner.hpp"
 #include "planner/profiler.hpp"
 
@@ -65,6 +66,48 @@ TEST(EvaluatePlanTest, StageWeightBytesReported) {
   PlanEstimate est = evaluate_plan(input, plan);
   ASSERT_EQ(est.stage_weight_bytes.size(), 3U);
   EXPECT_EQ(est.stage_weight_bytes[0], 2U << 20);
+}
+
+// Stage 0 = blocks [0, 3) on devices {0, 1} weighted 3:1, stage 1 =
+// blocks [3, 6) on {2, 3}; 8 micros, 1000 activation bytes per block.
+pipeline::ParallelPlan weighted_two_by_two() {
+  pipeline::ParallelPlan plan;
+  plan.stages = {pipeline::StageAssignment{0, 3, {0, 1}, {3.0, 1.0}},
+                 pipeline::StageAssignment{3, 6, {2, 3}, {}}};
+  plan.num_micro_batches = 8;
+  return plan;
+}
+
+TEST(EvaluatePlanTest, WeightedPlanChargesEachDevicesExecutedInFlightPeak) {
+  auto input = uniform_input(6, 4, 0.01, 0.01, 0, 1000, 8,
+                             std::numeric_limits<std::uint64_t>::max());
+  const pipeline::ParallelPlan plan = weighted_two_by_two();
+  const PlanEstimate est = evaluate_plan(input, plan);
+  // Device 0 owns 6 of the 8 micros and, under the weighted warmup of 2,
+  // runs 3 of them in flight: 3 x 3 blocks x 1000 B.  Device 1 owns 2.
+  ASSERT_EQ(est.stage_memory_bytes.size(), 2U);
+  EXPECT_EQ(est.stage_memory_bytes[0], 9000U);
+  ASSERT_EQ(est.device_memory_bytes.size(), 4U);
+  EXPECT_EQ(est.device_memory_bytes[0], 9000U);
+  EXPECT_EQ(est.device_memory_bytes[1], 6000U);
+  for (int dev = 0; dev < 4; ++dev) {
+    const int stage = plan.stage_of_rank(dev);
+    const auto& st = plan.stages[static_cast<std::size_t>(stage)];
+    std::int64_t local = 0;
+    for (int o : pipeline::micro_owner_indices(st, 8)) {
+      local += o == plan.index_in_group(dev) ? 1 : 0;
+    }
+    const std::int64_t in_flight =
+        pipeline::max_in_flight(pipeline::make_schedule(
+            pipeline::ScheduleKind::k1F1B, local,
+            pipeline::stage_warmup(plan, stage)));
+    EXPECT_EQ(est.device_memory_bytes[static_cast<std::size_t>(dev)],
+              static_cast<std::uint64_t>(3000 * in_flight))
+        << "device " << dev;
+  }
+  // A budget between the two members' needs is an OOM.
+  input.device_budget_bytes = 8000;
+  EXPECT_FALSE(evaluate_plan(input, plan).feasible);
 }
 
 TEST(PlanHybridTest, AmpleMemoryPrefersDataParallel) {
@@ -249,8 +292,9 @@ double bf_stage_cost(const PlannerInput& input, std::int64_t block_begin,
   const std::int64_t local_micros =
       std::max<std::int64_t>(1, bf_ceil_div(input.num_micro_batches, m));
   const std::int64_t in_flight =
-      input.gpipe_memory ? local_micros
-                         : std::min(local_micros, stages_from_here);
+      input.schedule == pipeline::ScheduleKind::kGPipe
+          ? local_micros
+          : std::min(local_micros, stages_from_here);
   const std::uint64_t mem =
       param_bytes + trainable_bytes +
       static_cast<std::uint64_t>(input.optimizer_state_factor *
@@ -338,7 +382,8 @@ PlannerInput random_input(std::mt19937& rng) {
   const std::int64_t n = blocks_dist(rng);
   input.num_devices = devices_dist(rng);
   input.num_micro_batches = micros_dist(rng);
-  input.gpipe_memory = coin(rng) == 0;
+  input.schedule = coin(rng) == 0 ? pipeline::ScheduleKind::kGPipe
+                                  : pipeline::ScheduleKind::k1F1B;
   for (std::int64_t i = 0; i < n; ++i) {
     BlockProfile p;
     p.name = "b" + std::to_string(i);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "planner/planner.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/scenarios.hpp"
 
@@ -73,9 +74,9 @@ TEST(EventSimTest, OneFOneBNeverSlowerThanGPipe) {
     SimConfig cfg;
     cfg.input = uniform_input(6, 3, 0.3, 0.6, micros);
     cfg.plan = pipeline::ParallelPlan::pure_pipeline(6, 3, micros);
-    cfg.schedule = pipeline::ScheduleKind::k1F1B;
+    cfg.input.schedule = pipeline::ScheduleKind::k1F1B;
     const double t_1f1b = simulate_minibatch(cfg).minibatch_seconds;
-    cfg.schedule = pipeline::ScheduleKind::kGPipe;
+    cfg.input.schedule = pipeline::ScheduleKind::kGPipe;
     const double t_gpipe = simulate_minibatch(cfg).minibatch_seconds;
     EXPECT_LE(t_1f1b, t_gpipe + 1e-9);
   }
@@ -120,6 +121,28 @@ TEST(EventSimTest, OomReportedPerStage) {
   EXPECT_TRUE(r.oom);
   EXPECT_GE(r.oom_device, 0);
   EXPECT_FALSE(r.oom_reason.empty());
+}
+
+TEST(EventSimTest, WeightedPlanPeakMatchesPlannerPerDevice) {
+  // Stage 0 = blocks [0, 3) on devices {0, 1} weighted 3:1: device 0 owns
+  // 6 of the 8 micros and holds 3 in flight under the weighted warmup.
+  SimConfig cfg;
+  cfg.input = uniform_input(6, 4, 0.1, 0.1, 8);
+  for (auto& blk : cfg.input.blocks) blk.activation_bytes = 1000;
+  cfg.plan.stages = {pipeline::StageAssignment{0, 3, {0, 1}, {3.0, 1.0}},
+                     pipeline::StageAssignment{3, 6, {2, 3}, {}}};
+  cfg.plan.num_micro_batches = 8;
+  const SimResult r = simulate_minibatch(cfg);
+  ASSERT_FALSE(r.oom);
+  const std::vector<std::uint64_t> want{9000, 6000, 3000, 3000};
+  EXPECT_EQ(r.peak_memory_per_device, want);
+  EXPECT_EQ(r.peak_memory_per_device,
+            planner::evaluate_plan(cfg.input, cfg.plan).device_memory_bytes);
+  // The fast device alone overflows a budget between the two needs.
+  cfg.input.device_budget_bytes = 8000;
+  const SimResult oom = simulate_minibatch(cfg);
+  EXPECT_TRUE(oom.oom);
+  EXPECT_EQ(oom.oom_device, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,24 +1,25 @@
 // Multi-process rank launcher: runs a core::Session with every rank in its
-// own OS process, wired through a real transport backend (POSIX shm rings
-// or TCP loopback) instead of the in-process mailbox.
+// own OS process, wired through TCP loopback instead of the in-process
+// mailbox.
 //
 // Launcher mode (default) forks one child per rank *before any threads
 // exist*, then supervises: it can SIGKILL a chosen rank mid-run (the
-// proc-chaos harness) and, for shm, mark the corpse dead in every arena
-// generation so survivors observe the death promptly instead of waiting
-// out their recv timeouts.  Each surviving child writes a small key/value
-// report (epoch losses, eval metric, deaths absorbed) that the test suite
-// compares against an in-process oracle run.
+// proc-chaos harness).  Nobody tells the survivors: their TCP endpoints
+// detect the death themselves (a dial to the corpse's address is refused,
+// see dist/tcp_transport.hpp).  Each surviving child writes a small
+// key/value report (epoch losses, eval metric, deaths absorbed) that the
+// test suite compares against an in-process oracle run.
 //
-//   multiproc_ranks --transport shm|tcp --world N --workdir DIR
-//                   [--epochs E] [--kill-rank R --kill-phase 1|2] [--auth]
+//   multiproc_ranks --world N --workdir DIR [--epochs E]
+//                   [--kill-rank R --kill-phase 1|2] [--link-delay-ms D]
+//                   [--auth] [--verbose]
 //
-// TCP wiring goes through the rendezvous service: the launcher binds the
+// Wiring goes through the rendezvous service: the launcher binds the
 // server socket before forking, runs the serve loop in a dedicated child
 // process, and every rank announces/resolves through it — the same flow a
-// true multi-machine launch uses (point --transport tcp ranks at a shared
-// rendezvous host instead of the forked one).  --auth additionally fetches
-// the run's shared frame-auth key so every frame is MAC-verified.
+// true multi-machine launch uses (point the ranks at a shared rendezvous
+// host instead of the forked one).  --auth additionally fetches the run's
+// shared frame-auth key so every frame is MAC-verified.
 //
 // Internal: --child-rank R re-enters the same binary as rank R's process.
 #include <signal.h>
@@ -33,7 +34,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,7 +42,6 @@
 #include "common/logging.hpp"
 #include "core/session.hpp"
 #include "dist/rendezvous.hpp"
-#include "dist/shm_transport.hpp"
 #include "dist/tcp_transport.hpp"
 #include "dist/transport_factories.hpp"
 
@@ -52,17 +51,16 @@ namespace fs = std::filesystem;
 using namespace std::chrono_literals;
 
 struct Options {
-  std::string transport = "shm";  // shm | tcp
   int world = 4;
   std::string workdir;
   int epochs = 3;
   int kill_rank = -1;
   int kill_phase = 1;
   double link_delay_ms = 0.0;  // >0: emulate link latency in realtime
-  bool auth = false;           // tcp: MAC-verify every frame
+  bool auth = false;           // MAC-verify every frame
   bool verbose = false;
   int child_rank = -1;  // >= 0: this process is a rank, not the launcher
-  std::string base;     // arena / rendezvous namespace (set by launcher)
+  std::string base;     // rendezvous namespace (set by launcher)
   std::uint16_t rdv_port = 0;  // rendezvous server port (set by launcher)
 };
 
@@ -77,9 +75,7 @@ Options parse(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (a == "--transport") {
-      o.transport = next();
-    } else if (a == "--world") {
+    if (a == "--world") {
       o.world = std::stoi(next());
     } else if (a == "--workdir") {
       o.workdir = next();
@@ -104,14 +100,6 @@ Options parse(int argc, char** argv) {
   }
   if (o.workdir.empty()) {
     std::cerr << "--workdir is required\n";
-    std::exit(2);
-  }
-  if (o.transport != "shm" && o.transport != "tcp") {
-    std::cerr << "--transport must be shm or tcp\n";
-    std::exit(2);
-  }
-  if (o.kill_rank >= 0 && o.transport != "shm") {
-    std::cerr << "--kill-rank needs the shm backend (shared death record)\n";
     std::exit(2);
   }
   return o;
@@ -181,33 +169,19 @@ int child_main(const Options& o) {
   // One transport generation per cluster.run() call.  Control flow is
   // deterministic across processes (same session decisions everywhere), so
   // every process counts the same generations and rendezvouses on the same
-  // arena names / rendezvous run ids.
-  auto generation = std::make_shared<int>(0);
-  const std::string base = o.base;
-  if (o.transport == "shm") {
-    cluster.set_transport_factory(
-        [generation, base](int world, int rank, const pac::dist::LinkModel& lm,
-                           const pac::dist::FaultPlan& fp) {
-          const int gen = (*generation)++;
-          return std::make_unique<pac::dist::ShmTransport>(
-              base + "_g" + std::to_string(gen), world, rank, lm, fp);
-        });
-  } else {
-    // Announce + resolve through the launcher's rendezvous service; peer
-    // addresses are looked up lazily at first dial, so dead ranks are
-    // never waited on.  The factory appends "_g<generation>" itself.
-    pac::dist::TcpRendezvousOptions ropts;
-    ropts.server_host = "127.0.0.1";
-    ropts.server_port = o.rdv_port;
-    ropts.run_id = o.base;
-    ropts.fetch_auth_key = o.auth;
-    cluster.set_transport_factory(
-        pac::dist::make_tcp_rendezvous_factory(ropts));
-  }
+  // run ids: the factory announces and resolves under
+  // "<base>_g<generation>".  Peer addresses are looked up lazily at first
+  // dial, so dead ranks are never waited on.
+  pac::dist::TcpRendezvousOptions ropts;
+  ropts.server_host = "127.0.0.1";
+  ropts.server_port = o.rdv_port;
+  ropts.run_id = o.base;
+  ropts.fetch_auth_key = o.auth;
+  cluster.set_transport_factory(pac::dist::make_tcp_rendezvous_factory(ropts));
 
-  // Backup failure detector: if the supervisor's death marking (or TCP's
-  // EOF detection) is somehow missed, a blocked recv presumes its peer
-  // dead after these timeouts instead of hanging forever.
+  // Timed receives: each expired window probes the awaited peer (a refused
+  // dial proves it dead), and a peer that never answers is presumed dead
+  // after these windows instead of hanging the rank forever.
   pac::dist::CommPolicy policy;
   policy.recv_timeout_ms = 1500.0;
   policy.max_recv_retries = 3;
@@ -242,31 +216,27 @@ bool spill_log_has_record(const std::string& dir,
   return pac::cache::ActivationCache(probe).absorb_spilled_directory(dir) > 0;
 }
 
-int launcher_main(Options o, char** argv) {
+int launcher_main(Options o) {
   fs::create_directories(o.workdir);
   fs::create_directories(o.workdir + "/cache");
   // Children are forked (never exec'd), so the Options copy — including
   // this pid-derived namespace — rides into every rank's process.
-  o.base = "/pac_mp_" + std::to_string(static_cast<long>(getpid()));
+  o.base = "pac_mp_" + std::to_string(static_cast<long>(getpid()));
 
-  // TCP: bind the rendezvous socket BEFORE forking (no listen race), then
-  // serve it from a dedicated child process — the single-threaded poll
-  // loop is fork-safe by construction.
-  std::unique_ptr<pac::dist::RendezvousServer> rdv;
-  pid_t rdv_pid = -1;
-  if (o.transport == "tcp") {
-    rdv = std::make_unique<pac::dist::RendezvousServer>();
-    o.rdv_port = rdv->port();
-    rdv_pid = fork();
-    if (rdv_pid < 0) {
-      std::cerr << "fork (rendezvous) failed: " << std::strerror(errno)
-                << "\n";
-      return 1;
-    }
-    if (rdv_pid == 0) {
-      rdv->serve_forever();
-      _exit(0);
-    }
+  // Bind the rendezvous socket BEFORE forking (no listen race), then serve
+  // it from a dedicated child process — the single-threaded poll loop is
+  // fork-safe by construction.
+  pac::dist::RendezvousServer rdv;
+  o.rdv_port = rdv.port();
+  const pid_t rdv_pid = fork();
+  if (rdv_pid < 0) {
+    std::cerr << "fork (rendezvous) failed: " << std::strerror(errno)
+              << "\n";
+    return 1;
+  }
+  if (rdv_pid == 0) {
+    rdv.serve_forever();
+    _exit(0);
   }
 
   std::vector<pid_t> pids(static_cast<std::size_t>(o.world), -1);
@@ -288,31 +258,32 @@ int launcher_main(Options o, char** argv) {
     }
     pids[static_cast<std::size_t>(r)] = pid;
   }
-  (void)argv;
 
-  const std::string& base = o.base;
   if (o.kill_rank >= 0) {
     // Phase-sensitive kill trigger, observed from outside the children:
     //   phase 1 — the first complete record in the victim's cache spill
     //   log (its first spill happens strictly during phase-1 recording);
-    //   phase 2 — the third transport generation's arena appearing (run
-    //   order is phase1 = g0, redistribution = g1, phase2 = g2).
+    //   phase 2 — the victim announcing its endpoint of the third
+    //   transport generation (run order is phase1 = g0, redistribution =
+    //   g1, phase2 = g2), so its redistribution has fully finished.
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(120);
     const std::string victim_cache =
         o.workdir + "/cache/device_" + std::to_string(o.kill_rank);
-    const std::string phase2_arena = "/dev/shm" + base + "_g2";
+    pac::dist::RendezvousClient rdv_client("127.0.0.1", o.rdv_port);
     const pac::core::SessionConfig session_cfg = make_session_config(o);
     for (;;) {
-      const bool ready = o.kill_phase == 1
-                             ? spill_log_has_record(victim_cache, session_cfg)
-                             : fs::exists(phase2_arena);
+      const bool ready =
+          o.kill_phase == 1
+              ? spill_log_has_record(victim_cache, session_cfg)
+              : rdv_client.lookup(o.base + "_g2", o.kill_rank).has_value();
       if (ready) break;
       if (std::chrono::steady_clock::now() > deadline) {
         std::cerr << "kill trigger never fired\n";
         break;
       }
-      std::this_thread::sleep_for(1ms);
+      // Each lookup is one rendezvous connection: poll phase 2 gently.
+      std::this_thread::sleep_for(o.kill_phase == 1 ? 1ms : 5ms);
     }
     if (o.kill_phase == 2) {
       // Let phase 2 get past its starting barrier so the kill lands
@@ -321,14 +292,7 @@ int launcher_main(Options o, char** argv) {
     }
     const pid_t victim = pids[static_cast<std::size_t>(o.kill_rank)];
     kill(victim, SIGKILL);
-    int status = 0;
-    waitpid(victim, &status, 0);
-    // Mark the corpse dead in every arena generation that exists so every
-    // survivor observes the same root-cause death immediately.
-    for (int gen = 0; gen < 64; ++gen) {
-      pac::dist::ShmArena::mark_rank_dead(base + "_g" + std::to_string(gen),
-                                          o.kill_rank);
-    }
+    waitpid(victim, nullptr, 0);
   }
 
   int failures = 0;
@@ -342,13 +306,8 @@ int launcher_main(Options o, char** argv) {
       ++failures;
     }
   }
-  for (int gen = 0; gen < 64; ++gen) {
-    pac::dist::ShmArena::unlink(base + "_g" + std::to_string(gen));
-  }
-  if (rdv_pid > 0) {
-    kill(rdv_pid, SIGKILL);
-    waitpid(rdv_pid, nullptr, 0);
-  }
+  kill(rdv_pid, SIGKILL);
+  waitpid(rdv_pid, nullptr, 0);
   return failures == 0 ? 0 : 1;
 }
 
@@ -365,5 +324,5 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  return launcher_main(o, argv);
+  return launcher_main(o);
 }

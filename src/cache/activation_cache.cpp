@@ -546,7 +546,8 @@ void ActivationCache::release_locked(
 }
 
 std::int64_t ActivationCache::absorb_spilled_directory(
-    const std::string& directory) {
+    const std::string& directory,
+    const std::function<bool(std::int64_t)>& wanted) {
   const std::string path = directory + "/" + kSpillLogName;
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return 0;
@@ -583,7 +584,9 @@ std::int64_t ActivationCache::absorb_spilled_directory(
   std::lock_guard<std::mutex> lk(mutex_);
   std::int64_t absorbed = 0;
   for (auto& [id, loaded] : survivors) {
-    if (entries_.find(id) != entries_.end()) continue;
+    if (entries_.find(id) != entries_.end() || (wanted && !wanted(id))) {
+      continue;
+    }
     // A block spilled in another dtype is converted on the way in.
     for (std::size_t b = 0; b < loaded.blocks.size(); ++b) {
       put_locked(id, static_cast<std::int64_t>(b),

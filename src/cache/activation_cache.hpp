@@ -37,6 +37,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -112,12 +113,15 @@ class ActivationCache : public pipeline::ActivationRecorder,
   void drop_sample(std::int64_t sample_id);
   // Salvage: replays the spill log in `directory` (another shard's on-disk
   // cache — e.g. a dead device's flash store) and loads the samples it
-  // still holds into this shard, in ascending id order, skipping samples
-  // already held.  The last record for a sample wins and a tombstone
-  // removes it; replay stops at the first invalid record, so a writer
-  // killed mid-append loses only that sample.  Blocks spilled in another
-  // dtype are converted as put_block_q does.  Returns samples absorbed.
-  std::int64_t absorb_spilled_directory(const std::string& directory);
+  // still holds and `wanted` accepts (all when empty) into this shard, in
+  // ascending id order, skipping samples already held.  The last record
+  // for a sample wins and a tombstone removes it; replay stops at the
+  // first invalid record, so a writer killed mid-append loses only that
+  // sample.  Blocks spilled in another dtype are converted as put_block_q
+  // does.  Returns samples absorbed.
+  std::int64_t absorb_spilled_directory(
+      const std::string& directory,
+      const std::function<bool(std::int64_t)>& wanted = {});
 
   std::int64_t num_blocks() const { return config_.num_blocks; }
   std::uint64_t memory_bytes() const;  // resident RAM bytes

@@ -379,6 +379,7 @@ SessionReport Session::run_attempt() {
     // from the last committed epoch, after `new_target` re-sharded.
     auto rebuild_assignments = [&](
         const std::function<int(std::int64_t)>& new_target) {
+      target = new_target;
       for (auto& a : assignments) a.clear();
       for (std::int64_t s = 0; s < dataset_.train_size(); ++s) {
         assignments[static_cast<std::size_t>(new_target(s))].push_back(s);
@@ -388,6 +389,27 @@ SessionReport Session::run_attempt() {
           start_params[name] = value;
         }
       }
+    };
+
+    // In a multi-process run every process keeps its own log, and a death
+    // inside the epoch-end loss reduce (its root sends the sum to one
+    // member at a time) can leave some processes one commit ahead.  All
+    // resume from the fewest committed epochs; one ahead rolls back.
+    auto agree_on_resume_epoch = [&](const std::vector<int>& group) {
+      const int mine = recovery.epochs_completed();
+      int fewest = mine;
+      std::mutex fewest_mutex;
+      cluster_.run([&](dist::DeviceContext& ctx) {
+        Tensor committed = Tensor::zeros({ctx.world_size});
+        committed.at({ctx.rank}) = static_cast<float>(mine);
+        ctx.comm.allreduce_sum(committed, group,
+                               pipeline::tags::kResumeEpoch);
+        std::lock_guard<std::mutex> guard(fewest_mutex);
+        for (int r : group) {
+          fewest = std::min(fewest, static_cast<int>(committed.at({r})));
+        }
+      });
+      recovery.roll_back_to(fewest);
     };
 
     // Shrinks the DP group after `dead` died: salvage its shard (modelling
@@ -426,15 +448,21 @@ SessionReport Session::run_attempt() {
         // gone with it — but its flash store survives.  Exactly one process
         // (the one hosting the lowest surviving rank) re-reads the spill
         // files; redistribution then spreads the samples to their owners.
+        // Only the samples the last completed sharding gave the dead rank
+        // come back: a rank killed before it wrote the tombstones of the
+        // samples it shipped still lists them, and their owners hold them.
         const std::string dir =
             config_.cache_directory + "/device_" + std::to_string(dead);
         const std::int64_t salvaged =
             shards[static_cast<std::size_t>(now_alive.front())]
-                ->absorb_spilled_directory(dir);
+                ->absorb_spilled_directory(dir, [&](std::int64_t sample) {
+                  return target(sample) == dead;
+                });
         PAC_LOG_INFO << "salvaged " << salvaged
                      << " spilled samples from dead rank " << dead;
       }
       run_redistribution(now_alive, new_target);
+      if (!cluster_.all_ranks_local()) agree_on_resume_epoch(now_alive);
       rebuild_assignments(new_target);
     };
 
@@ -485,14 +513,14 @@ SessionReport Session::run_attempt() {
           // The shard salvage models the disk-persisted cache, exactly as
           // for a death — but this is an eviction, not a death, so the
           // rank-recovery budget is untouched.
-          PAC_LOG_WARN << "rank " << e.rank() << " straggling at scale "
-                       << scale << " < evict_ratio "
-                       << config_.elastic.evict_ratio
-                       << "; evicting from phase 2 and resuming from epoch "
-                       << recovery.epochs_completed();
           evicted_ranks_.push_back(e.rank());
           cluster_.mark_dead(e.rank());
           shrink_after_death(e.rank());
+          PAC_LOG_WARN << "rank " << e.rank() << " straggling at scale "
+                       << scale << " < evict_ratio "
+                       << config_.elastic.evict_ratio
+                       << "; evicted from phase 2, resuming from epoch "
+                       << recovery.epochs_completed();
         } else {
           PAC_LOG_WARN << "rank " << e.rank() << " straggling at scale "
                        << scale << "; re-sharding cache throughput-weighted"
@@ -502,18 +530,18 @@ SessionReport Session::run_attempt() {
         }
       } catch (const RankDeathError& e) {
         if (!absorb_death(e.rank())) throw;
+        shrink_after_death(e.rank());
         PAC_LOG_WARN << "device " << e.rank() << " died in phase 2; "
                      << "resuming from epoch "
                      << recovery.epochs_completed() << " on "
                      << cluster_.num_alive() << " survivors";
-        shrink_after_death(e.rank());
       } catch (const PeerDeadError& e) {
         if (!absorb_death(e.rank())) throw;
+        shrink_after_death(e.rank());
         PAC_LOG_WARN << "device " << e.rank() << " presumed dead in "
                      << "phase 2; resuming from epoch "
                      << recovery.epochs_completed() << " on "
                      << cluster_.num_alive() << " survivors";
-        shrink_after_death(e.rank());
       }
     }
     // The committed log covers every phase-2 epoch, including epochs that

@@ -1,4 +1,4 @@
-// Seeded, reproducible fault injection for the in-process transport.
+// Seeded, reproducible fault injection for every transport backend.
 //
 // A FaultPlan describes *what* can go wrong on the simulated edge LAN:
 // per-message delivery delays, deferred delivery (legal reordering — only
@@ -11,6 +11,11 @@
 // sequence number), and each rank's death trigger counts only that rank's
 // own transport operations — so the same plan produces the same faults
 // regardless of thread interleaving.  The chaos tests rely on this.
+//
+// An injected death is announced: the dying endpoint closes its rank and
+// tells its peers.  A real process death (SIGKILL) announces nothing; TCP
+// detects it by itself (see the refusal rule in tcp_transport.hpp), and
+// the forked-process chaos tests exercise that path.
 #pragma once
 
 #include <chrono>
@@ -66,8 +71,8 @@ struct FaultPlan {
 
   // Forced link cut: the TCP socket of directed link (from, to) is dropped
   // every N wire frames, exercising the reconnect/resync path.  Interpreted
-  // only by TcpTransport; the in-proc and shm backends ignore it, so cut
-  // runs can be compared bit-for-bit against the in-proc oracle.
+  // only by TcpTransport; the in-process oracle ignores it, so cut runs can
+  // be compared bit-for-bit against it.
   std::map<std::pair<int, int>, std::uint64_t> tcp_cut_every_frames;
 
   bool any_faults() const {

@@ -13,9 +13,6 @@ RemoteEndpointBase::RemoteEndpointBase(int world_size, int rank,
       box_(rank),
       drained_(static_cast<std::size_t>(world_size)) {
   check_rank(rank, "endpoint");
-  for (int i = 0; i < world_size; ++i) {
-    send_mutex_.push_back(std::make_unique<std::mutex>());
-  }
 }
 
 void RemoteEndpointBase::deliver(int to, Message msg) {
@@ -30,11 +27,7 @@ void RemoteEndpointBase::deliver(int to, Message msg) {
   const auto frame = msg.q.has_value()
                          ? wire::encode_data_q(msg.source, msg.tag, *msg.q)
                          : wire::encode_data(msg.source, msg.tag, msg.payload);
-  {
-    std::lock_guard<std::mutex> guard(
-        *send_mutex_[static_cast<std::size_t>(to)]);
-    wire_send(to, frame);
-  }
+  wire_send(to, frame);
   faults_.message_delivered(msg.source, to, msg.tag);
 }
 
@@ -65,24 +58,9 @@ void RemoteEndpointBase::handle_frame(wire::Frame frame) {
       box_.deposit(std::move(msg), faults_);
       break;
     }
-    case wire::FrameType::kRankDead:
-      mark_dead_local(frame.src);
-      break;
     case wire::FrameType::kClose:
-      mark_closed_local();
+      if (!closed_.exchange(true)) box_.wake();
       break;
-    case wire::FrameType::kRootDead:
-      // Backends that gossip root-death in-band (TCP) intercept this before
-      // handle_frame; any other route still lands on the shared recorder so
-      // a valid frame is never silently dropped.
-      report_root_death(frame.src);
-      break;
-    case wire::FrameType::kHello:
-      throw TransportError("unexpected HELLO frame past the handshake");
-    case wire::FrameType::kResync:
-      // Resync/ack frames are connection-scoped (TCP intercepts them in its
-      // rx loop); one reaching the shared dispatcher is a protocol bug.
-      throw TransportError("unexpected RESYNC frame past the handshake");
     default:
       throw TransportError("unhandled frame type " +
                            std::to_string(static_cast<int>(frame.type)));
@@ -98,15 +76,6 @@ void RemoteEndpointBase::mark_dead_local(int rank) {
 void RemoteEndpointBase::set_drained(int rank) {
   check_rank(rank, "set_drained");
   if (drained_[static_cast<std::size_t>(rank)].exchange(true)) return;
-  box_.wake();
-}
-
-bool RemoteEndpointBase::drained(int rank) const {
-  return drained_[static_cast<std::size_t>(rank)].load();
-}
-
-void RemoteEndpointBase::mark_closed_local() {
-  if (closed_.exchange(true)) return;
   box_.wake();
 }
 

@@ -1,5 +1,5 @@
-// Shared machinery for transport backends whose ranks live in different
-// processes (shm rings, TCP sockets).
+// What a wire adds to the Transport contract when ranks live in different
+// processes; TcpTransport is the backend built on it.
 //
 // A RemoteEndpointBase is the Transport of exactly ONE rank.  Send
 // admission, the closed/dead flags and the Mailbox (deposit with reorder
@@ -17,7 +17,7 @@
 // "no more messages from rank r" the instant r is marked dead; a wire
 // cannot — bytes may still be in flight.  So a blocked receiver is woken
 // with PeerDeadError only once the backend also declares the link
-// *drained* (ring empty / socket quiesced after the death was observed).
+// *drained* (its sockets quiesced after the death was observed).
 // Messages that made it onto the wire before the death stay receivable,
 // matching the oracle's drain guarantee.
 #pragma once
@@ -25,8 +25,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -40,34 +38,28 @@ class RemoteEndpointBase : public Transport {
   RemoteEndpointBase(int world_size, int rank, LinkModel link,
                      FaultPlan faults);
 
-  int rank() const { return rank_; }
-
   std::optional<Message> recv_message(
       int to, int from, int tag,
       const std::optional<std::chrono::milliseconds>& timeout) override;
 
  protected:
   // --- implemented by the backend ---------------------------------------
-  // Ships an encoded frame to `to`'s process.  Serialized per destination
-  // by the caller.  Throws TransportError on wire failure.
+  // Ships an encoded frame to `to`'s process, serializing writes per
+  // destination (the main thread and the async sender may write the same
+  // link concurrently).  Throws on wire failure.  The backend also
+  // overrides on_close_rank / on_close to tell the other processes (best
+  // effort) and arranges for a dead rank's link to drain.
   virtual void wire_send(int to, const std::vector<std::uint8_t>& frame) = 0;
-  // Propagates a rank death to other processes (best effort) and arranges
-  // for drained(rank) to become true once the inbound link quiesces.
-  void on_close_rank(int rank) override = 0;
-  // Propagates whole-world close (best effort) and stops pumps.
-  void on_close() override = 0;
 
   // --- called by backend pump threads ------------------------------------
-  // Handles a decoded inbound frame (DATA deposit, RANK_DEAD, CLOSE).
-  // HELLO frames are backend-specific and must be intercepted before this.
+  // Handles a decoded DATA or CLOSE frame; the backend intercepts every
+  // other frame type before this, so anything else throws.
   void handle_frame(wire::Frame frame);
   // Marks `rank` dead without re-propagating (remote origin).
   void mark_dead_local(int rank);
   // Declares the inbound link from `rank` quiesced; blocked receivers on a
   // dead `rank` now wake with PeerDeadError.
   void set_drained(int rank);
-  bool drained(int rank) const;
-  void mark_closed_local();
 
   const int rank_;
 
@@ -79,9 +71,6 @@ class RemoteEndpointBase : public Transport {
 
   Mailbox box_;
   std::vector<std::atomic<bool>> drained_;
-  // Serializes wire_send per destination: the main thread and the async
-  // sender may write the same link concurrently.
-  std::vector<std::unique_ptr<std::mutex>> send_mutex_;
 };
 
 }  // namespace pac::dist

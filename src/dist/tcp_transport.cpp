@@ -4,7 +4,9 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <linux/sockios.h>
 #include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -62,6 +64,49 @@ bool send_all_poll(int fd, const std::uint8_t* data, std::size_t len,
 void set_nodelay(int fd) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+// Closes an outbound link without losing its tail: a close with unread
+// acks in the receive buffer resets the connection and drops the frames
+// still queued for sending.  So FIN after them, discard acks until the
+// peer's kernel holds every byte (or `timeout_ms` passes), then close.
+void close_gracefully(int fd, int timeout_ms) {
+  ::shutdown(fd, SHUT_WR);
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  std::uint8_t sink[4096];
+  int unsent = 0;
+  while (::ioctl(fd, SIOCOUTQ, &unsent) == 0 && unsent > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 1) > 0 &&
+        ::recv(fd, sink, sizeof(sink), MSG_DONTWAIT) == 0) {
+      break;  // the peer closed: nothing more can be delivered
+    }
+  }
+  ::close(fd);
+}
+
+// One connect to `peer`: the socket, or -1 with `*refused` set when the
+// host answered that nothing listens on the port.
+int connect_once(const TcpPeer& peer, bool* refused) {
+  *refused = false;
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(peer.port);
+  if (::inet_pton(AF_INET, peer.host.c_str(), &addr.sin_addr) != 1) {
+    ::close(fd);
+    return -1;
+  }
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
+    set_nodelay(fd);
+    return fd;
+  }
+  *refused = errno == ECONNREFUSED;
+  ::close(fd);
+  return -1;
 }
 
 }  // namespace
@@ -129,7 +174,7 @@ TcpTransport::~TcpTransport() {
     std::lock_guard<std::mutex> guard(*io_mutex_[static_cast<std::size_t>(p)]);
     OutLink& l = *out_[static_cast<std::size_t>(p)];
     if (l.fd >= 0) {
-      ::close(l.fd);
+      close_gracefully(l.fd, tuning_.connect_timeout_ms);
       l.fd = -1;
     }
   }
@@ -183,15 +228,14 @@ void TcpTransport::accept_main() {
 }
 
 void TcpTransport::observe_peer_gone(int peer) {
-  // The link is gone for good (legacy EOF, or a reconnect budget spent):
+  // The link is gone for good (a refusal, legacy EOF, or a spent budget):
   // whoever nobody declared dead yet becomes the root-cause record.
   if (peer < 0 || peer >= world_size()) return;
   if (!rank_dead(peer) && !closed() && !stop_.load()) {
     report_root_death(peer);
   }
   degraded_[static_cast<std::size_t>(peer)]->store(false);
-  mark_dead_local(peer);
-  set_drained(peer);
+  note_dead_rank(peer);
 }
 
 void TcpTransport::observe_link_eof(Connection* conn) {
@@ -207,12 +251,17 @@ void TcpTransport::observe_link_eof(Connection* conn) {
     // Losing a stale (already superseded) connection is not news.
     if (rx_[static_cast<std::size_t>(peer)].live != conn) return;
   }
-  if (!rank_dead(peer) && !closed() && !stop_.load()) {
-    // Link loss under a reconnect budget: freeze judgement until the
-    // sender either resyncs (adoption clears the flag) or collapses the
-    // link (death clears it).
-    degraded_[static_cast<std::size_t>(peer)]->store(true);
+  if (rank_dead(peer) || closed() || stop_.load()) return;
+  if (peer_refuses(peer)) {
+    // Nothing listens at the peer's address: its process is gone, not
+    // just this connection.
+    observe_peer_gone(peer);
+    return;
   }
+  // Link loss under a reconnect budget: freeze judgement until the sender
+  // either resyncs (adoption clears the flag) or collapses the link (death
+  // clears it).
+  degraded_[static_cast<std::size_t>(peer)]->store(true);
 }
 
 // ---------------------------------------------------------------------------
@@ -408,41 +457,32 @@ void TcpTransport::maybe_set_drained(int rank) {
 // ---------------------------------------------------------------------------
 // Send path
 
-int TcpTransport::dial(int to, int deadline_ms) {
+std::optional<TcpPeer> TcpTransport::peer_address(int to) {
+  PeerResolver resolver;
+  {
+    std::lock_guard<std::mutex> guard(peers_mutex_);
+    const TcpPeer& known = peers_[static_cast<std::size_t>(to)];
+    if (known.port != 0) return known;
+    resolver = resolver_;
+  }
+  if (!resolver) return std::nullopt;
+  auto found = resolver(to);
+  if (!found.has_value() || found->port == 0) return std::nullopt;
+  set_peer(to, *found);
+  return found;
+}
+
+int TcpTransport::dial(int to, int deadline_ms, bool* refused) {
+  *refused = false;
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(deadline_ms);
   while (true) {
-    TcpPeer peer;
-    PeerResolver resolver;
-    {
+    if (const auto peer = peer_address(to)) {
+      const int fd = connect_once(*peer, refused);
+      if (fd >= 0 || *refused) return fd;
+    } else {
       std::lock_guard<std::mutex> guard(peers_mutex_);
-      peer = peers_[static_cast<std::size_t>(to)];
-      resolver = resolver_;
-    }
-    if (peer.port == 0) {
-      if (!resolver) return -1;  // nothing will ever resolve this rank
-      if (auto found = resolver(to);
-          found.has_value() && found->port != 0) {
-        set_peer(to, *found);
-        peer = *found;
-      }
-    }
-    if (peer.port != 0) {
-      const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      if (fd < 0) return -1;
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_port = htons(peer.port);
-      if (::inet_pton(AF_INET, peer.host.c_str(), &addr.sin_addr) != 1) {
-        ::close(fd);
-        return -1;
-      }
-      if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
-          0) {
-        set_nodelay(fd);
-        return fd;
-      }
-      ::close(fd);
+      if (!resolver_) return -1;  // nothing will ever resolve this rank
     }
     if (std::chrono::steady_clock::now() >= deadline || stop_.load() ||
         closed() || rank_dead(to)) {
@@ -452,8 +492,34 @@ int TcpTransport::dial(int to, int deadline_ms) {
   }
 }
 
-void TcpTransport::establish_fresh_locked(OutLink& l, int to) {
-  const int fd = dial(to, tuning_.connect_timeout_ms);
+bool TcpTransport::peer_refuses(int to) {
+  const auto peer = peer_address(to);
+  if (!peer.has_value()) return false;  // never announced: no evidence
+  bool refused = false;
+  const int fd = connect_once(*peer, &refused);
+  if (fd >= 0) ::close(fd);
+  return refused;
+}
+
+std::optional<Message> TcpTransport::recv_message(
+    int to, int from, int tag,
+    const std::optional<std::chrono::milliseconds>& timeout) {
+  auto msg = RemoteEndpointBase::recv_message(to, from, tag, timeout);
+  if (msg.has_value() || from == rank_ || rank_dead(from) ||
+      !peer_refuses(from)) {
+    return msg;
+  }
+  observe_peer_gone(from);
+  // Dead now: what it delivered before dying is still returned; once the
+  // link has drained this throws PeerDeadError.
+  return RemoteEndpointBase::recv_message(to, from, tag,
+                                          std::chrono::milliseconds(0));
+}
+
+bool TcpTransport::establish_fresh_locked(OutLink& l, int to) {
+  bool refused = false;
+  const int fd = dial(to, tuning_.connect_timeout_ms, &refused);
+  if (refused) return false;
   if (fd < 0) {
     throw TransportError("tcp: no route to rank " + std::to_string(to));
   }
@@ -468,6 +534,7 @@ void TcpTransport::establish_fresh_locked(OutLink& l, int to) {
   l.fd = fd;
   l.ever_connected = true;
   l.acks = make_decoder();
+  return true;
 }
 
 std::optional<std::uint64_t> TcpTransport::await_resync_reply(
@@ -524,7 +591,9 @@ bool TcpTransport::reconnect_locked(OutLink& l, int to) {
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(sleep_ms));
     }
-    const int fd = dial(to, tuning_.reconnect_timeout_ms);
+    bool refused = false;
+    const int fd = dial(to, tuning_.reconnect_timeout_ms, &refused);
+    if (refused) break;  // the peer's process is gone: no budget helps
     if (fd < 0) continue;
     // A fresh epoch per ATTEMPT: if the receiver adopted an earlier try
     // but the reply got lost, retrying under the same epoch would be
@@ -656,7 +725,8 @@ bool TcpTransport::send_logical_locked(OutLink& l, int to,
                                        bool allow_reconnect) {
   if (l.fd < 0) {
     if (!l.ever_connected) {
-      establish_fresh_locked(l, to);  // throws when no route exists
+      // Throws when no route exists; false when the peer refuses.
+      if (!establish_fresh_locked(l, to)) return false;
     } else if (!allow_reconnect || !reconnect_locked(l, to)) {
       return false;
     }
@@ -686,13 +756,19 @@ bool TcpTransport::send_logical_locked(OutLink& l, int to,
 }
 
 void TcpTransport::wire_send(int to, const std::vector<std::uint8_t>& frame) {
-  std::lock_guard<std::mutex> guard(*io_mutex_[static_cast<std::size_t>(to)]);
-  OutLink& l = *out_[static_cast<std::size_t>(to)];
   std::vector<std::uint8_t> bytes = frame;
   if (tuning_.auth_key.has_value()) {
     wire::authenticate(bytes, *tuning_.auth_key);
   }
-  if (!send_logical_locked(l, to, std::move(bytes), reconnect_enabled())) {
+  bool sent = false;
+  {
+    std::lock_guard<std::mutex> guard(
+        *io_mutex_[static_cast<std::size_t>(to)]);
+    sent = send_logical_locked(*out_[static_cast<std::size_t>(to)], to,
+                               std::move(bytes), reconnect_enabled());
+  }
+  if (!sent) {
+    // Outside the io mutex: the root-death gossip locks the other links.
     observe_peer_gone(to);
     throw PeerDeadError(to, "send to dead rank " + std::to_string(to) +
                                 " (connection lost)");
@@ -703,9 +779,8 @@ void TcpTransport::report_root_death(int rank) {
   check_rank(rank, "report_root_death");
   int expected = -1;
   if (root_dead_.compare_exchange_strong(expected, rank)) {
-    // We hold the first report: share it.  The dead rank itself is skipped
-    // both because it has nothing to learn and because the caller may be a
-    // failed wire_send still holding that link's io mutex.
+    // We hold the first report: share it (the dead rank has nothing to
+    // learn).
     send_control_everywhere(
         wire::encode_control(wire::FrameType::kRootDead, rank), rank);
   }

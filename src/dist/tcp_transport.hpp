@@ -19,9 +19,18 @@
 // duplicated and per-(source, tag) FIFO survives the reconnect.  Stale
 // connections (an older epoch still draining) stop delivering the moment a
 // newer epoch is adopted.  Only after the budget is exhausted — or a
-// RANK_DEAD / ROOT_DEAD control frame arrives — does the link collapse into
-// the ordinary PeerDeadError / recovery path.  Budget 0 restores the legacy
-// behavior where the wire itself is the failure detector (EOF = death).
+// RANK_DEAD control frame arrives, or the peer refuses a dial — does the
+// link collapse into the ordinary PeerDeadError / recovery path.  Budget 0
+// restores the legacy behavior where the wire itself is the failure
+// detector (EOF = death).
+//
+// Refusal rule (the killed-rank detector, DESIGN.md §5h): an endpoint
+// listens from construction to destruction and peer addresses come only
+// from built endpoints, so ECONNREFUSED from a known address means the
+// peer's process is gone.  It is checked on a link's first dial, on each
+// reconnect attempt, by a probe when an inbound link hits EOF, and by a
+// probe after each timed-out receive window.  A refusal marks the peer
+// dead at once; the drained flag still waits for the rx quiesce rule.
 //
 // Frame authentication: with an AuthKey configured every outbound frame is
 // MAC-tagged (SipHash-2-4 over header+body, see wire.hpp) and every inbound
@@ -35,6 +44,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -93,21 +103,29 @@ class TcpTransport final : public RemoteEndpointBase {
 
   // The port this endpoint actually listens on.
   std::uint16_t port() const { return port_; }
+  // The address must be that of an endpoint that is already built (and so
+  // listening): a refused dial to it reads as the peer's death.
   void set_peer(int rank, TcpPeer peer);
   // Lazy address resolution: consulted (with retry, under the dial
-  // deadline) whenever a link must be established and no address is known.
-  // The rendezvous factory installs a client lookup here.
+  // deadline) whenever a link must be established and no address is known,
+  // and once per liveness probe.  It must return only addresses of built
+  // endpoints; the rendezvous factory installs a client lookup here.
   using PeerResolver = std::function<std::optional<TcpPeer>(int rank)>;
   void set_peer_resolver(PeerResolver resolver);
-
-  const TcpTuning& tuning() const { return tuning_; }
 
   // True while the link to `rank` is lost but within its reconnect budget.
   bool link_degraded(int rank) const override;
 
+  // A timed receive whose window expires probes `from` once: a refused
+  // dial marks it dead, and the receive then throws PeerDeadError as soon
+  // as the link has drained.
+  std::optional<Message> recv_message(
+      int to, int from, int tag,
+      const std::optional<std::chrono::milliseconds>& timeout) override;
+
   // First report wins locally, then gossips a ROOT_DEAD control frame so
-  // every endpoint converges on the same root-cause record (the shm
-  // backend shares it through the arena header; TCP has no shared memory).
+  // every endpoint converges on the same root-cause record (the endpoints
+  // share no memory).
   void report_root_death(int rank) override;
 
  protected:
@@ -161,13 +179,20 @@ class TcpTransport final : public RemoteEndpointBase {
   // (best effort; the socket is non-blocking).
   void send_ack(Connection* conn, std::uint64_t delivered);
 
+  // The known address of `to`, else one resolver lookup (stored when it
+  // answers).
+  std::optional<TcpPeer> peer_address(int to);
   // Raw dial (no HELLO): resolves the peer address (via resolver when
-  // unknown) and connects within `deadline_ms`.  -1 on failure.
-  int dial(int to, int deadline_ms);
-  // First connection on a link: dial + HELLO.  Throws TransportError when
-  // no route exists (legacy contract).
-  void establish_fresh_locked(OutLink& l, int to);
-  // Reconnect + resync + replay.  False once the budget is exhausted.
+  // unknown) and connects within `deadline_ms`.  -1 on failure, with
+  // `*refused` set when the known address refused (the peer is gone).
+  int dial(int to, int deadline_ms, bool* refused);
+  // One probe dial: true when `to`'s known address refuses.
+  bool peer_refuses(int to);
+  // First connection on a link: dial + HELLO.  False when the peer refuses
+  // (it is gone); throws TransportError when no route exists.
+  bool establish_fresh_locked(OutLink& l, int to);
+  // Reconnect + resync + replay.  False once the budget is exhausted or
+  // the peer refuses.
   bool reconnect_locked(OutLink& l, int to);
   std::optional<std::uint64_t> await_resync_reply(int fd, int to,
                                                   std::uint32_t epoch);
@@ -179,9 +204,8 @@ class TcpTransport final : public RemoteEndpointBase {
   bool send_logical_locked(OutLink& l, int to, std::vector<std::uint8_t> bytes,
                            bool allow_reconnect);
 
-  // Best-effort control broadcast.  `skip_rank` is excluded — callers that
-  // already hold that link's io mutex (a failed wire_send reporting the
-  // peer dead) must not re-lock it.
+  // Best-effort control broadcast to every peer but `skip_rank`.  Callers
+  // hold no io mutex: the broadcast locks each link's in turn.
   void send_control_everywhere(const std::vector<std::uint8_t>& frame,
                                int skip_rank = -1);
   // Marks `rank` dead; sets drained immediately when no inbound link from
@@ -189,11 +213,12 @@ class TcpTransport final : public RemoteEndpointBase {
   void note_dead_rank(int rank);
   // Sets drained(rank) once no live rx thread for it remains.
   void maybe_set_drained(int rank);
-  // Collapse: an unexpected hangup (or exhausted budget) marks the peer
-  // dead.
+  // Collapse: a refusal, an unexpected hangup under budget 0, or an
+  // exhausted budget marks the peer dead and records it as the root cause
+  // when nobody has been declared dead yet.
   void observe_peer_gone(int peer);
-  // EOF on an inbound connection: degraded under a reconnect budget,
-  // legacy death otherwise.
+  // EOF on an inbound connection: death when the peer refuses a probe
+  // dial (or under budget 0), a degraded link otherwise.
   void observe_link_eof(Connection* conn);
 
   TcpTuning tuning_;

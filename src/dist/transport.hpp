@@ -8,7 +8,7 @@
 // model; `close()` wakes every blocked receiver with ChannelClosedError so
 // one failing device cannot deadlock the cluster.
 //
-// Shared by all three backends, so the oracle and the backends it checks
+// Shared by both backends, so the oracle and the backend it checks
 // cannot drift apart: the Mailbox (per-(source, tag) queues, reorder
 // parking, blocking and timed receive with drain semantics) and, in the
 // Transport base, send admission, the closed and per-rank dead flags, and
@@ -32,10 +32,8 @@
 // Backends:
 //   * InProcTransport (this header) — shared-memory-in-one-process mailboxes;
 //     the deterministic oracle every other backend must match.
-//   * ShmTransport (shm_transport.hpp) — POSIX shared-memory rings between
-//     processes on one host.
 //   * TcpTransport (tcp_transport.hpp) — length-prefixed frames over TCP
-//     sockets for cross-machine ranks.
+//     sockets for ranks in other processes or on other machines.
 //
 // The optional LinkModel adds a real sleep proportional to message size,
 // emulating the paper's 128 Mbps edge LAN for wall-clock demos; tests and
@@ -208,10 +206,10 @@ class Transport {
   // Root-cause death bookkeeping.  Cascading failures mark several ranks
   // dead (a survivor that unwinds closes its own links); the *root* death is
   // the one recovery should absorb.  First report wins; -1 when none.
-  // Reported by injected deaths, recv-timeout presumption, remote peer-dead
-  // detection, and external process supervisors.
+  // Reported by injected deaths, recv-timeout presumption and the wire's
+  // own peer-death detection (TCP shares it with the other endpoints).
   virtual void report_root_death(int rank);
-  virtual int first_dead_rank() const { return root_dead_.load(); }
+  int first_dead_rank() const { return root_dead_.load(); }
 
   // Total traffic from `from` to `to` so far (send-side accounting).
   LinkStats stats(int from, int to) const;

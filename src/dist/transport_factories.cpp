@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "dist/rendezvous.hpp"
-#include "dist/shm_transport.hpp"
 #include "dist/tcp_transport.hpp"
 
 namespace pac::dist {
@@ -14,32 +13,6 @@ namespace pac::dist {
 // factory once per live local rank in ascending order — so a rank that is
 // not strictly greater than the previous call's marks a new run (the next
 // run's first live rank can never exceed the previous run's last).
-
-TransportFactory make_shm_loopback_factory(std::string base_name) {
-  struct State {
-    std::string base;
-    int generation = -1;
-    int last_rank = -1;
-    std::shared_ptr<ShmArena> arena;
-  };
-  auto state = std::make_shared<State>();
-  state->base = std::move(base_name);
-  return [state](int world, int rank, const LinkModel& link,
-                 const FaultPlan& faults) -> std::unique_ptr<Transport> {
-    if (state->arena == nullptr || rank <= state->last_rank ||
-        state->arena->world_size() != world) {
-      ++state->generation;
-      const std::string name =
-          state->base + "_g" + std::to_string(state->generation);
-      state->arena = std::make_shared<ShmArena>(name, world);
-      // All endpoints share this one mapping; dropping the name right away
-      // keeps /dev/shm clean no matter how the run ends.
-      ShmArena::unlink(name);
-    }
-    state->last_rank = rank;
-    return std::make_unique<ShmTransport>(state->arena, rank, link, faults);
-  };
-}
 
 TransportFactory make_tcp_loopback_factory(TcpTuning tuning) {
   struct State {

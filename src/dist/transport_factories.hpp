@@ -1,14 +1,13 @@
-// Ready-made TransportFactory builders for running every rank of a world
-// inside ONE process but over a real IPC backend — the cross-backend
-// conformance suite and the loopback benchmarks use these to swap the
-// in-process mailbox for shm rings or TCP loopback without touching any
-// call sites.
+// Ready-made TransportFactory builders for TCP endpoints.  The loopback
+// factory runs every rank of a world inside ONE process over real sockets
+// — the cross-backend conformance suite and the loopback benchmarks use it
+// to swap the in-process mailbox for TCP without touching any call sites;
+// the rendezvous factory wires ranks in different processes or machines.
 //
 // Both factories detect run boundaries from the rank sequence (EdgeCluster
 // calls the factory in ascending rank order once per run), so one factory
 // instance serves any number of cluster.run() calls, giving each run a
-// fresh arena generation / socket mesh.  They require all ranks local to
-// the calling process; the multi-process driver wires its own factories.
+// fresh socket mesh.
 #pragma once
 
 #include <string>
@@ -18,10 +17,6 @@
 
 namespace pac::dist {
 
-// Endpoints share a named POSIX shm arena ("<base>_g<generation>"); the
-// arena of a finished run is unlinked when its last endpoint dies.
-TransportFactory make_shm_loopback_factory(std::string base_name);
-
 // Endpoints bind kernel-assigned loopback ports; the factory exchanges
 // them in-memory as endpoints are created, so the mesh is fully wired
 // before cluster.run spawns any rank thread.  `tuning` applies to every
@@ -30,7 +25,7 @@ TransportFactory make_tcp_loopback_factory(TcpTuning tuning = {});
 
 // Cross-machine wiring through a rendezvous service (dist/rendezvous.hpp):
 // each endpoint binds a kernel-assigned port, announces itself under
-// "<run_id>_g<generation>", and resolves peers lazily through the service
+// "<run_id>_g<generation>" once it listens, and resolves peers lazily through the service
 // the first time it dials them — no shared filesystem or in-memory
 // exchange needed, so the same factory works in every process of a
 // multi-machine run.

@@ -1,8 +1,8 @@
-// Wire format shared by the multi-process transport backends (shm rings and
-// TCP sockets): length-prefixed frames over common/serialize.
+// Wire format of the multi-process transport (TCP sockets): length-prefixed
+// frames over common/serialize.
 //
-// Frame layout (host byte order — same-host shm and loopback/LAN TCP between
-// homogeneous edge boxes, matching serialize.hpp's "no endianness handling"):
+// Frame layout (host byte order — loopback/LAN TCP between homogeneous
+// edge boxes, matching serialize.hpp's "no endianness handling"):
 //
 //   header, 20 bytes:
 //     u32 magic      0x50414346 ("PACF")

@@ -17,11 +17,26 @@ namespace pac::pipeline {
 void RecoveryLog::commit_epoch(int epoch, const nn::ParameterList& params,
                                double mean_loss) {
   std::lock_guard<std::mutex> guard(mutex_);
+  previous_ = std::move(committed_);
+  committed_.clear();
   for (nn::Parameter* p : params) {
     committed_[p->name()] = p->value().clone();
   }
   losses_[epoch] = mean_loss;
   epochs_completed_ = std::max(epochs_completed_, epoch + 1);
+}
+
+void RecoveryLog::roll_back_to(int epochs) {
+  std::lock_guard<std::mutex> guard(mutex_);
+  if (epochs == epochs_completed_) return;
+  PAC_CHECK(epochs == epochs_completed_ - 1 &&
+                (epochs == 0 || !previous_.empty()),
+            "cannot roll back from " << epochs_completed_ << " committed "
+                                     << "epochs to " << epochs);
+  committed_ = std::move(previous_);
+  previous_.clear();
+  losses_.erase(epochs);
+  epochs_completed_ = epochs;
 }
 
 int RecoveryLog::epochs_completed() const {

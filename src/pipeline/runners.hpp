@@ -38,9 +38,14 @@ using ModelFactory = std::function<std::unique_ptr<model::Model>()>;
 class RecoveryLog {
  public:
   // Deep-copies `params` into the restore point and records the epoch's
-  // mean loss.  Replayed epochs overwrite.
+  // mean loss.  Replayed epochs overwrite.  The restore point it replaces
+  // is kept for one roll_back_to.
   void commit_epoch(int epoch, const nn::ParameterList& params,
                     double mean_loss);
+  // Forgets the last commit, so `epochs` must be one fewer than
+  // epochs_completed() (or equal: a no-op).  Used when the survivors in
+  // other processes did not all commit the epoch a death interrupted.
+  void roll_back_to(int epochs);
 
   int epochs_completed() const;
   bool has_restore_point() const;
@@ -53,6 +58,7 @@ class RecoveryLog {
   mutable std::mutex mutex_;
   int epochs_completed_ = 0;
   std::map<std::string, Tensor> committed_;
+  std::map<std::string, Tensor> previous_;  // the commit before committed_
   std::map<int, double> losses_;
 };
 

@@ -88,7 +88,8 @@ SimResult simulate_minibatch(const SimConfig& config) {
         loads[static_cast<std::size_t>(stage)]
             .owners[static_cast<std::size_t>(micro)])];
   };
-  // A stage's messages are sized by its last block's profile.
+  // A boundary's messages, both ways, are sized by the profile of the
+  // upstream stage's last block.
   auto boundary = [&](std::int64_t stage) -> const planner::BlockProfile& {
     return input.blocks[static_cast<std::size_t>(
         plan.stages[static_cast<std::size_t>(stage)].block_end - 1)];
@@ -153,9 +154,11 @@ SimResult simulate_minibatch(const SimConfig& config) {
                        static_cast<double>(boundary(rs.stage).fwd_msg_bytes),
                        rs.stage, micro, false);
         } else if (backward && rs.stage > 0) {
-          send_message(rs.rank, owner(rs.stage - 1, micro), rs.clock,
-                       static_cast<double>(boundary(rs.stage).bwd_msg_bytes),
-                       rs.stage, micro, true);
+          // The gradient of the upstream stage's boundary activation.
+          send_message(
+              rs.rank, owner(rs.stage - 1, micro), rs.clock,
+              static_cast<double>(boundary(rs.stage - 1).bwd_msg_bytes),
+              rs.stage, micro, true);
         }
         ++rs.next_op;
         --remaining;

@@ -405,6 +405,60 @@ TEST(RedistributionTest, SelfTargetedSamplesStayPut) {
   EXPECT_FLOAT_EQ(shards[1]->get_block(1, 0).at({0, 0}), 2.0F);
 }
 
+// A rank killed after its peers finished a redistribution, but before it
+// wrote the tombstones of the samples it shipped, still lists them in its
+// spill log while their new owners hold them.  Salvage must take only the
+// samples the completed sharding gave the dead rank: absorbing the others
+// makes the survivors' redistribution store a sample twice ("put_block on
+// spilled sample").
+TEST(RedistributionTest, SalvageSkipsSamplesTheDeadRankHadShipped) {
+  namespace fs = std::filesystem;
+  const std::string root =
+      (fs::temp_directory_path() / "pac_salvage_shipped").string();
+  fs::remove_all(root);
+  auto dir = [&](int r) { return root + "/device_" + std::to_string(r); };
+  dist::EdgeCluster cluster(3, std::numeric_limits<std::uint64_t>::max());
+  std::vector<std::unique_ptr<ActivationCache>> shards;
+  for (int r = 0; r < 3; ++r) {
+    shards.push_back(std::make_unique<ActivationCache>(disk_cfg(1, dir(r))));
+  }
+  // Rank 2 recorded (and spilled) every sample.
+  for (std::int64_t s = 0; s < 6; ++s) {
+    shards[2]->put_block(s, 0, make_block(2, 2, static_cast<float>(s)));
+  }
+  const std::string victim_log = dir(2) + "/" + kSpillLogName;
+  const std::string unfinished_log = root + "/victim_before_tombstones";
+  fs::copy_file(victim_log, unfinished_log);
+  const auto sharding = modulo_sharding_over({0, 1, 2});
+  cluster.run([&](dist::DeviceContext& ctx) {
+    redistribute_cache(ctx, *shards[static_cast<std::size_t>(ctx.rank)],
+                       sharding);
+  });
+  // The kill: rank 2's shard is gone, and its log lacks the tombstones of
+  // samples 0, 1, 3 and 4, which ranks 0 and 1 now hold.
+  shards[2].reset();
+  fs::copy_file(unfinished_log, victim_log);
+  cluster.mark_dead(2);
+
+  EXPECT_EQ(shards[0]->absorb_spilled_directory(
+                dir(2), [&](std::int64_t s) { return sharding(s) == 2; }),
+            2);  // samples 2 and 5
+  const auto survivors = modulo_sharding_over({0, 1});
+  cluster.run([&](dist::DeviceContext& ctx) {
+    redistribute_cache(ctx, *shards[static_cast<std::size_t>(ctx.rank)],
+                       survivors, {0, 1});
+  });
+  for (std::int64_t s = 0; s < 6; ++s) {
+    const auto owner = static_cast<std::size_t>(survivors(s));
+    ASSERT_TRUE(shards[owner]->complete(s)) << "sample " << s;
+    EXPECT_FALSE(shards[1 - owner]->has_block(s, 0)) << "sample " << s;
+    EXPECT_FLOAT_EQ(shards[owner]->get_block(s, 0).at({0, 0}),
+                    static_cast<float>(s));
+  }
+  shards.clear();
+  fs::remove_all(root);
+}
+
 TEST(RedistributionTest, BadTargetThrows) {
   dist::EdgeCluster cluster(2, std::numeric_limits<std::uint64_t>::max());
   std::vector<std::unique_ptr<ActivationCache>> shards;

@@ -498,6 +498,66 @@ TEST(ChaosTest, SplitClustersOverTcpHandResultsToTheIdleSide) {
   }
 }
 
+// A phase-2 death inside the epoch-end loss reduce, run as two processes'
+// worth of clusters ({0, 1} and {2, 3}).  The one-float loss goes through
+// the naive schedule: rank 0 gathers every share, then sends the sum to
+// ranks 1, 2 and 3 in turn.  Rank 0 dies before the send to rank 3, so
+// rank 2, which records the {2, 3} side's log, commits the epoch while
+// the {0, 1} side, whose recording rank died, does not.  Both sides must
+// resume from the epoch the {0, 1} side last committed, as the in-process
+// run with the same death does ("Tcp" in the name keeps it off the TSan
+// pass).
+TEST(ChaosTest, SplitClustersOverTcpResumePhase2FromTheSameEpoch) {
+  auto ds = small_dataset();
+  SessionConfig cfg = chaos_session_config();
+  cfg.epochs = 13;
+  // Rank 0's op counts restart with each run's transport.  Phase 1 takes
+  // 24 in one process and 270 split (it hands the trainables to the other
+  // side), redistribution 106, and each cached epoch 24, ending with the
+  // loss reduce: three receives, then the sends to ranks 1, 2 and 3.  Op
+  // 288 is the send to rank 3 in cached epoch 11, past every earlier run.
+  dist::FaultPlan death;
+  death.death_after_ops = {{0, 288}};
+  dist::EdgeCluster oracle_cluster(4,
+                                   std::numeric_limits<std::uint64_t>::max());
+  oracle_cluster.set_fault_plan(death);
+  const SessionReport oracle = Session(oracle_cluster, ds, cfg).run();
+  ASSERT_EQ(oracle.dead_ranks, (std::vector<int>{0}));
+
+  dist::RendezvousServer server;
+  server.start();
+  dist::TcpRendezvousOptions opts;
+  opts.server_port = server.port();
+  opts.run_id = "split_resume_epoch";
+  auto run_side = [&](std::vector<int> local, SessionReport& out) {
+    try {
+      dist::EdgeCluster cluster(4, std::numeric_limits<std::uint64_t>::max());
+      cluster.set_local_ranks(std::move(local));
+      cluster.set_transport_factory(dist::make_tcp_rendezvous_factory(opts));
+      cluster.set_fault_plan(death);
+      dist::CommPolicy policy;  // a side that fails must not hang the other
+      policy.recv_timeout_ms = 500.0;
+      policy.max_recv_retries = 2;
+      cluster.set_comm_policy(policy);
+      out = Session(cluster, ds, cfg).run();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << e.what();
+    }
+  };
+  SessionReport first;
+  SessionReport second;
+  std::thread other([&] { run_side({2, 3}, second); });
+  run_side({0, 1}, first);
+  other.join();
+  server.stop();
+
+  for (const SessionReport* side : {&first, &second}) {
+    EXPECT_EQ(side->dead_ranks, (std::vector<int>{0}));
+    EXPECT_EQ(side->epoch_losses, oracle.epoch_losses);
+  }
+  EXPECT_EQ(first.eval_metric, oracle.eval_metric);  // leader rank 1
+}
+
 // ---- schedule 5: compute stragglers (elastic runtime) ----
 //
 // A seeded throttle dilates one rank's compute mid-run.  With the elastic

@@ -1,12 +1,13 @@
 // Process-level chaos tests: real OS processes, real IPC, real SIGKILL.
 //
 // These tests exec the examples/multiproc_ranks launcher, which forks one
-// process per rank wired through a real transport backend, and compare the
-// surviving ranks' reported loss trajectories against an in-process oracle
-// Session running the identical workload:
+// process per rank wired through TCP loopback, and compare the surviving
+// ranks' reported loss trajectories against an in-process oracle Session
+// running the identical workload.  Nobody tells the survivors about a
+// kill: their TCP endpoints must detect it on their own.
 //
-//   * clean multi-process runs (shm and TCP loopback) must match the
-//     in-process trajectory exactly — determinism survives the backend;
+//   * a clean multi-process run must match the in-process trajectory
+//     exactly — determinism survives the backend;
 //   * SIGKILL of a rank during phase 1 must recover onto the survivors
 //     with the same trajectory as a run where that rank was dead from the
 //     start (phase-1 restart discards nothing of value);
@@ -185,27 +186,14 @@ void expect_matches_oracle(const ProcReport& got,
 
 // ---- clean multi-process runs match the in-process oracle ----
 
-TEST(ProcChaosTest, CleanShmWorldMatchesInProcOracle) {
-  ScopedDir work("pac_proc_shm");
-  ASSERT_EQ(run_driver("--transport shm --world 2 --epochs 3", work.path), 0)
+TEST(ProcChaosTest, CleanTcpWorldMatchesInProcOracle) {
+  ScopedDir work("pac_proc_tcp");
+  ASSERT_EQ(run_driver("--world 2 --epochs 3", work.path), 0)
       << driver_log(work.path);
   const ProcReport r0 = parse_report(work.path / "report_rank0");
   const ProcReport r1 = parse_report(work.path / "report_rank1");
   // Every rank reports the identical trajectory (losses are allreduced).
   ASSERT_EQ(r0.losses, r1.losses);
-  EXPECT_EQ(r0.deaths, 0);
-
-  ScopedDir oracle_cache("pac_proc_shm_oracle");
-  const auto oracle =
-      oracle_run(2, 3, {}, (oracle_cache.path / "cache").string());
-  expect_matches_oracle(r0, oracle, 1e-9);
-}
-
-TEST(ProcChaosTest, CleanTcpWorldMatchesInProcOracle) {
-  ScopedDir work("pac_proc_tcp");
-  ASSERT_EQ(run_driver("--transport tcp --world 2 --epochs 3", work.path), 0)
-      << driver_log(work.path);
-  const ProcReport r0 = parse_report(work.path / "report_rank0");
   EXPECT_EQ(r0.deaths, 0);
 
   ScopedDir oracle_cache("pac_proc_tcp_oracle");
@@ -219,8 +207,7 @@ TEST(ProcChaosTest, CleanTcpWorldMatchesInProcOracle) {
 TEST(ProcChaosTest, Phase1KillRecoversLikePreDeadOracle) {
   ScopedDir work("pac_proc_kill1");
   ASSERT_EQ(run_driver(
-                "--transport shm --world 4 --epochs 3 --kill-rank 2 "
-                "--kill-phase 1",
+                "--world 4 --epochs 3 --kill-rank 2 --kill-phase 1",
                 work.path),
             0)
       << driver_log(work.path);
@@ -246,8 +233,8 @@ TEST(ProcChaosTest, Phase2KillSalvagesCacheAndConverges) {
   // --link-delay-ms stretches phase 2 in realtime so the external SIGKILL
   // lands mid-epoch instead of after the whole session finished.
   ASSERT_EQ(run_driver(
-                "--transport shm --world 4 --epochs 6 --kill-rank 3 "
-                "--kill-phase 2 --link-delay-ms 1",
+                "--world 4 --epochs 6 --kill-rank 3 --kill-phase 2 "
+                "--link-delay-ms 1",
                 work.path),
             0)
       << driver_log(work.path);

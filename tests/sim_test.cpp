@@ -111,6 +111,27 @@ TEST(EventSimTest, SlowLinksSerializeTransfers) {
   EXPECT_EQ(r.comm_bytes, 4U << 20);
 }
 
+TEST(EventSimTest, BackwardMessagesCarryTheUpstreamBoundaryGradient) {
+  // T5-Base Full as two 13-block stages: per micro, the activation of
+  // block 12 (stage 0's last) crosses forward and its gradient comes back.
+  // The head, stage 1's last block, sends nothing backward.
+  SimConfig cfg;
+  model::TechniqueConfig full;
+  full.technique = Technique::kFull;
+  costmodel::SeqShape micro;
+  micro.batch = 1;
+  cfg.input = planner::analytic_planner_input(
+      model::t5_base(), full, micro, costmodel::jetson_nano(),
+      costmodel::edge_lan(), /*num_devices=*/2, /*num_micro_batches=*/4);
+  ASSERT_EQ(cfg.input.num_blocks(), 26);
+  cfg.plan = pipeline::ParallelPlan::pure_pipeline(26, 2, 4);
+  ASSERT_EQ(cfg.plan.stages[0].block_end, 13);
+  const planner::BlockProfile& boundary = cfg.input.blocks[12];
+  ASSERT_EQ(boundary.fwd_msg_bytes, 393216U);
+  ASSERT_EQ(boundary.bwd_msg_bytes, 393216U);
+  EXPECT_EQ(simulate_minibatch(cfg).comm_bytes, 4U * 393216U + 4U * 393216U);
+}
+
 TEST(EventSimTest, OomReportedPerStage) {
   SimConfig cfg;
   cfg.input = uniform_input(4, 2, 0.1, 0.1, 2);

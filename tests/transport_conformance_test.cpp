@@ -1,8 +1,8 @@
 // Cross-backend Transport conformance suite.
 //
-// Every semantic test here runs against all three backends — the
-// in-process mailbox (the deterministic oracle), POSIX shm rings, and TCP
-// loopback — through one parameterized fixture.  The point is the contract
+// Every semantic test here runs against both backends — the in-process
+// mailbox (the deterministic oracle) and TCP loopback — through one
+// parameterized fixture.  The point is the contract
 // in dist/transport.hpp: if a behavior differs between backends it is a
 // transport bug, not a scheduling quirk, because recovery and elastic
 // re-planning are written against the contract, not a backend.
@@ -13,8 +13,8 @@
 // state change lands; blocked receivers need no polling — waking them is
 // exactly the semantics under test.
 //
-// Under TSan the TCP cases can be excluded with --gtest_filter=-*Tcp*
-// (param names are InProc / Shm / Tcp).
+// Param names are InProc / Tcp; every TCP-only case carries "Tcp" in its
+// name too, so --gtest_filter=*Tcp* selects the whole real-wire share.
 
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "dist/cluster.hpp"
-#include "dist/shm_transport.hpp"
 #include "dist/tcp_transport.hpp"
 #include "dist/transport_factories.hpp"
 #include "dist/wire.hpp"
@@ -44,21 +43,12 @@
 namespace pac::dist {
 namespace {
 
-enum class Backend { kInProc, kShm, kTcp };
+// gtest prints the raw enum value in each test's full name, so the values
+// stay fixed.
+enum class Backend { kInProc = 0, kTcp = 2 };
 
 std::string backend_name(Backend b) {
-  switch (b) {
-    case Backend::kInProc: return "InProc";
-    case Backend::kShm: return "Shm";
-    case Backend::kTcp: return "Tcp";
-  }
-  return "Unknown";
-}
-
-std::string unique_arena_base() {
-  static std::atomic<int> counter{0};
-  return "/pac_conf_" + std::to_string(::getpid()) + "_" +
-         std::to_string(counter.fetch_add(1));
+  return b == Backend::kInProc ? "InProc" : "Tcp";
 }
 
 // One world's endpoints for a backend.  `at(r)` is the transport rank r
@@ -71,16 +61,6 @@ class World {
       case Backend::kInProc:
         shared_ = std::make_unique<InProcTransport>(n, link, faults);
         break;
-      case Backend::kShm: {
-        const std::string name = unique_arena_base();
-        auto arena = std::make_shared<ShmArena>(name, n);
-        ShmArena::unlink(name);  // single-process: nobody attaches by name
-        for (int r = 0; r < n; ++r) {
-          endpoints_.push_back(
-              std::make_unique<ShmTransport>(arena, r, link, faults));
-        }
-        break;
-      }
       case Backend::kTcp: {
         std::vector<TcpTransport*> raw;
         for (int r = 0; r < n; ++r) {
@@ -127,10 +107,6 @@ void install_backend(EdgeCluster& cluster, Backend backend) {
   switch (backend) {
     case Backend::kInProc:
       break;  // default path: one shared InProcTransport
-    case Backend::kShm:
-      cluster.set_transport_factory(
-          make_shm_loopback_factory(unique_arena_base()));
-      break;
     case Backend::kTcp:
       cluster.set_transport_factory(make_tcp_loopback_factory());
       break;
@@ -807,8 +783,7 @@ TEST_P(ConformanceTest, ReconnectPreservesPerLinkAndTagFifo) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ConformanceTest,
-                         ::testing::Values(Backend::kInProc, Backend::kShm,
-                                           Backend::kTcp),
+                         ::testing::Values(Backend::kInProc, Backend::kTcp),
                          [](const ::testing::TestParamInfo<Backend>& info) {
                            return backend_name(info.param);
                          });
@@ -869,8 +844,9 @@ TEST(TcpRobustness, ReconnectBudgetExhaustionCollapsesToPeerDead) {
   TcpPair pair(fast_tuning());
   pair.a->send(0, 1, 1, Tensor::full({1}, 1.0F));
   EXPECT_FLOAT_EQ(pair.b->recv(1, 0, 1).at({0}), 1.0F);
-  // Kill the receiver endpoint outright: its listener vanishes, so every
-  // reconnect attempt fails and the budget drains to a collapse.
+  // Kill the receiver endpoint outright: its listener vanishes, so the
+  // first reconnect attempt is refused and the link collapses without
+  // spending the rest of the budget.
   pair.b.reset();
   bool dead = false;
   for (int i = 0; i < 50 && !dead; ++i) {
@@ -888,6 +864,60 @@ TEST(TcpRobustness, ReconnectBudgetExhaustionCollapsesToPeerDead) {
   // the standard recovery path takes over from here.
   EXPECT_EQ(pair.a->first_dead_rank(), 1);
   EXPECT_FALSE(pair.a->link_degraded(1));
+}
+
+// The refusal rule: an endpoint listens until it is destroyed, so a dial
+// refused at a known address means the peer's process is gone.  The three
+// cases below are the places a survivor can first meet that refusal.
+
+TEST(TcpRobustness, FirstSendToGoneEndpointThrowsPeerDeadAtOnce) {
+  TcpPair pair(TcpTuning{});  // default 5 s first-dial deadline
+  pair.b.reset();             // rank 1's process is gone before any traffic
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    pair.a->send(0, 1, 1, Tensor::full({1}, 1.0F));
+    FAIL() << "expected PeerDeadError";
+  } catch (const PeerDeadError& e) {
+    EXPECT_EQ(e.rank(), 1);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(1));
+  EXPECT_TRUE(pair.a->rank_dead(1));
+  EXPECT_EQ(pair.a->first_dead_rank(), 1);
+}
+
+TEST(TcpRobustness, TimedRecvFromGoneEndpointThatNeverConnectedThrows) {
+  TcpPair pair(fast_tuning());
+  pair.b.reset();  // never sent a byte, so no inbound link can hit EOF
+  Communicator comm(*pair.a, 0);
+  CommPolicy policy;
+  policy.recv_timeout_ms = 200.0;  // first window at most 300 ms (jitter)
+  policy.max_recv_retries = 3;     // presumption alone: 1.5 s at least
+  comm.set_policy(policy);
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    comm.recv(1, 4);
+    FAIL() << "expected PeerDeadError";
+  } catch (const PeerDeadError& e) {
+    EXPECT_EQ(e.rank(), 1);
+  }
+  // One window plus the probe: the refusal, not the presumption budget.
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(1000));
+  EXPECT_TRUE(pair.a->rank_dead(1));
+}
+
+TEST(TcpRobustness, MessageSentBeforeEndpointDiesIsStillReceived) {
+  TcpPair pair(fast_tuning());
+  pair.b->send(1, 0, 4, Tensor::full({1}, 7.0F));
+  pair.b.reset();
+  // The inbound link's EOF probe finds nothing listening: rank 1 is dead.
+  ASSERT_TRUE(World::eventually([&] { return pair.a->rank_dead(1); }));
+  // Death does not discard what already crossed the wire...
+  EXPECT_FLOAT_EQ(pair.a->recv(0, 1, 4).at({0}), 7.0F);
+  // ...and only the next receive learns of it.
+  EXPECT_THROW(pair.a->recv_for(0, 1, 4, std::chrono::milliseconds(2000)),
+               PeerDeadError);
 }
 
 TEST(TcpRobustness, MacTamperedFrameNeverReachesMailbox) {

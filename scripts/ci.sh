@@ -11,7 +11,11 @@
 # with AVX2+FMA and once with the scalar fallback, and runs their tests, so
 # every compile-time tier of gemm.cpp stays built and bit-checked.
 #
-# Usage: scripts/ci.sh [all|test|stress|tsan|portable|coverage]
+# `loc` prints src/ lines per module and the total (every file, counted
+# like `find src -type f | xargs cat | wc -l`), so changes report net
+# lines the same way; it is a report, not a gate.
+#
+# Usage: scripts/ci.sh [all|test|stress|tsan|portable|coverage|loc]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -121,6 +125,16 @@ portable_pass() {
   done
 }
 
+# src/ lines per module, then the total.
+loc_report() {
+  local dir
+  for dir in src/*/; do
+    printf '%-16s %6d\n' "$(basename "$dir")" \
+      "$(find "$dir" -type f -print0 | xargs -0 cat | wc -l)"
+  done
+  printf '%-16s %6d\n' total "$(find src -type f -print0 | xargs -0 cat | wc -l)"
+}
+
 case "$MODE" in
   test)
     build build
@@ -154,6 +168,9 @@ case "$MODE" in
               --min "${COVERAGE_MIN}"
     fi
     ;;
+  loc)
+    loc_report
+    ;;
   all)
     build build
     run_tests build
@@ -166,7 +183,7 @@ case "$MODE" in
     portable_pass
     ;;
   *)
-    echo "unknown mode: $MODE (expected all|test|stress|tsan|portable|coverage)" >&2
+    echo "unknown mode: $MODE (expected all|test|stress|tsan|portable|coverage|loc)" >&2
     exit 2
     ;;
 esac

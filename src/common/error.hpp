@@ -61,12 +61,12 @@ class ChannelClosedError : public Error {
   explicit ChannelClosedError(const std::string& what) : Error(what) {}
 };
 
-// A specific peer rank is dead (crashed, powered off, or presumed dead
-// after recv timeouts).  Distinct from ChannelClosedError: only links that
-// touch the dead rank are affected; the rest of the world keeps running.
-class PeerDeadError : public Error {
+// A rank is lost: a peer's death (PeerDeadError) or this rank's own
+// injected death (RankDeathError).  A recovery that only needs to know
+// which rank to drop catches this base.
+class RankLostError : public Error {
  public:
-  PeerDeadError(int rank, const std::string& what)
+  RankLostError(int rank, const std::string& what)
       : Error(what), rank_(rank) {}
 
   // The rank that died (or is presumed dead).
@@ -74,6 +74,15 @@ class PeerDeadError : public Error {
 
  private:
   int rank_;
+};
+
+// A specific peer rank is dead (crashed, powered off, or presumed dead
+// after recv timeouts).  Distinct from ChannelClosedError: only links that
+// touch the dead rank are affected; the rest of the world keeps running.
+class PeerDeadError : public RankLostError {
+ public:
+  PeerDeadError(int rank, const std::string& what)
+      : RankLostError(rank, what) {}
 };
 
 // A send failed transiently (injected link glitch); retrying the same send
@@ -86,16 +95,11 @@ class TransientSendError : public Error {
 // Raised on the dying rank's own thread when a scheduled fault kills it.
 // EdgeCluster::run converts this into a rank-scoped close so survivors
 // unwind with PeerDeadError instead of ChannelClosedError.
-class RankDeathError : public Error {
+class RankDeathError : public RankLostError {
  public:
   explicit RankDeathError(int rank)
-      : Error("rank " + std::to_string(rank) + " died (injected fault)"),
-        rank_(rank) {}
-
-  int rank() const noexcept { return rank_; }
-
- private:
-  int rank_;
+      : RankLostError(rank, "rank " + std::to_string(rank) +
+                                " died (injected fault)") {}
 };
 
 // A cooperative cancellation request was honored: the operation stopped

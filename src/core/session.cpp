@@ -206,22 +206,14 @@ SessionReport Session::run() {
                    << " flagged as straggler (throughput ratio "
                    << e.verdict().throughput_ratio
                    << "); re-planning over observed speeds";
-    } catch (const RankDeathError& e) {
+    } catch (const RankLostError& e) {
+      // An injected death, or a peer death (a recv-timeout presumption
+      // included) that no injected death explains: continue without it.
       if (!absorb_death(e.rank())) {
         config_.batch_size = original_batch;
         throw;
       }
-      PAC_LOG_WARN << "device " << e.rank() << " died; restarting over "
-                   << cluster_.num_alive() << " survivors";
-    } catch (const PeerDeadError& e) {
-      // A recv-timeout presumption that no injected death explains: treat
-      // the unresponsive peer as lost and continue without it.
-      if (!absorb_death(e.rank())) {
-        config_.batch_size = original_batch;
-        throw;
-      }
-      PAC_LOG_WARN << "device " << e.rank()
-                   << " presumed dead (recv timeout); restarting over "
+      PAC_LOG_WARN << e.what() << "; restarting over "
                    << cluster_.num_alive() << " survivors";
     }
   }
@@ -528,18 +520,10 @@ SessionReport Session::run_attempt() {
                        << recovery.epochs_completed();
           reshard_weighted();
         }
-      } catch (const RankDeathError& e) {
+      } catch (const RankLostError& e) {
         if (!absorb_death(e.rank())) throw;
         shrink_after_death(e.rank());
-        PAC_LOG_WARN << "device " << e.rank() << " died in phase 2; "
-                     << "resuming from epoch "
-                     << recovery.epochs_completed() << " on "
-                     << cluster_.num_alive() << " survivors";
-      } catch (const PeerDeadError& e) {
-        if (!absorb_death(e.rank())) throw;
-        shrink_after_death(e.rank());
-        PAC_LOG_WARN << "device " << e.rank() << " presumed dead in "
-                     << "phase 2; resuming from epoch "
+        PAC_LOG_WARN << e.what() << " in phase 2; resuming from epoch "
                      << recovery.epochs_completed() << " on "
                      << cluster_.num_alive() << " survivors";
       }

@@ -10,6 +10,23 @@
 
 namespace pac::dist {
 
+namespace {
+
+// Seed for the multiplicative backoff jitter.  Pure doubling/linear
+// backoff synchronizes retry bursts when several ranks hit the same
+// transient-failure window; each wait is instead scaled by a factor in
+// [0.5, 1.5) that is a deterministic function of (seed, rank, attempt),
+// so per-rank schedules diverge but stay reproducible.
+constexpr std::uint64_t kBackoffJitterSeed = 0xBAC0FF5EEDULL;
+// A recv timeout that expires while the transport reports the link
+// *degraded* (mid-reconnect) does not consume a retry attempt: link loss
+// under an active reconnect budget is not evidence of a dead peer.  The
+// cap bounds how many frozen windows a wedged reconnect can buy before
+// the normal presumption clock resumes.
+constexpr int kMaxDegradedWindows = 64;
+
+}  // namespace
+
 double backoff_jitter(std::uint64_t seed, int rank, int attempt) {
   if (seed == 0) return 1.0;
   // SplitMix64 over (seed, rank, attempt): matches the fault injector's
@@ -75,7 +92,7 @@ void Communicator::send_with_retry(int to, const Message& msg) {
       obs::CounterRegistry::instance().add("comm.transient_retries", 1);
       std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
           policy_.send_backoff_ms * static_cast<double>(attempt + 1) *
-          backoff_jitter(policy_.backoff_jitter_seed, rank_, attempt)));
+          backoff_jitter(kBackoffJitterSeed, rank_, attempt)));
     }
   }
 }
@@ -118,7 +135,7 @@ Message Communicator::recv_message(int from, int tag) {
     // jittered, so the retry *budget* is unchanged while concurrent ranks
     // de-synchronize their probes.
     const double jittered =
-        wait_ms * backoff_jitter(policy_.backoff_jitter_seed, rank_,
+        wait_ms * backoff_jitter(kBackoffJitterSeed, rank_,
                                  attempt + degraded_windows);
     auto result = transport_->recv_message(
         rank_, from, tag,
@@ -126,7 +143,7 @@ Message Communicator::recv_message(int from, int tag) {
             std::max<std::int64_t>(1, static_cast<std::int64_t>(jittered))));
     if (result.has_value()) return std::move(*result);
     if (transport_->link_degraded(from) &&
-        degraded_windows < policy_.max_degraded_windows) {
+        degraded_windows < kMaxDegradedWindows) {
       // A degraded link is mid-reconnect: this window proves nothing about
       // the peer being dead, so it does not consume a retry attempt.
       ++degraded_windows;

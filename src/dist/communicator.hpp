@@ -79,18 +79,6 @@ struct CommPolicy {
   // backoff up to max_send_retries attempts, then rethrown.
   int max_send_retries = 8;
   double send_backoff_ms = 0.05;
-  // Seed for the multiplicative backoff jitter.  Pure doubling/linear
-  // backoff synchronizes retry bursts when several ranks hit the same
-  // transient-failure window; each wait is instead scaled by a factor in
-  // [0.5, 1.5) that is a deterministic function of (seed, rank, attempt),
-  // so per-rank schedules diverge but stay reproducible.  0 disables.
-  std::uint64_t backoff_jitter_seed = 0xBAC0FF5EEDULL;
-  // A recv timeout that expires while the transport reports the link
-  // *degraded* (mid-reconnect) does not consume a retry attempt: link loss
-  // under an active reconnect budget is not evidence of a dead peer.  The
-  // cap bounds how many frozen windows a wedged reconnect can buy before
-  // the normal presumption clock resumes.
-  int max_degraded_windows = 64;
 };
 
 // True when the direct schedule's modeled cost is no higher than the

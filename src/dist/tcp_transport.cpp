@@ -25,6 +25,15 @@ namespace pac::dist {
 
 namespace {
 
+// Seed of the reconnect backoff jitter (dist::backoff_jitter).
+constexpr std::uint64_t kBackoffSeed = 0xF1A5EEDULL;
+// Sender-side in-flight bound: frames kept for retransmission until the
+// receiver acknowledges them.  A full buffer blocks the sender on acks.
+constexpr std::size_t kRetransmitBufferFrames = 256;
+// The receiver acks its cumulative delivery count every this many logical
+// frames.
+constexpr std::uint64_t kAckInterval = 8;
+
 bool send_all(int fd, const std::uint8_t* data, std::size_t len) {
   std::size_t off = 0;
   while (off < len) {
@@ -113,14 +122,16 @@ int connect_once(const TcpPeer& peer, bool* refused) {
 
 TcpTransport::TcpTransport(int world_size, int rank, std::uint16_t bind_port,
                            LinkModel link, FaultPlan faults, TcpTuning tuning)
-    : RemoteEndpointBase(world_size, rank, link, std::move(faults)),
+    : Transport(world_size, link, std::move(faults)),
+      rank_(rank),
+      box_(rank),
+      drained_(static_cast<std::size_t>(world_size)),
       tuning_(std::move(tuning)),
       peers_(static_cast<std::size_t>(world_size)),
       rx_(static_cast<std::size_t>(world_size)) {
-  PAC_CHECK(tuning_.reconnect_budget >= 0,
-            "tcp: reconnect budget must be non-negative");
-  PAC_CHECK(tuning_.retransmit_buffer_frames > 0,
-            "tcp: retransmit buffer needs at least one slot");
+  check_rank(rank, "endpoint");
+  PAC_CHECK(tuning_.reconnect_budget >= 1,
+            "tcp: reconnect budget must be at least 1");
   for (int i = 0; i < world_size; ++i) {
     io_mutex_.push_back(std::make_unique<std::mutex>());
     out_.push_back(std::make_unique<OutLink>());
@@ -228,8 +239,8 @@ void TcpTransport::accept_main() {
 }
 
 void TcpTransport::observe_peer_gone(int peer) {
-  // The link is gone for good (a refusal, legacy EOF, or a spent budget):
-  // whoever nobody declared dead yet becomes the root-cause record.
+  // The link is gone for good (a refusal or a spent budget): whoever
+  // nobody declared dead yet becomes the root-cause record.
   if (peer < 0 || peer >= world_size()) return;
   if (!rank_dead(peer) && !closed() && !stop_.load()) {
     report_root_death(peer);
@@ -241,11 +252,6 @@ void TcpTransport::observe_peer_gone(int peer) {
 void TcpTransport::observe_link_eof(Connection* conn) {
   const int peer = conn->peer.load();
   if (peer < 0 || peer >= world_size()) return;
-  if (!reconnect_enabled()) {
-    // Legacy failure detector: the wire's EOF IS the death certificate.
-    observe_peer_gone(peer);
-    return;
-  }
   {
     std::lock_guard<std::mutex> guard(rx_mutex_);
     // Losing a stale (already superseded) connection is not news.
@@ -258,9 +264,8 @@ void TcpTransport::observe_link_eof(Connection* conn) {
     observe_peer_gone(peer);
     return;
   }
-  // Link loss under a reconnect budget: freeze judgement until the sender
-  // either resyncs (adoption clears the flag) or collapses the link (death
-  // clears it).
+  // Link loss: freeze judgement until the sender either resyncs (adoption
+  // clears the flag) or collapses the link (death clears it).
   degraded_[static_cast<std::size_t>(peer)]->store(true);
 }
 
@@ -352,7 +357,7 @@ void TcpTransport::rx_loop(Connection* conn) {
     } catch (const Error&) {
       // Malformed (or tamper-poisoned) stream: the connection cannot be
       // trusted past this point; drop it and let the sender re-earn the
-      // link through a resync (or the legacy path declare the peer dead).
+      // link through a resync.
       if (hello_done) observe_link_eof(conn);
       return;
     }
@@ -392,13 +397,20 @@ bool TcpTransport::deliver_logical(Connection* conn, int src,
     RxState& rx = rx_[static_cast<std::size_t>(src)];
     if (rx.live != conn) return false;  // superseded mid-buffer
     delivered = ++rx.delivered;
-    ack_due = tuning_.ack_interval > 0 &&
-              delivered % tuning_.ack_interval == 0;
+    ack_due = delivered % kAckInterval == 0;
     if (type == wire::FrameType::kData) {
       // The count and the mailbox deposit must be atomic against a
       // concurrent resync snapshot, or a reconnect could replay
       // (duplicate) or skip (lose) exactly this frame.
-      handle_frame(std::move(frame));
+      Message msg;
+      msg.source = frame.src;
+      msg.tag = frame.tag;
+      if (frame.qpayload.has_value()) {
+        msg.q = std::move(*frame.qpayload);
+      } else if (frame.payload_defined) {
+        msg.payload = std::move(frame.payload);
+      }
+      box_.deposit(std::move(msg), faults_);
     }
   }
   // Control frames dispatch outside rx_mutex_: death gossip re-broadcasts
@@ -413,12 +425,18 @@ bool TcpTransport::deliver_logical(Connection* conn, int src,
       break;
     case wire::FrameType::kRootDead:
       // Re-gossips only if this is news here (CAS guard), so the
-      // propagation terminates after one round.
+      // propagation terminates after one round.  Every reporter already
+      // treats the rank as dead, so mark it here too: a survivor with no
+      // link from it would otherwise wait out a whole receive window.
       report_root_death(frame.src);
+      note_dead_rank(frame.src);
+      break;
+    case wire::FrameType::kClose:
+      if (!closed_.exchange(true)) box_.wake();
       break;
     default:
-      handle_frame(std::move(frame));  // kClose; anything else throws
-      break;
+      throw TransportError("unhandled frame type " +
+                           std::to_string(static_cast<int>(type)));
   }
   if (ack_due) send_ack(conn, delivered);
   return true;
@@ -436,7 +454,7 @@ void TcpTransport::send_ack(Connection* conn, std::uint64_t delivered) {
 
 void TcpTransport::note_dead_rank(int rank) {
   if (rank < 0 || rank >= world_size()) return;
-  mark_dead_local(rank);
+  if (!dead_[static_cast<std::size_t>(rank)].exchange(true)) box_.wake();
   maybe_set_drained(rank);
 }
 
@@ -451,7 +469,7 @@ void TcpTransport::maybe_set_drained(int rank) {
   }
   // No inbound link from that rank still running: nothing can be in
   // flight.
-  set_drained(rank);
+  if (!drained_[static_cast<std::size_t>(rank)].exchange(true)) box_.wake();
 }
 
 // ---------------------------------------------------------------------------
@@ -504,7 +522,12 @@ bool TcpTransport::peer_refuses(int to) {
 std::optional<Message> TcpTransport::recv_message(
     int to, int from, int tag,
     const std::optional<std::chrono::milliseconds>& timeout) {
-  auto msg = RemoteEndpointBase::recv_message(to, from, tag, timeout);
+  check_rank(to, "recv destination");
+  check_rank(from, "recv source");
+  PAC_CHECK(to == rank_, "endpoint of rank " << rank_
+                             << " cannot recv as rank " << to);
+  std::atomic<bool>* drained = &drained_[static_cast<std::size_t>(from)];
+  auto msg = receive(box_, to, from, tag, timeout, drained);
   if (msg.has_value() || from == rank_ || rank_dead(from) ||
       !peer_refuses(from)) {
     return msg;
@@ -512,8 +535,7 @@ std::optional<Message> TcpTransport::recv_message(
   observe_peer_gone(from);
   // Dead now: what it delivered before dying is still returned; once the
   // link has drained this throws PeerDeadError.
-  return RemoteEndpointBase::recv_message(to, from, tag,
-                                          std::chrono::milliseconds(0));
+  return receive(box_, to, from, tag, std::chrono::milliseconds(0), drained);
 }
 
 bool TcpTransport::establish_fresh_locked(OutLink& l, int to) {
@@ -575,7 +597,6 @@ bool TcpTransport::reconnect_locked(OutLink& l, int to) {
     ::close(l.fd);
     l.fd = -1;
   }
-  if (!reconnect_enabled()) return false;
   degraded_[static_cast<std::size_t>(to)]->store(true);
   PAC_TRACE_SCOPE("wire_reconnect", rank_, to);
   auto& counters = obs::CounterRegistry::instance();
@@ -584,7 +605,7 @@ bool TcpTransport::reconnect_locked(OutLink& l, int to) {
     const double capped_ms = std::min(
         tuning_.backoff_max_ms, tuning_.backoff_base_ms * std::pow(2.0, attempt));
     const double sleep_ms =
-        capped_ms * backoff_jitter(tuning_.backoff_seed, to, attempt);
+        capped_ms * backoff_jitter(kBackoffSeed, to, attempt);
     if (sleep_ms > 0.0) {
       counters.add("wire.backoff_sleep_us",
                    static_cast<std::int64_t>(sleep_ms * 1000.0));
@@ -693,7 +714,7 @@ bool TcpTransport::wait_buffer_space_locked(OutLink& l, int to,
   // Bound forced-reconnect rounds that make no trimming progress so a
   // receiver whose rx thread is wedged cannot spin us forever.
   int stalls = 0;
-  while (l.unacked.size() >= tuning_.retransmit_buffer_frames) {
+  while (l.unacked.size() >= kRetransmitBufferFrames) {
     if (stop_.load() || closed()) return false;
     const std::size_t before = l.unacked.size();
     if (l.fd < 0) {
@@ -755,8 +776,22 @@ bool TcpTransport::send_logical_locked(OutLink& l, int to,
   return true;
 }
 
-void TcpTransport::wire_send(int to, const std::vector<std::uint8_t>& frame) {
-  std::vector<std::uint8_t> bytes = frame;
+void TcpTransport::deliver(int to, Message msg) {
+  PAC_CHECK(msg.source == rank_, "endpoint of rank "
+                                     << rank_ << " cannot send as rank "
+                                     << msg.source);
+  if (to == rank_) {
+    // Self-send: deposit locally; the deposit advances the fault sequence.
+    box_.deposit(std::move(msg), faults_);
+    return;
+  }
+  wire_send(to, msg.q.has_value()
+                    ? wire::encode_data_q(msg.source, msg.tag, *msg.q)
+                    : wire::encode_data(msg.source, msg.tag, msg.payload));
+  faults_.message_delivered(msg.source, to, msg.tag);
+}
+
+void TcpTransport::wire_send(int to, std::vector<std::uint8_t> bytes) {
   if (tuning_.auth_key.has_value()) {
     wire::authenticate(bytes, *tuning_.auth_key);
   }
@@ -765,7 +800,7 @@ void TcpTransport::wire_send(int to, const std::vector<std::uint8_t>& frame) {
     std::lock_guard<std::mutex> guard(
         *io_mutex_[static_cast<std::size_t>(to)]);
     sent = send_logical_locked(*out_[static_cast<std::size_t>(to)], to,
-                               std::move(bytes), reconnect_enabled());
+                               std::move(bytes), /*allow_reconnect=*/true);
   }
   if (!sent) {
     // Outside the io mutex: the root-death gossip locks the other links.

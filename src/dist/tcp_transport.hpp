@@ -1,28 +1,44 @@
 // TCP socket transport backend: ranks on (potentially) different machines
 // exchange length-prefixed wire frames over stream sockets.
 //
+// A TcpTransport is the Transport of exactly ONE rank.  Send admission, the
+// closed/dead flags and the Mailbox (deposit with reorder parking, blocking
+// and timed receive) are the Transport base's, shared with the in-process
+// oracle.  Sends to other ranks are encoded and shipped over the link's
+// socket; receives block on this rank's Mailbox, which the rx threads fill.
+// The fault pipeline runs sender-side for delays/transient failures/death
+// and receiver-side for reorder decisions; because fault decisions are pure
+// hashes of (seed, link, tag, per-link sequence) and each side observes the
+// same sequence numbers, the schedule matches the in-process oracle exactly.
+//
+// Drain semantics across a real wire: InProcTransport can atomically decide
+// "no more messages from rank r" the instant r is marked dead; a wire
+// cannot — bytes may still be in flight.  So a blocked receiver is woken
+// with PeerDeadError only once the link from r is also *drained* (its
+// sockets quiesced after the death was observed).  Messages that made it
+// onto the wire before the death stay receivable, matching the oracle's
+// drain guarantee.
+//
 // Connection model: every endpoint owns a listening socket; links are
 // established lazily by the sender and identified by a HELLO frame carrying
 // the source rank, so each directed link is one connection and per-(source,
 // tag) FIFO follows from TCP's byte ordering plus the per-destination send
-// serialization in RemoteEndpointBase.  `close_rank` / `close` propagate as
-// RANK_DEAD / CLOSE control frames (best effort).
+// serialization.  `close_rank` / `close` propagate as RANK_DEAD / CLOSE
+// control frames (best effort).
 //
-// Link loss vs rank death (the reconnect state machine, DESIGN.md §5h):
-// with a nonzero reconnect budget an unexpected EOF / connection reset
-// marks the link DEGRADED, not the peer dead.  The sender keeps every
-// un-acknowledged frame in a bounded retransmit buffer; on the next send it
-// re-dials with seeded exponential backoff + jitter, re-HELLOs with a fresh
-// per-link session *epoch*, and the receiver replies with the count of
-// logical frames it has delivered from that link — the sender replays
-// exactly the suffix the receiver never saw, so no frame is lost or
-// duplicated and per-(source, tag) FIFO survives the reconnect.  Stale
-// connections (an older epoch still draining) stop delivering the moment a
-// newer epoch is adopted.  Only after the budget is exhausted — or a
-// RANK_DEAD control frame arrives, or the peer refuses a dial — does the
-// link collapse into the ordinary PeerDeadError / recovery path.  Budget 0
-// restores the legacy behavior where the wire itself is the failure
-// detector (EOF = death).
+// Link loss vs rank death (the reconnect state machine, DESIGN.md §5h): an
+// unexpected EOF / connection reset marks the link DEGRADED, not the peer
+// dead.  The sender keeps every un-acknowledged frame in a bounded
+// retransmit buffer; on the next send it re-dials with seeded exponential
+// backoff + jitter, re-HELLOs with a fresh per-link session *epoch*, and
+// the receiver replies with the count of logical frames it has delivered
+// from that link — the sender replays exactly the suffix the receiver never
+// saw, so no frame is lost or duplicated and per-(source, tag) FIFO
+// survives the reconnect.  Stale connections (an older epoch still
+// draining) stop delivering the moment a newer epoch is adopted.  Only
+// after the budget is exhausted — or a RANK_DEAD / ROOT_DEAD control frame
+// names the peer, or the peer refuses a dial — does the link collapse into
+// the ordinary PeerDeadError / recovery path.
 //
 // Refusal rule (the killed-rank detector, DESIGN.md §5h): an endpoint
 // listens from construction to destruction and peer addresses come only
@@ -56,7 +72,8 @@
 #include <utility>
 #include <vector>
 
-#include "dist/remote_endpoint.hpp"
+#include "dist/transport.hpp"
+#include "dist/wire.hpp"
 
 namespace pac::dist {
 
@@ -65,34 +82,26 @@ struct TcpPeer {
   std::uint16_t port = 0;  // 0 = unknown yet
 };
 
-// Survivability knobs for a TCP endpoint.  The defaults give every link a
-// small reconnect budget; set reconnect_budget = 0 for the legacy
-// EOF-means-death wire.
+// Survivability knobs for a TCP endpoint.
 struct TcpTuning {
   // Reconnect attempts per link loss before the link collapses into the
-  // rank-death path.  0 disables reconnection entirely.
+  // rank-death path; at least 1.
   int reconnect_budget = 4;
   // Exponential backoff between attempts: base * 2^attempt, capped, then
-  // scaled by backoff_jitter(seed, peer, attempt) in [0.5, 1.5).
+  // scaled by a seeded backoff_jitter factor in [0.5, 1.5).
   double backoff_base_ms = 5.0;
   double backoff_max_ms = 200.0;
-  std::uint64_t backoff_seed = 0xF1A5EEDULL;
   // Dial deadline for the FIRST connection on a link (the peer may still
   // be binding its listener).
   int connect_timeout_ms = 5000;
   // Per-attempt deadline for a reconnect dial + resync reply.
   int reconnect_timeout_ms = 500;
-  // Sender-side in-flight bound: frames kept for retransmission until the
-  // receiver acknowledges them.  A full buffer blocks the sender on acks.
-  std::size_t retransmit_buffer_frames = 256;
-  // The receiver acks its cumulative delivery count every N logical frames.
-  std::uint32_t ack_interval = 8;
   // Frame-auth key; all frames on all links of this endpoint are tagged
   // and verified when set (distributed out of band or via rendezvous).
   std::optional<wire::AuthKey> auth_key;
 };
 
-class TcpTransport final : public RemoteEndpointBase {
+class TcpTransport final : public Transport {
  public:
   // Binds `bind_port` (0 for kernel-assigned) on 127.0.0.1 and starts
   // accepting.  Peer addresses can be provided now or later via set_peer.
@@ -129,7 +138,6 @@ class TcpTransport final : public RemoteEndpointBase {
   void report_root_death(int rank) override;
 
  protected:
-  void wire_send(int to, const std::vector<std::uint8_t>& frame) override;
   void on_close_rank(int rank) override;
   void on_close() override;
 
@@ -161,7 +169,15 @@ class TcpTransport final : public RemoteEndpointBase {
     Connection* live = nullptr;   // the connection allowed to deliver
   };
 
-  bool reconnect_enabled() const { return tuning_.reconnect_budget > 0; }
+  // A self-send deposits locally; anything else is encoded and shipped
+  // with wire_send.
+  void deliver(int to, Message msg) override;
+  void wake_receivers() override { box_.wake(); }
+  // Ships an encoded frame to `to`'s process under the link's io mutex
+  // (the main thread and the async sender may write the same link
+  // concurrently); throws PeerDeadError once the link is lost for good.
+  void wire_send(int to, std::vector<std::uint8_t> bytes);
+
   wire::FrameDecoder make_decoder() const;
 
   void accept_main();
@@ -208,19 +224,23 @@ class TcpTransport final : public RemoteEndpointBase {
   // hold no io mutex: the broadcast locks each link's in turn.
   void send_control_everywhere(const std::vector<std::uint8_t>& frame,
                                int skip_rank = -1);
-  // Marks `rank` dead; sets drained immediately when no inbound link from
-  // it exists (nothing can be in flight).
+  // Marks `rank` dead (remote origin: nothing is re-propagated); sets
+  // drained immediately when no inbound link from it exists (nothing can
+  // be in flight).
   void note_dead_rank(int rank);
-  // Sets drained(rank) once no live rx thread for it remains.
+  // Sets drained(rank) once no live rx thread for it remains; blocked
+  // receivers on a dead `rank` then wake with PeerDeadError.
   void maybe_set_drained(int rank);
-  // Collapse: a refusal, an unexpected hangup under budget 0, or an
-  // exhausted budget marks the peer dead and records it as the root cause
-  // when nobody has been declared dead yet.
+  // Collapse: a refusal or an exhausted budget marks the peer dead and
+  // records it as the root cause when nobody has been declared dead yet.
   void observe_peer_gone(int peer);
   // EOF on an inbound connection: death when the peer refuses a probe
-  // dial (or under budget 0), a degraded link otherwise.
+  // dial, a degraded link otherwise.
   void observe_link_eof(Connection* conn);
 
+  const int rank_;
+  Mailbox box_;
+  std::vector<std::atomic<bool>> drained_;
   TcpTuning tuning_;
   std::uint16_t port_ = 0;
   int listen_fd_ = -1;

@@ -98,8 +98,8 @@ quant::QTensor message_to_q(Message&& msg);
 
 // One rank's inbox, shared by every backend: per-(source, tag) FIFO queues,
 // the FaultPlan's reorder parking, and the blocking or timed receive with
-// drain semantics.  The in-process oracle keeps one per rank; a remote
-// endpoint keeps one for its own rank, filled by its pump threads.
+// drain semantics.  The in-process oracle keeps one per rank; a
+// TcpTransport keeps one for its own rank, filled by its receive threads.
 class Mailbox {
  public:
   explicit Mailbox(int rank) : rank_(rank) {}

@@ -46,6 +46,11 @@ class Sgd : public Optimizer {
 // Adam with optional decoupled weight decay (AdamW when weight_decay > 0).
 class Adam : public Optimizer {
  public:
+  // Adam keeps two moments (m, v) per trainable value, so its state is
+  // this many times the trainable (= gradient) bytes.  The planner, the
+  // stage ledger and the phase-2 ledger all charge it from here.
+  static constexpr std::uint64_t kStateFactor = 2;
+
   explicit Adam(float lr, float beta1 = 0.9F, float beta2 = 0.999F,
                 float eps = 1e-8F, float weight_decay = 0.0F)
       : lr_(lr),

@@ -402,7 +402,7 @@ RunResult run_cached_data_parallel(
     dist::ScopedAlloc grads_alloc(ctx.ledger, dist::MemClass::kGradients,
                                   grad_bytes);
     dist::ScopedAlloc opt_alloc(ctx.ledger, dist::MemClass::kOptimizer,
-                                2 * grad_bytes);
+                                nn::Adam::kStateFactor * grad_bytes);
 
     std::int64_t flat_size = 0;
     for (nn::Parameter* p : trainable) flat_size += p->value().numel();

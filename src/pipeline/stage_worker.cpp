@@ -55,7 +55,7 @@ StageWorker::StageWorker(dist::DeviceContext& ctx, model::Model& model,
       grad_bytes_ += p->grad_bytes();
     }
   }
-  optimizer_bytes_ = 2 * grad_bytes_;  // Adam first/second moments
+  optimizer_bytes_ = nn::Adam::kStateFactor * grad_bytes_;
   ctx_.ledger.allocate(dist::MemClass::kWeights, weights_bytes_);
   ctx_.ledger.allocate(dist::MemClass::kGradients, grad_bytes_);
   ctx_.ledger.allocate(dist::MemClass::kOptimizer, optimizer_bytes_);

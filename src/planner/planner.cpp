@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "nn/optimizer.hpp"
 #include "obs/trace.hpp"
 #include "pipeline/schedule.hpp"
 
@@ -19,11 +20,9 @@ std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
 
 // Per-device bytes of a member holding a stage's weights, gradients and
 // optimizer state plus `in_flight` micro-batches' activations.
-std::uint64_t device_bytes(const PlannerInput& input, const BlockTotals& t,
-                           std::int64_t in_flight) {
-  const double opt = input.optimizer_state_factor *
-                     static_cast<double>(t.trainable_bytes);
-  return t.param_bytes + t.trainable_bytes + static_cast<std::uint64_t>(opt) +
+std::uint64_t device_bytes(const BlockTotals& t, std::int64_t in_flight) {
+  return t.param_bytes + t.trainable_bytes +
+         nn::Adam::kStateFactor * t.trainable_bytes +
          t.activation_bytes * static_cast<std::uint64_t>(in_flight);
 }
 
@@ -43,7 +42,7 @@ std::uint64_t stage_memory(const PlannerInput& input, const BlockTotals& t,
       input.schedule == pipeline::ScheduleKind::kGPipe
           ? local_micros
           : std::min(local_micros, stages_from_here);
-  return device_bytes(input, t, in_flight);
+  return device_bytes(t, in_flight);
 }
 
 // Blocks [begin, end) on planner ranks [first_rank, first_rank + m).  A
@@ -221,10 +220,10 @@ PlanEstimate evaluate_plan(const PlannerInput& input,
     const std::int64_t warmup = pipeline::stage_warmup(plan, i);
     std::uint64_t mem = 0;
     for (std::size_t j = 0; j < st.devices.size(); ++j) {
-      const std::uint64_t dev_mem = device_bytes(
-          input, load,
-          pipeline::max_in_flight(pipeline::make_schedule(
-              input.schedule, load.local_micros[j], warmup)));
+      const std::int64_t in_flight = pipeline::max_in_flight(
+          pipeline::make_schedule(input.schedule, load.local_micros[j],
+                                  warmup));
+      const std::uint64_t dev_mem = device_bytes(load, in_flight);
       est.device_memory_bytes[static_cast<std::size_t>(st.devices[j])] =
           dev_mem;
       mem = std::max(mem, dev_mem);

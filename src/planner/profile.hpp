@@ -33,7 +33,6 @@ struct PlannerInput {
       std::numeric_limits<std::uint64_t>::max();
   costmodel::NetworkModel network;
   std::int64_t num_micro_batches = 8;  // per mini-batch
-  double optimizer_state_factor = 2.0;  // Adam: 2x trainable bytes
   // The schedule every stage runs.  GPipe keeps every local micro-batch's
   // activations in flight; 1F1B bounds them by its warmup.  The planner
   // prices memory with it and the event simulator replays it.

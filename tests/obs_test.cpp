@@ -19,8 +19,8 @@
 
 #include "common/thread_pool.hpp"
 #include "core/session.hpp"
+#include "json.hpp"
 #include "obs/counters.hpp"
-#include "obs/json.hpp"
 #include "obs/trace.hpp"
 
 namespace pac::obs {

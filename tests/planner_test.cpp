@@ -3,6 +3,7 @@
 #include <random>
 
 #include "common/timer.hpp"
+#include "nn/optimizer.hpp"
 #include "pipeline/plan.hpp"
 #include "pipeline/schedule.hpp"
 #include "planner/planner.hpp"
@@ -297,8 +298,7 @@ double bf_stage_cost(const PlannerInput& input, std::int64_t block_begin,
           : std::min(local_micros, stages_from_here);
   const std::uint64_t mem =
       param_bytes + trainable_bytes +
-      static_cast<std::uint64_t>(input.optimizer_state_factor *
-                                 static_cast<double>(trainable_bytes)) +
+      nn::Adam::kStateFactor * trainable_bytes +
       activation_bytes * static_cast<std::uint64_t>(in_flight);
   if (mem > input.device_budget_bytes) {
     return std::numeric_limits<double>::infinity();

@@ -920,6 +920,42 @@ TEST(TcpRobustness, MessageSentBeforeEndpointDiesIsStillReceived) {
                PeerDeadError);
 }
 
+TEST(TcpRobustness, RootDeadGossipWakesReceiverWithNoLinkFromVictim) {
+  // Rank 2 (the victim) only ever dials rank 0, so rank 1 holds no link
+  // from it that could hit EOF.  Rank 0 detects the death on its inbound
+  // link and gossips ROOT_DEAD; that frame alone must end rank 1's
+  // receive, long before its window expires and its own probe runs.
+  std::vector<std::unique_ptr<TcpTransport>> ep;
+  for (int r = 0; r < 3; ++r) {
+    ep.push_back(std::make_unique<TcpTransport>(3, r, /*bind_port=*/0,
+                                                LinkModel{}, FaultPlan{},
+                                                fast_tuning()));
+  }
+  for (int r = 0; r < 3; ++r) {
+    for (int p = 0; p < 3; ++p) {
+      if (p != r) ep[r]->set_peer(p, TcpPeer{"127.0.0.1", ep[p]->port()});
+    }
+  }
+  ep[2]->send(2, 0, 4, Tensor::full({1}, 1.0F));
+  EXPECT_FLOAT_EQ(ep[0]->recv(0, 2, 4).at({0}), 1.0F);
+  ep[2].reset();
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(ep[1]->recv_for(1, 2, 4, std::chrono::seconds(10)),
+               PeerDeadError);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(2));
+  EXPECT_TRUE(ep[1]->rank_dead(2));
+  EXPECT_EQ(ep[1]->first_dead_rank(), 2);
+}
+
+TEST(TcpRobustness, ZeroReconnectBudgetRejectedAtConstruction) {
+  TcpTuning tuning = fast_tuning();
+  tuning.reconnect_budget = 0;
+  EXPECT_THROW(TcpTransport(2, 0, /*bind_port=*/0, LinkModel{}, FaultPlan{},
+                            tuning),
+               InvalidArgument);
+}
+
 TEST(TcpRobustness, MacTamperedFrameNeverReachesMailbox) {
   obs::TraceSession trace;  // arms wire.auth_fail
   auto& counters = obs::CounterRegistry::instance();

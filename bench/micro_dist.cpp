@@ -1,10 +1,11 @@
 // Distributed-runtime micro-benchmarks (google-benchmark): transport
-// point-to-point, ring vs naive AllReduce (ablation §5 of DESIGN.md),
-// 1F1B vs GPipe end-to-end on the executed engine, and the BM_Comm*
-// rows — the overlapped pipeline on a simulated 128 Mbps link (in-proc,
-// TCP loopback, WAN-shaped, traced), a multi-mini-batch epoch on
-// hybrid_live's 2x2 plan, and cold vs prefetched cache fetches
-// (recorded to BENCH_comm.json by scripts/bench.sh --suite comm).
+// point-to-point, AllReduce on each side of the direct/ring crossover
+// (ablation §5 of DESIGN.md), 1F1B vs GPipe end-to-end on the executed
+// engine, and the BM_Comm* rows — the overlapped pipeline on a simulated
+// 128 Mbps link (in-proc, TCP loopback, WAN-shaped, traced), a
+// multi-mini-batch epoch on hybrid_live's 2x2 plan, and cold vs
+// prefetched cache fetches (recorded to BENCH_comm.json by
+// scripts/bench.sh --suite comm).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -43,7 +44,6 @@ void BM_TransportPingPong(benchmark::State& state) {
 }
 BENCHMARK(BM_TransportPingPong)->Arg(1024)->Arg(1 << 16);
 
-template <dist::AllReduceAlgo Algo>
 void BM_AllReduce(benchmark::State& state) {
   const int world = static_cast<int>(state.range(0));
   const auto n = state.range(1);
@@ -54,7 +54,7 @@ void BM_AllReduce(benchmark::State& state) {
   for (auto _ : state) {
     cluster.run([&](dist::DeviceContext& ctx) {
       Tensor t = Tensor::full({n}, 1.0F);
-      ctx.comm.allreduce_sum(t, group, 100, Algo);
+      ctx.comm.allreduce_sum(t, group, 100);
       benchmark::DoNotOptimize(t.data());
     });
   }
@@ -64,14 +64,10 @@ void BM_AllReduce(benchmark::State& state) {
 // like a hybrid_live stage's grads), which takes the direct schedule;
 // {4, 13334}: 53336 bytes, just above the g = 4 crossover of the default
 // link, back on the ring.
-BENCHMARK(BM_AllReduce<dist::AllReduceAlgo::kRing>)
+BENCHMARK(BM_AllReduce)
     ->Args({2, 1600})
     ->Args({4, 1600})
     ->Args({4, 13334})
-    ->Args({4, 1 << 14})
-    ->Args({8, 1 << 14})
-    ->Args({4, 1 << 18});
-BENCHMARK(BM_AllReduce<dist::AllReduceAlgo::kNaive>)
     ->Args({4, 1 << 14})
     ->Args({8, 1 << 14})
     ->Args({4, 1 << 18});

@@ -12,9 +12,10 @@
 #                    loopback and WAN-shaped links, the same mini-batch
 #                    in-proc with no link sleeps, cache prefetch, and the
 #                    quantized-cache session with its cache/redistribution
-#                    byte counters), BM_AllReduce (ring vs naive, in-proc,
-#                    no link sleeps), BM_CacheQuantizeRoundTrip (codec
-#                    throughput per dtype), and BM_ElasticReplan (straggler
+#                    byte counters), BM_AllReduce (direct and ring
+#                    schedules, in-proc, no link sleeps),
+#                    BM_CacheQuantizeRoundTrip (codec throughput per
+#                    dtype), and BM_ElasticReplan (straggler
 #                    verdict + planner re-run) -> BENCH_comm.json
 #   --suite service  micro_service BM_Service* (dispatcher control-plane
 #                    round trips, and the 16-job-burst makespan pair —

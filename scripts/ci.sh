@@ -15,7 +15,10 @@
 # like `find src -type f | xargs cat | wc -l`), so changes report net
 # lines the same way; it is a report, not a gate.
 #
-# Usage: scripts/ci.sh [all|test|stress|tsan|portable|coverage|loc]
+# `waits` fails on any untimed `.wait(` in src/ that the allow-list below
+# does not name (the no-silent-hang gate); `all` runs it first.
+#
+# Usage: scripts/ci.sh [all|test|stress|tsan|portable|coverage|loc|waits]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -125,6 +128,64 @@ portable_pass() {
   done
 }
 
+# Every `.wait(` call site in src/, as "<file>|<trimmed source line>", one
+# entry per site, each with why it may block without a deadline.  A new
+# site fails the gate until it gets a deadline or a detector, or an entry
+# here; a deleted site fails it until its entry goes too.
+WAIT_ALLOW=(
+  # The prefetch reader idles until a request; the cache's destructor sets
+  # stop and notifies.
+  "src/cache/activation_cache.cpp|pf_.work.wait(lk, [&] { return pf_.stop || pf_.has_request; });"
+  # fetch waits for the reader staging this very sample: one bounded disk
+  # read, after which the reader clears busy.
+  "src/cache/activation_cache.cpp|pf_.staged_ready.wait(lk, [&] { return !pf_.busy || pf_.stop; });"
+  # A blocking send waits out queued isends on its (to, tag) key; the
+  # sender thread delivers them or defers a failure, which also wakes it.
+  "src/dist/communicator.cpp|drained_cv_.wait(lk, [&] {"
+  # flush_sends: the same drain, over every key.
+  "src/dist/communicator.cpp|drained_cv_.wait(lk, [&] {"
+  # The sender thread idles until an isend; the destructor sets stop_.
+  "src/dist/communicator.cpp|async_cv_.wait(lk, [&] { return stop_ || !queue_.empty(); });"
+  # The untimed mailbox receive (CommPolicy::recv_timeout_ms = 0) ends on
+  # a message, a close or a peer death.  Open: an in-process peer that
+  # never sends blocks it forever; it needs a deadlock detector (ROADMAP).
+  "src/dist/transport.cpp|arrived_.wait(lock, ready);"
+  # Posted forward-hidden receive: PendingRecv::wait is the policy
+  # receive, timed when recv_timeout_ms is set, else the mailbox wait above.
+  "src/pipeline/stage_worker.cpp|state.hidden = pf.hidden.wait();"
+  # Posted forward-adapter receive: as the hidden one.
+  "src/pipeline/stage_worker.cpp|if (pf.adapter.valid()) state.adapter = pf.adapter.wait();"
+  # Posted pad-mask receive: as the hidden one.
+  "src/pipeline/stage_worker.cpp|if (pf.mask.valid()) state.pad_mask = pf.mask.wait();"
+  # Posted backward-gradient receive: as the hidden one.
+  "src/pipeline/stage_worker.cpp|Tensor incoming = posted->second.grad.wait();"
+  # A pool worker idles until a task; the destructor sets stopping_.
+  "src/common/thread_pool.cpp|task_ready_.wait(wait_lock,"
+  # parallel_for joins its chunks; each runs on a worker or the caller and
+  # returns, since nested dispatch from a worker runs inline.
+  "src/common/thread_pool.cpp|done_cv.wait(done_lock, [&] { return remaining == 0; });"
+  # wait_idle returns when every admitted job has finished or been
+  # cancelled.
+  "src/service/dispatcher.cpp|idle_cv_.wait(dispatch_lock, [this] { return active_ == 0; });"
+  # A dispatcher worker idles until a job is ready; shutdown sets
+  # stopping_.
+  "src/service/dispatcher.cpp|ready_cv_.wait(dispatch_lock,"
+)
+
+waits_gate() {
+  echo "=== untimed waits in src/ against the allow-list ==="
+  local found allowed
+  found="$(grep -rnF '.wait(' src | sed -E 's/^([^:]+):[0-9]+:[[:space:]]*/\1|/' | sort || true)"
+  allowed="$(printf '%s\n' "${WAIT_ALLOW[@]}" | sort)"
+  if [[ "$found" != "$allowed" ]]; then
+    echo "'.wait(' sites in src/ differ from WAIT_ALLOW in scripts/ci.sh" \
+         "(< listed but gone, > present but not listed):" >&2
+    diff <(echo "$allowed") <(echo "$found") >&2 || true
+    return 1
+  fi
+  echo "waits OK: ${#WAIT_ALLOW[@]} allowed sites"
+}
+
 # src/ lines per module, then the total.
 loc_report() {
   local dir
@@ -171,7 +232,11 @@ case "$MODE" in
   loc)
     loc_report
     ;;
+  waits)
+    waits_gate
+    ;;
   all)
+    waits_gate
     build build
     run_tests build
     scripts/bench.sh --quick
@@ -183,7 +248,7 @@ case "$MODE" in
     portable_pass
     ;;
   *)
-    echo "unknown mode: $MODE (expected all|test|stress|tsan|portable|coverage|loc)" >&2
+    echo "unknown mode: $MODE (expected all|test|stress|tsan|portable|coverage|loc|waits)" >&2
     exit 2
     ;;
 esac

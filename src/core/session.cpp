@@ -384,8 +384,8 @@ SessionReport Session::run_attempt() {
     };
 
     // In a multi-process run every process keeps its own log, and a death
-    // inside the epoch-end loss reduce (its root sends the sum to one
-    // member at a time) can leave some processes one commit ahead.  All
+    // inside the epoch-end loss reduce (each member sends its share to one
+    // peer at a time) can leave some processes one commit ahead.  All
     // resume from the fewest committed epochs; one ahead rolls back.
     auto agree_on_resume_epoch = [&](const std::vector<int>& group) {
       const int mine = recovery.epochs_completed();
@@ -401,6 +401,10 @@ SessionReport Session::run_attempt() {
           fewest = std::min(fewest, static_cast<int>(committed.at({r})));
         }
       });
+      if (fewest < mine) {
+        PAC_LOG_WARN << "rolling back the commit of epoch " << fewest
+                     << ": a peer process did not commit it";
+      }
       recovery.roll_back_to(fewest);
     };
 

@@ -37,7 +37,8 @@ struct DeviceModel {
 // b = 8 / bandwidth_bps seconds per byte (dist/communicator.hpp):
 //   ring   — reduce-scatter then all-gather, 2(g-1) hops of N/g bytes;
 //   direct — every member sends its whole buffer to every peer at once.
-// The runtime's schedule choice and the planner's price both read these.
+// The runtime's schedule choice, the planner's price and the simulator's
+// byte count all read these.
 inline double ring_allreduce_seconds(double bytes, int group,
                                      double latency_s, double bandwidth_bps) {
   const double g = static_cast<double>(group);
@@ -49,6 +50,14 @@ inline double direct_allreduce_seconds(double bytes, int group,
                                        double bandwidth_bps) {
   const double g = static_cast<double>(group);
   return latency_s + (g - 1.0) * bytes * 8.0 / bandwidth_bps;
+}
+
+// The one schedule choice: direct when it costs no more than the ring.
+inline bool direct_allreduce_is_cheaper(double bytes, int group,
+                                        double latency_s,
+                                        double bandwidth_bps) {
+  return direct_allreduce_seconds(bytes, group, latency_s, bandwidth_bps) <=
+         ring_allreduce_seconds(bytes, group, latency_s, bandwidth_bps);
 }
 
 struct NetworkModel {
@@ -74,6 +83,17 @@ struct NetworkModel {
     return std::min(
         ring_allreduce_seconds(wire, group, latency_s, bandwidth_bps),
         direct_allreduce_seconds(wire, group, latency_s, bandwidth_bps));
+  }
+
+  // Bytes the whole group puts on the wire for that AllReduce: direct
+  // sends each member's payload N to its g-1 peers, g(g-1)*N; the ring
+  // moves 2(g-1) chunks of N/g per member, 2(g-1)*N.
+  std::uint64_t allreduce_group_bytes(std::uint64_t bytes, int group) const {
+    const double wire = static_cast<double>(bytes) * allreduce_wire_factor;
+    const bool direct =
+        direct_allreduce_is_cheaper(wire, group, latency_s, bandwidth_bps);
+    return static_cast<std::uint64_t>((direct ? group : 2) * (group - 1) *
+                                      wire);
   }
 };
 

@@ -43,11 +43,9 @@ double backoff_jitter(std::uint64_t seed, int rank, int attempt) {
 
 bool allreduce_prefers_direct(const LinkModel& link, int group_size,
                               std::uint64_t bytes) {
-  const auto n = static_cast<double>(bytes);
-  return costmodel::direct_allreduce_seconds(n, group_size, link.latency_s,
-                                             link.bandwidth_bps) <=
-         costmodel::ring_allreduce_seconds(n, group_size, link.latency_s,
-                                           link.bandwidth_bps);
+  return costmodel::direct_allreduce_is_cheaper(static_cast<double>(bytes),
+                                                group_size, link.latency_s,
+                                                link.bandwidth_bps);
 }
 
 double Communicator::compute_throttle() const {
@@ -328,39 +326,16 @@ Tensor Communicator::broadcast(Tensor payload, int root,
 }
 
 void Communicator::allreduce_sum(Tensor& t, const std::vector<int>& group,
-                                 int tag, AllReduceAlgo algo) {
+                                 int tag) {
   group_index(group);
   if (group.size() == 1) return;
   PAC_CHECK(t.defined(), "allreduce on undefined tensor");
-  // Tiny tensors do not chunk well; the ring degenerates gracefully but the
-  // naive path is simpler and equally cheap.
-  if (algo == AllReduceAlgo::kNaive ||
-      t.numel() < static_cast<std::int64_t>(group.size())) {
-    allreduce_naive(t, group, tag);
-  } else if (allreduce_prefers_direct(transport_->link(),
-                                      static_cast<int>(group.size()),
-                                      t.byte_size())) {
+  if (allreduce_prefers_direct(transport_->link(),
+                               static_cast<int>(group.size()),
+                               t.byte_size())) {
     allreduce_direct(t, group, tag);
   } else {
     allreduce_ring(t, group, tag);
-  }
-}
-
-void Communicator::allreduce_naive(Tensor& t, const std::vector<int>& group,
-                                   int tag) {
-  const int root = group[0];
-  if (rank_ == root) {
-    for (std::size_t i = 1; i < group.size(); ++i) {
-      Tensor part = recv(group[i], tag);
-      t.add_(part);
-    }
-    for (std::size_t i = 1; i < group.size(); ++i) {
-      send(group[i], tag, t.clone());
-    }
-  } else {
-    send(root, tag, t.clone());
-    Tensor summed = recv(root, tag);
-    t.copy_from(summed);
   }
 }
 

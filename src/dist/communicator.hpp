@@ -3,21 +3,21 @@
 //
 // Collectives operate over an explicit, sorted group of ranks (PAC's hybrid
 // parallelism synchronizes adapters *within a stage's device group*, not
-// across the world).  Two AllReduce algorithms are provided — ring (the
-// default) and naive gather+broadcast — as the ablation pair for the micro
-// benches.
+// across the world).
 //
 // Ring order: the payload splits into g chunks of ceil(n/g) elements, and
 // chunk c is summed as x_c + x_{c+1} + ... + x_{c+g-1} (member indices in
-// group order, mod g), folded left to right.  kRing fixes that order, not
-// the messages that carry it, and runs one of two schedules:
+// group order, mod g), folded left to right.  AllReduce fixes that order,
+// not the messages that carry it, and runs one of two schedules:
 //   * ring — reduce-scatter then all-gather, 2(g-1) hops of n/g elements,
 //     costing 2(g-1)(a + N*b/g) for N payload bytes;
 //   * direct — every member sends its whole buffer to every peer in one
 //     hop and folds each chunk locally in ring order, costing
 //     a + (g-1)*N*b.
 // IEEE addition is commutative, so both schedules produce the same bits on
-// every rank.  `allreduce_prefers_direct` picks the cheaper one from the
+// every rank.  Below g elements each element is its own chunk, so a
+// one-element payload (the epoch loss) sums x_0 + x_1 + ... + x_{g-1}.
+// `allreduce_prefers_direct` picks the cheaper schedule from the
 // transport's LinkModel (a = latency_s, b = 8 / bandwidth_bps seconds per
 // byte); every member of a group must share that LinkModel so all of them
 // choose the same schedule.
@@ -65,8 +65,6 @@
 
 namespace pac::dist {
 
-enum class AllReduceAlgo { kRing, kNaive };
-
 // Failure-detection / retry knobs for a rank's communication handle.
 struct CommPolicy {
   // recv: 0 disables timeouts (block until message, close, or peer death).
@@ -82,8 +80,8 @@ struct CommPolicy {
 };
 
 // True when the direct schedule's modeled cost is no higher than the
-// ring's for an N-byte payload over `group_size` members (both costs from
-// costmodel/device_spec.hpp, which the planner prices with too), i.e.
+// ring's for an N-byte payload over `group_size` members: the comparison
+// in costmodel/device_spec.hpp that the planner and the simulator use, i.e.
 // (g-1)(g-2)*N*b <= g(2g-3)*a.  Always true for g = 2; at the default
 // 128 Mbps / 1 ms link, g = 4 goes direct up to about 53 KB.
 bool allreduce_prefers_direct(const LinkModel& link, int group_size,
@@ -185,9 +183,8 @@ class Communicator {
   // Returns the root's tensor on every rank (root passes its payload).
   Tensor broadcast(Tensor payload, int root, const std::vector<int>& group,
                    int tag);
-  // In-place sum across the group.
-  void allreduce_sum(Tensor& t, const std::vector<int>& group, int tag,
-                     AllReduceAlgo algo = AllReduceAlgo::kRing);
+  // In-place sum across the group, in ring order.
+  void allreduce_sum(Tensor& t, const std::vector<int>& group, int tag);
 
  private:
   struct QueuedSend {
@@ -198,7 +195,6 @@ class Communicator {
   int group_index(const std::vector<int>& group) const;
   void allreduce_ring(Tensor& t, const std::vector<int>& group, int tag);
   void allreduce_direct(Tensor& t, const std::vector<int>& group, int tag);
-  void allreduce_naive(Tensor& t, const std::vector<int>& group, int tag);
 
   // The blocking send behind send and send_q: waits out queued isends on
   // (to, msg.tag), then sends with retry.

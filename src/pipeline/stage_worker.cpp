@@ -98,13 +98,6 @@ void StageWorker::reduce_grads() {
     counters.add("allreduce.bucket_bytes",
                  grad_numel_ * static_cast<std::int64_t>(sizeof(float)));
   }
-  if (grad_params_.size() == 1) {
-    // Single tensor: reduce the grad storage in place instead of copying
-    // it through a flat staging buffer twice.
-    Tensor flat = grad_params_[0]->grad().reshape({grad_numel_});
-    ctx_.comm.allreduce_sum(flat, group_, tags::kGradAllReduce);
-    return;
-  }
   Tensor flat({grad_numel_});
   std::int64_t cursor = 0;
   for (nn::Parameter* p : grad_params_) {

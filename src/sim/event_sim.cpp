@@ -186,8 +186,7 @@ SimResult simulate_minibatch(const SimConfig& config) {
                              ranks[rank_index[r]].clock);
       }
       ar_extra = std::max(ar_extra, group_end + ar - makespan);
-      result.comm_bytes += 2 * static_cast<std::uint64_t>(g - 1) *
-                           (trainable / static_cast<std::uint64_t>(g));
+      result.comm_bytes += input.network.allreduce_group_bytes(trainable, g);
     }
     if (ar_extra > 0.0) makespan += ar_extra;
   }

@@ -500,13 +500,16 @@ TEST(ChaosTest, SplitClustersOverTcpHandResultsToTheIdleSide) {
 
 // A phase-2 death inside the epoch-end loss reduce, run as two processes'
 // worth of clusters ({0, 1} and {2, 3}).  The one-float loss goes through
-// the naive schedule: rank 0 gathers every share, then sends the sum to
-// ranks 1, 2 and 3 in turn.  Rank 0 dies before the send to rank 3, so
-// rank 2, which records the {2, 3} side's log, commits the epoch while
-// the {0, 1} side, whose recording rank died, does not.  Both sides must
-// resume from the epoch the {0, 1} side last committed, as the in-process
-// run with the same death does ("Tcp" in the name keeps it off the TSan
-// pass).
+// the direct schedule: each rank sends its share to ranks 0, 1, 2 and 3 in
+// turn, skipping itself, then receives theirs.  Rank 0 dies before its
+// send to rank 3, so the {0, 1} side, whose recording rank died, does not
+// commit the epoch.  Rank 2, which records the {2, 3} side's log, commits
+// it when its own and rank 1's and rank 3's sends to rank 0 all went out
+// before rank 0's death was seen, and must then roll the commit back;
+// otherwise a send to the dead rank fails and neither side commits.
+// Either way both sides must resume from the epoch the {0, 1} side last
+// committed, as the in-process run with the same death does ("Tcp" in the
+// name keeps it off the TSan pass).
 TEST(ChaosTest, SplitClustersOverTcpResumePhase2FromTheSameEpoch) {
   auto ds = small_dataset();
   SessionConfig cfg = chaos_session_config();
@@ -514,10 +517,10 @@ TEST(ChaosTest, SplitClustersOverTcpResumePhase2FromTheSameEpoch) {
   // Rank 0's op counts restart with each run's transport.  Phase 1 takes
   // 24 in one process and 270 split (it hands the trainables to the other
   // side), redistribution 106, and each cached epoch 24, ending with the
-  // loss reduce: three receives, then the sends to ranks 1, 2 and 3.  Op
-  // 288 is the send to rank 3 in cached epoch 11, past every earlier run.
+  // loss reduce: the sends to ranks 1, 2 and 3, then three receives.  Op
+  // 285 is the send to rank 3 in cached epoch 11, past every earlier run.
   dist::FaultPlan death;
-  death.death_after_ops = {{0, 288}};
+  death.death_after_ops = {{0, 285}};
   dist::EdgeCluster oracle_cluster(4,
                                    std::numeric_limits<std::uint64_t>::max());
   oracle_cluster.set_fault_plan(death);

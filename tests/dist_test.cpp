@@ -126,19 +126,31 @@ TEST(TransportTest, RankRangeChecks) {
   EXPECT_THROW(t.recv(2, 0, 0), InvalidArgument);
 }
 
+// The AllReduce schedule a test forces through the cluster's LinkModel
+// (simulate_delay off, so nothing sleeps): a near-free byte cost sends
+// every payload direct; a 1 bps link sends every payload of g >= 3 round
+// the ring (g = 2 always goes direct).
+enum class Schedule { kRing, kDirect };
+
+LinkModel forcing_link(Schedule schedule) {
+  return schedule == Schedule::kRing ? LinkModel{1.0, 1e-3, false}
+                                     : LinkModel{1e30, 1e-3, false};
+}
+
 class CollectiveTest
-    : public ::testing::TestWithParam<std::tuple<int, AllReduceAlgo>> {};
+    : public ::testing::TestWithParam<std::tuple<int, Schedule>> {};
 
 TEST_P(CollectiveTest, AllReduceSumsAcrossGroup) {
-  const auto [n, algo] = GetParam();
-  EdgeCluster cluster(n, std::numeric_limits<std::uint64_t>::max());
+  const auto [n, schedule] = GetParam();
+  EdgeCluster cluster(n, std::numeric_limits<std::uint64_t>::max(),
+                      forcing_link(schedule));
   std::vector<int> group(static_cast<std::size_t>(n));
   std::iota(group.begin(), group.end(), 0);
   std::vector<float> results(static_cast<std::size_t>(n), 0.0F);
   cluster.run([&](DeviceContext& ctx) {
     // Each rank contributes rank+1 in every element.
     Tensor t = Tensor::full({13}, static_cast<float>(ctx.rank + 1));
-    ctx.comm.allreduce_sum(t, group, 100, algo);
+    ctx.comm.allreduce_sum(t, group, 100);
     results[static_cast<std::size_t>(ctx.rank)] = t.at({5});
   });
   const float expect = static_cast<float>(n * (n + 1) / 2);
@@ -146,9 +158,10 @@ TEST_P(CollectiveTest, AllReduceSumsAcrossGroup) {
 }
 
 TEST_P(CollectiveTest, AllReduceOnSubgroup) {
-  const auto [n, algo] = GetParam();
+  const auto [n, schedule] = GetParam();
   if (n < 3) GTEST_SKIP();
-  EdgeCluster cluster(n, std::numeric_limits<std::uint64_t>::max());
+  EdgeCluster cluster(n, std::numeric_limits<std::uint64_t>::max(),
+                      forcing_link(schedule));
   // Group = even ranks only.
   std::vector<int> group;
   for (int r = 0; r < n; r += 2) group.push_back(r);
@@ -156,7 +169,7 @@ TEST_P(CollectiveTest, AllReduceOnSubgroup) {
   cluster.run([&](DeviceContext& ctx) {
     if (ctx.rank % 2 != 0) return;  // not a member
     Tensor t = Tensor::full({8}, 1.0F);
-    ctx.comm.allreduce_sum(t, group, 100, algo);
+    ctx.comm.allreduce_sum(t, group, 100);
     results[static_cast<std::size_t>(ctx.rank)] = t.at({0});
   });
   for (int r = 0; r < n; ++r) {
@@ -172,22 +185,23 @@ TEST_P(CollectiveTest, AllReduceOnSubgroup) {
 INSTANTIATE_TEST_SUITE_P(
     SizesAndAlgos, CollectiveTest,
     ::testing::Combine(::testing::Values(2, 3, 4, 8),
-                       ::testing::Values(AllReduceAlgo::kRing,
-                                         AllReduceAlgo::kNaive)),
+                       ::testing::Values(Schedule::kRing,
+                                         Schedule::kDirect)),
     [](const auto& info) {
-      return std::string(std::get<1>(info.param) == AllReduceAlgo::kRing
+      return std::string(std::get<1>(info.param) == Schedule::kRing
                              ? "Ring"
-                             : "Naive") +
+                             : "Direct") +
              std::to_string(std::get<0>(info.param));
     });
 
 TEST(CollectiveTest, RingHandlesTensorSmallerThanGroup) {
-  EdgeCluster cluster(4, std::numeric_limits<std::uint64_t>::max());
+  EdgeCluster cluster(4, std::numeric_limits<std::uint64_t>::max(),
+                      forcing_link(Schedule::kRing));
   std::vector<int> group{0, 1, 2, 3};
   std::vector<float> results(4, 0.0F);
   cluster.run([&](DeviceContext& ctx) {
     Tensor t = Tensor::full({2}, 1.0F);  // numel < group size
-    ctx.comm.allreduce_sum(t, group, 100, AllReduceAlgo::kRing);
+    ctx.comm.allreduce_sum(t, group, 100);
     results[static_cast<std::size_t>(ctx.rank)] = t.at({1});
   });
   for (float r : results) EXPECT_FLOAT_EQ(r, 4.0F);
@@ -222,7 +236,7 @@ TEST(CollectiveTest, GroupValidation) {
 }
 
 // Property test: for random sorted groups, tags and shapes, both
-// AllReduce algorithms must equal a single-threaded reference reduction
+// AllReduce schedules must equal a single-threaded reference reduction
 // bit for bit.  Contributions are small integers, so every summation
 // order yields the identical float — any deviation is a routing bug, not
 // rounding.
@@ -262,8 +276,9 @@ TEST(CollectiveTest, PropertyAllReduceMatchesReferenceBitForBit) {
       }
     }
 
-    for (AllReduceAlgo algo : {AllReduceAlgo::kRing, AllReduceAlgo::kNaive}) {
-      EdgeCluster cluster(world, std::numeric_limits<std::uint64_t>::max());
+    for (Schedule schedule : {Schedule::kRing, Schedule::kDirect}) {
+      EdgeCluster cluster(world, std::numeric_limits<std::uint64_t>::max(),
+                          forcing_link(schedule));
       std::vector<std::vector<float>> results(
           static_cast<std::size_t>(world));
       cluster.run([&](DeviceContext& ctx) {
@@ -272,7 +287,7 @@ TEST(CollectiveTest, PropertyAllReduceMatchesReferenceBitForBit) {
         }
         Tensor t = Tensor::from_vector(
             {rows, cols}, contrib[static_cast<std::size_t>(ctx.rank)]);
-        ctx.comm.allreduce_sum(t, group, tag, algo);
+        ctx.comm.allreduce_sum(t, group, tag);
         auto& out = results[static_cast<std::size_t>(ctx.rank)];
         out.assign(t.data(), t.data() + numel);
       });
@@ -281,8 +296,8 @@ TEST(CollectiveTest, PropertyAllReduceMatchesReferenceBitForBit) {
         ASSERT_EQ(out.size(), reference.size());
         for (std::size_t i = 0; i < reference.size(); ++i) {
           ASSERT_EQ(out[i], reference[i])
-              << "trial " << trial << " algo "
-              << (algo == AllReduceAlgo::kRing ? "ring" : "naive")
+              << "trial " << trial << " schedule "
+              << (schedule == Schedule::kRing ? "ring" : "direct")
               << " rank " << r << " elem " << i;
         }
       }
@@ -292,12 +307,11 @@ TEST(CollectiveTest, PropertyAllReduceMatchesReferenceBitForBit) {
 
 // The ring-order sum of per-member contributions x[0..g-1]
 // (communicator.hpp): chunk c of ceil(n/g) elements is the left fold
-// x_c + x_{c+1} + ... + x_{c+g-1}, member indices mod g.  Below g elements
-// AllReduce takes the naive path, a left fold x_0 + ... + x_{g-1}.
+// x_c + x_{c+1} + ... + x_{c+g-1}, member indices mod g.
 std::vector<float> ring_order_sum(const std::vector<std::vector<float>>& x) {
   const int g = static_cast<int>(x.size());
   const auto n = static_cast<std::int64_t>(x[0].size());
-  const std::int64_t chunk = n < g ? n : (n + g - 1) / g;
+  const std::int64_t chunk = (n + g - 1) / g;
   std::vector<float> out(x[0].size());
   for (std::int64_t i = 0; i < n; ++i) {
     const auto c = static_cast<int>(i / chunk);
@@ -379,11 +393,7 @@ TEST(CollectiveTest, PlannerPricesTheScheduleTheRuntimePicks) {
 TEST(CollectiveTest, PropertyDirectAndRingSchedulesKeepRingOrderBitForBit) {
   // Non-integer contributions spread over 2^-8..2^8: float addition is not
   // associative on them, so a schedule that summed in another order would
-  // change bits.  Each LinkModel forces one schedule (simulate_delay off,
-  // so nothing sleeps): a near-free byte cost makes every payload go
-  // direct, a 1 bps link sends every payload of g >= 3 round the ring.
-  const LinkModel direct_link{1e30, 1e-3, false};
-  const LinkModel ring_link{1.0, 1e-3, false};
+  // change bits.  Each forcing_link forces one schedule.
   std::mt19937_64 rng(0x0DE5);
   std::uniform_real_distribution<float> unit(-1.0F, 1.0F);
   bool order_visible = false;
@@ -421,11 +431,10 @@ TEST(CollectiveTest, PropertyDirectAndRingSchedulesKeepRingOrderBitForBit) {
       order_visible = left != reference[static_cast<std::size_t>(i)];
     }
 
-    for (bool slow_link : {false, true}) {
-      const bool ring = slow_link && n >= g && g >= 3;
-      const LinkModel link = slow_link ? ring_link : direct_link;
+    for (Schedule schedule : {Schedule::kDirect, Schedule::kRing}) {
+      const bool ring = schedule == Schedule::kRing && g >= 3;
       EdgeCluster cluster(world, std::numeric_limits<std::uint64_t>::max(),
-                          link);
+                          forcing_link(schedule));
       std::vector<std::vector<float>> results(static_cast<std::size_t>(g));
       cluster.run([&](DeviceContext& ctx) {
         const auto it = std::find(group.begin(), group.end(), ctx.rank);
@@ -436,7 +445,7 @@ TEST(CollectiveTest, PropertyDirectAndRingSchedulesKeepRingOrderBitForBit) {
         results[me].assign(t.data(), t.data() + n);
       });
       // The message count tells the schedules apart: the ring sends
-      // 2(g-1) messages per member, direct and naive g-1 from the root.
+      // 2(g-1) messages per member, direct g-1.
       std::uint64_t sent = 0;
       for (int peer : group) {
         sent += cluster.last_transport()->stats(group[0], peer).messages;
@@ -449,7 +458,7 @@ TEST(CollectiveTest, PropertyDirectAndRingSchedulesKeepRingOrderBitForBit) {
         for (std::size_t i = 0; i < out.size(); ++i) {
           ASSERT_EQ(out[i], reference[i])
               << "trial " << trial << " g " << g << " n " << n << " "
-              << (ring ? "ring" : "direct/naive") << " member " << m
+              << (ring ? "ring" : "direct") << " member " << m
               << " elem " << i;
         }
       }

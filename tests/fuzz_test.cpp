@@ -248,8 +248,6 @@ TEST(FuzzTest, CollectivesRandomShapesAndGroups) {
   Rng rng(2718);
   for (int trial = 0; trial < 10; ++trial) {
     const int world = static_cast<int>(rng.integer(2, 6));
-    dist::EdgeCluster cluster(world,
-                              std::numeric_limits<std::uint64_t>::max());
     // Random subgroup containing at least 2 ranks.
     std::vector<int> group;
     for (int r = 0; r < world; ++r) {
@@ -257,15 +255,20 @@ TEST(FuzzTest, CollectivesRandomShapesAndGroups) {
     }
     if (static_cast<int>(group.size()) < 2) group = {0, world - 1};
     const std::int64_t n = rng.integer(1, 500);
-    const auto algo = rng.bernoulli(0.5) ? dist::AllReduceAlgo::kRing
-                                         : dist::AllReduceAlgo::kNaive;
+    // A near-free byte cost sends every payload direct; a 1 bps link sends
+    // every payload of g >= 3 round the ring (simulate_delay off).
+    const dist::LinkModel link = rng.bernoulli(0.5)
+                                     ? dist::LinkModel{1e30, 1e-3, false}
+                                     : dist::LinkModel{1.0, 1e-3, false};
+    dist::EdgeCluster cluster(
+        world, std::numeric_limits<std::uint64_t>::max(), link);
     std::vector<double> sums(static_cast<std::size_t>(world), -1.0);
     cluster.run([&](dist::DeviceContext& ctx) {
       if (std::find(group.begin(), group.end(), ctx.rank) == group.end()) {
         return;
       }
       Tensor t = Tensor::full({n}, static_cast<float>(ctx.rank + 1));
-      ctx.comm.allreduce_sum(t, group, 100, algo);
+      ctx.comm.allreduce_sum(t, group, 100);
       sums[static_cast<std::size_t>(ctx.rank)] = t.at({n / 2});
     });
     double expect = 0.0;

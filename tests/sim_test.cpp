@@ -132,6 +132,37 @@ TEST(EventSimTest, BackwardMessagesCarryTheUpstreamBoundaryGradient) {
   EXPECT_EQ(simulate_minibatch(cfg).comm_bytes, 4U * 393216U + 4U * 393216U);
 }
 
+TEST(EventSimTest, AllReduceBytesFollowThePricedSchedule) {
+  // 4-way DP on a 128 Mbps / 1 ms link with fp16 gradients on the wire:
+  // g = 4 goes direct up to about 53 KB of wire bytes.  Direct sends each
+  // member's payload N to its 3 peers, 4 * 3 * N; the ring moves 2 * 3
+  // chunks of N/4 per member, 2 * 3 * N.
+  for (const std::uint64_t block_grads : {1600ULL, 65536ULL}) {
+    SimConfig cfg;
+    cfg.input = uniform_input(4, 4, 0.1, 0.2, 4);
+    cfg.input.network = costmodel::NetworkModel{};
+    cfg.input.network.latency_s = 1e-3;
+    for (auto& blk : cfg.input.blocks) blk.trainable_bytes = block_grads;
+    cfg.plan = pipeline::ParallelPlan::pure_data_parallel(4, 4, 4);
+    const double wire = 0.5 * static_cast<double>(4 * block_grads);
+    const bool direct =
+        costmodel::direct_allreduce_is_cheaper(wire, 4, 1e-3, 128e6);
+    EXPECT_EQ(direct, block_grads == 1600ULL);
+    const auto expect_bytes =
+        static_cast<std::uint64_t>((direct ? 4 * 3 : 2 * 3) * wire);
+    const SimResult r = simulate_minibatch(cfg);
+    EXPECT_EQ(r.comm_bytes, expect_bytes) << block_grads;
+    // The time charged is the same schedule's price.
+    cfg.include_allreduce = false;
+    const double compute_only = simulate_minibatch(cfg).minibatch_seconds;
+    const double price =
+        direct ? costmodel::direct_allreduce_seconds(wire, 4, 1e-3, 128e6)
+               : costmodel::ring_allreduce_seconds(wire, 4, 1e-3, 128e6);
+    EXPECT_NEAR(r.minibatch_seconds - compute_only, price, 1e-12)
+        << block_grads;
+  }
+}
+
 TEST(EventSimTest, OomReportedPerStage) {
   SimConfig cfg;
   cfg.input = uniform_input(4, 2, 0.1, 0.1, 2);

@@ -470,15 +470,23 @@ TEST_P(ConformanceTest, CollectivesMatchAcrossBackends) {
   std::vector<int> group(kWorld);
   std::iota(group.begin(), group.end(), 0);
 
-  std::vector<float> reduced(kWorld), naive(kWorld), bcast(kWorld);
+  // The epoch loss reduce's shape: one float per rank, which AllReduce
+  // folds left to right, ((x0 + x1) + x2) + x3.
+  auto loss_share = [](int rank) {
+    return 0.1F * static_cast<float>(rank + 1);
+  };
+  float loss_fold = loss_share(0);
+  for (int r = 1; r < kWorld; ++r) loss_fold += loss_share(r);
+
+  std::vector<float> reduced(kWorld), loss(kWorld), bcast(kWorld);
   cluster.run([&](DeviceContext& ctx) {
     Tensor t = Tensor::full({13}, static_cast<float>(ctx.rank + 1));
-    ctx.comm.allreduce_sum(t, group, 100, AllReduceAlgo::kRing);
+    ctx.comm.allreduce_sum(t, group, 100);
     reduced[static_cast<std::size_t>(ctx.rank)] = t.at({5});
 
-    Tensor u = Tensor::full({5}, static_cast<float>(10 * (ctx.rank + 1)));
-    ctx.comm.allreduce_sum(u, group, 200, AllReduceAlgo::kNaive);
-    naive[static_cast<std::size_t>(ctx.rank)] = u.at({0});
+    Tensor u = Tensor::full({1}, loss_share(ctx.rank));
+    ctx.comm.allreduce_sum(u, group, 200);
+    loss[static_cast<std::size_t>(ctx.rank)] = u.at({0});
 
     Tensor b = ctx.rank == 2 ? Tensor::full({3}, 7.0F) : Tensor();
     b = ctx.comm.broadcast(std::move(b), 2, group, 300);
@@ -487,7 +495,7 @@ TEST_P(ConformanceTest, CollectivesMatchAcrossBackends) {
 
   for (int r = 0; r < kWorld; ++r) {
     EXPECT_FLOAT_EQ(reduced[static_cast<std::size_t>(r)], 10.0F);
-    EXPECT_FLOAT_EQ(naive[static_cast<std::size_t>(r)], 100.0F);
+    EXPECT_EQ(loss[static_cast<std::size_t>(r)], loss_fold);
     EXPECT_FLOAT_EQ(bcast[static_cast<std::size_t>(r)], 7.0F);
   }
 

@@ -38,11 +38,7 @@ int main() {
     auto blind = planner::plan_hybrid(input);
 
     auto simulate = [&](const pipeline::ParallelPlan& plan) {
-      sim::SimConfig sim_cfg;
-      sim_cfg.input = input;
-      sim_cfg.input.device_scales = scales;
-      sim_cfg.plan = plan;
-      return sim::simulate_minibatch(sim_cfg).minibatch_seconds;
+      return sim::simulate_minibatch(aware_input, plan).minibatch_seconds;
     };
     const double t_aware = simulate(aware.plan);
     const double t_blind = simulate(blind.plan);

@@ -23,14 +23,10 @@ int main() {
         costmodel::jetson_nano(), costmodel::edge_lan(), 4, micros, true);
     auto plan = pipeline::ParallelPlan::pure_pipeline(input.num_blocks(), 4,
                                                       micros);
-    sim::SimConfig sim_cfg;
-    sim_cfg.input = input;
-    sim_cfg.plan = plan;
+    auto r1 = sim::simulate_minibatch(input, plan);
 
-    auto r1 = sim::simulate_minibatch(sim_cfg);
-
-    sim_cfg.input.schedule = pipeline::ScheduleKind::kGPipe;
-    auto r2 = sim::simulate_minibatch(sim_cfg);
+    input.schedule = pipeline::ScheduleKind::kGPipe;
+    auto r2 = sim::simulate_minibatch(input, plan);
 
     auto peak = [](const std::vector<std::uint64_t>& v) {
       std::uint64_t mx = 0;
@@ -39,10 +35,11 @@ int main() {
     };
     std::printf("%7lld | %12.2f %12.2f | %14.2f %14.2f | %s\n",
                 static_cast<long long>(micros),
-                r1.oom ? -1.0 : r1.minibatch_seconds,
-                r2.oom ? -1.0 : r2.minibatch_seconds,
-                peak(r1.peak_memory_per_device),
-                peak(r2.peak_memory_per_device), r2.oom ? "OOM" : "fits");
+                r1.estimate.feasible ? r1.minibatch_seconds : -1.0,
+                r2.estimate.feasible ? r2.minibatch_seconds : -1.0,
+                peak(r1.estimate.device_memory_bytes),
+                peak(r2.estimate.device_memory_bytes),
+                r2.estimate.feasible ? "fits" : "OOM");
   }
   std::printf("\nReading: both schedules share the same bubble at equal "
               "micro counts, but GPipe's activation footprint grows with "

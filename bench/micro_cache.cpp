@@ -94,11 +94,13 @@ void BM_Redistribution(benchmark::State& state) {
         shards.back()->put_block(s, r, block.clone());
       }
     }
+    const std::vector<int> everyone = cluster.alive_ranks();
+    const auto sharding = cache::modulo_sharding_over(everyone);
     state.ResumeTiming();
     cluster.run([&](dist::DeviceContext& ctx) {
       cache::redistribute_cache(
-          ctx, *shards[static_cast<std::size_t>(ctx.rank)],
-          cache::modulo_sharding(world));
+          ctx, *shards[static_cast<std::size_t>(ctx.rank)], sharding,
+          everyone);
     });
   }
 }

@@ -37,10 +37,7 @@ int main() {
         continue;
       }
       // Validate the planner's estimate against the event simulator.
-      sim::SimConfig sim_cfg;
-      sim_cfg.input = input;
-      sim_cfg.plan = est.plan;
-      sim::SimResult sim = sim::simulate_minibatch(sim_cfg);
+      sim::SimResult sim = sim::simulate_minibatch(input, est.plan);
       std::printf("  %d devices -> %lld stages, groups:", devices,
                   static_cast<long long>(est.plan.num_stages()));
       for (const auto& st : est.plan.stages) {
@@ -63,11 +60,8 @@ int main() {
         costmodel::SeqShape{1, 128, 16}, device, network, 8, 16, true);
     planner::PlanEstimate est = planner::plan_hybrid(input);
     if (est.feasible) {
-      sim::SimConfig sim_cfg;
-      sim_cfg.input = input;
-      sim_cfg.plan = est.plan;
       std::printf("BART-Large @ 8 devices, one mini-batch under 1F1B:\n%s",
-                  sim::render_timeline(sim_cfg).c_str());
+                  sim::render_timeline(input, est.plan).c_str());
     }
   }
   return 0;

@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
   for (std::uint64_t m : r.peak_memory_per_device) peak = std::max(peak, m);
   std::printf("peak device memory: %.2f GiB of %.2f GiB usable\n",
               static_cast<double>(peak) / (1ULL << 30),
-              static_cast<double>(cfg.device.usable_bytes()) /
+              static_cast<double>(costmodel::jetson_nano().usable_bytes()) /
                   (1ULL << 30));
   return 0;
 }

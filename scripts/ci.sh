@@ -12,8 +12,9 @@
 # every compile-time tier of gemm.cpp stays built and bit-checked.
 #
 # `loc` prints src/ lines per module and the total (every file, counted
-# like `find src -type f | xargs cat | wc -l`), so changes report net
-# lines the same way; it is a report, not a gate.
+# like `find src -type f | xargs cat | wc -l`), then the settable fields
+# of each configuration struct in KNOB_STRUCTS, so changes report net
+# lines and knob counts the same way; it is a report, not a gate.
 #
 # `waits` fails on any untimed `.wait(` in src/ that the allow-list below
 # does not name (the no-silent-hang gate); `all` runs it first.
@@ -194,6 +195,44 @@ loc_report() {
       "$(find "$dir" -type f -print0 | xargs -0 cat | wc -l)"
   done
   printf '%-16s %6d\n' total "$(find src -type f -print0 | xargs -0 cat | wc -l)"
+  local knobs
+  for knobs in $KNOB_STRUCTS; do
+    printf '%-16s %6d fields\n' "${knobs##*:}" \
+      "$(count_fields "${knobs%%:*}" "${knobs##*:}")"
+  done
+}
+
+# Configuration structs whose settable fields `loc` counts (header:struct).
+KNOB_STRUCTS="src/core/session.hpp:SessionConfig
+src/pipeline/runners.hpp:RunConfig
+src/pipeline/runners.hpp:CachedRunConfig
+src/sim/scenarios.hpp:ScenarioConfig
+src/planner/profile.hpp:PlannerInput
+src/dist/communicator.hpp:CommPolicy
+src/dist/tcp_transport.hpp:TcpTuning"
+
+# Data members declared directly in `struct NAME { ... };` of FILE: the
+# top-level statements ending in ';' that are not functions, types or
+# static/using declarations (multi-line declarations are joined first).
+count_fields() {
+  awk -v name="$2" '
+    !body && $0 ~ "^struct " name " [{]" { body = 1; depth = 1; next }
+    body {
+      line = $0
+      sub(/\/\/.*/, "", line)
+      if (depth == 1) stmt = stmt " " line
+      depth += gsub(/[{]/, "{", line) - gsub(/[}]/, "}", line)
+      if (depth == 0) { print n + 0; exit }
+      if (depth != 1 || stmt !~ /[;}][ \t]*$/) next
+      decl = stmt
+      sub(/^[ \t]+/, "", decl)
+      sub(/[ \t]*(=|[{]).*$/, "", decl)
+      sub(/[ \t]*;[ \t]*$/, "", decl)
+      if (stmt ~ /;[ \t]*$/ && decl !~ /\)( const)?$/ &&
+          decl !~ /^(struct|enum|class|using|static|friend|typedef)[ \t]/)
+        ++n
+      stmt = ""
+    }' "$1"
 }
 
 case "$MODE" in

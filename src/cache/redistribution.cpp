@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <initializer_list>
 #include <map>
-#include <numeric>
 #include <set>
 #include <vector>
 
@@ -89,14 +88,6 @@ RedistStats redistribute_cache(
     shard.drop_sample(sample);
   }
   return stats;
-}
-
-RedistStats redistribute_cache(
-    dist::DeviceContext& ctx, ActivationCache& shard,
-    const std::function<int(std::int64_t)>& target_of_sample) {
-  std::vector<int> everyone(static_cast<std::size_t>(ctx.world_size));
-  std::iota(everyone.begin(), everyone.end(), 0);
-  return redistribute_cache(ctx, shard, target_of_sample, everyone);
 }
 
 std::vector<std::pair<std::int64_t, std::int64_t>> weighted_sample_ranges(

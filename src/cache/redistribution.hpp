@@ -36,20 +36,9 @@ RedistStats redistribute_cache(
     const std::function<int(std::int64_t)>& target_of_sample,
     const std::vector<int>& group);
 
-// Whole-world convenience overload.
-RedistStats redistribute_cache(
-    dist::DeviceContext& ctx, ActivationCache& shard,
-    const std::function<int(std::int64_t)>& target_of_sample);
-
-// Standard phase-2 sharding: sample id modulo world size.
-inline std::function<int(std::int64_t)> modulo_sharding(int world_size) {
-  return [world_size](std::int64_t sample_id) {
-    return static_cast<int>(sample_id % world_size);
-  };
-}
-
-// Recovery sharding: samples round-robin over an explicit (sorted) rank
-// list — the survivors after a device death.
+// Standard phase-2 sharding: samples round-robin over an explicit
+// (sorted) rank list — the alive ranks, so after a device death the
+// survivors.
 inline std::function<int(std::int64_t)> modulo_sharding_over(
     std::vector<int> ranks) {
   return [ranks = std::move(ranks)](std::int64_t sample_id) {

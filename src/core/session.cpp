@@ -65,13 +65,9 @@ planner::PlanEstimate Session::plan_over_alive(double* profile_seconds,
 
   const std::vector<int> alive = cluster_.alive_ranks();
   input.num_devices = static_cast<int>(alive.size());
-  std::uint64_t budget = std::numeric_limits<std::uint64_t>::max();
-  for (int r : alive) {
-    budget = std::min(budget, cluster_.ledger(r).budget());
-  }
-  input.device_budget_bytes = budget;
+  input.device_budget_bytes = alive_budget();
   input.num_micro_batches = config_.num_micro_batches;
-  input.network = config_.network;
+  input.network = costmodel::in_process_network();
   for (int r : alive) {
     input.device_scales.push_back(cluster_.spec(r).compute_scale);
   }
@@ -103,6 +99,14 @@ planner::PlanEstimate Session::plan_over_alive(double* profile_seconds,
     }
   }
   return est;
+}
+
+std::uint64_t Session::alive_budget() const {
+  std::uint64_t budget = std::numeric_limits<std::uint64_t>::max();
+  for (int r : cluster_.alive_ranks()) {
+    budget = std::min(budget, cluster_.ledger(r).budget());
+  }
+  return budget;
 }
 
 planner::PlanEstimate Session::plan() {
@@ -230,10 +234,7 @@ SessionReport Session::run_attempt() {
   if (!report.plan.feasible) {
     // Surfaced as a device OOM so the retry loop (and callers) treat
     // planner infeasibility and runtime OOM uniformly.
-    std::uint64_t budget = std::numeric_limits<std::uint64_t>::max();
-    for (int r : alive) {
-      budget = std::min(budget, cluster_.ledger(r).budget());
-    }
+    const std::uint64_t budget = alive_budget();
     std::uint64_t worst = 0;
     for (std::uint64_t m : report.plan.stage_memory_bytes) {
       worst = std::max(worst, m);

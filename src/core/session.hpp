@@ -59,11 +59,6 @@ struct SessionConfig {
   // cache_prefetch is off.  Loss trajectories are identical either way.
   bool cache_prefetch = true;
 
-  // Communication model the planner uses for this cluster.  Executed
-  // clusters are in-process (memcpy-speed links); swap in
-  // costmodel::edge_lan() when planning for a real 128 Mbps edge LAN.
-  costmodel::NetworkModel network = costmodel::in_process_network();
-
   // Resilience: when planning finds no feasible configuration or a device
   // OOMs mid-run, halve the mini-batch (activations shrink proportionally)
   // and re-plan, up to this many times before giving up.
@@ -155,10 +150,13 @@ class Session {
   pipeline::ModelFactory make_factory(
       const std::map<std::string, Tensor>* overrides) const;
   std::vector<planner::BlockProfile> profile();
-  // Profiles + plans over the cluster's *surviving* ranks, remapping the
-  // planner's dense device indices onto cluster ranks.
+  // Profiles + plans over the cluster's *surviving* ranks (links priced by
+  // costmodel::in_process_network()), remapping the planner's dense device
+  // indices onto cluster ranks.
   planner::PlanEstimate plan_over_alive(double* profile_seconds,
                                         double* planning_seconds);
+  // The smallest memory budget among the surviving ranks.
+  std::uint64_t alive_budget() const;
   // Registers a death (the cluster may already have marked it) and
   // decides whether the recovery budget allows continuing.
   bool absorb_death(int rank);

@@ -1,7 +1,5 @@
 #include "costmodel/block_cost.hpp"
 
-#include "common/error.hpp"
-
 namespace pac::costmodel {
 
 using model::Technique;
@@ -150,23 +148,6 @@ std::vector<BlockCost> analytic_blocks(
     blocks.push_back(std::move(blk));
   }
   return blocks;
-}
-
-RangeCost sum_range(const std::vector<BlockCost>& blocks, std::int64_t begin,
-                    std::int64_t end, const DeviceModel& device) {
-  PAC_CHECK(begin >= 0 && begin < end &&
-                end <= static_cast<std::int64_t>(blocks.size()),
-            "bad block range [" << begin << ", " << end << ")");
-  RangeCost out;
-  for (std::int64_t i = begin; i < end; ++i) {
-    const BlockCost& blk = blocks[static_cast<std::size_t>(i)];
-    out.fwd_seconds += blk.flops.forward / device.effective_flops;
-    out.bwd_seconds += blk.flops.backward / device.effective_flops;
-    out.param_bytes += blk.param_bytes;
-    out.trainable_bytes += blk.trainable_bytes;
-    out.activation_bytes += blk.activation_bytes;
-  }
-  return out;
 }
 
 }  // namespace pac::costmodel

@@ -33,15 +33,4 @@ std::vector<BlockCost> analytic_blocks(
     const model::TechniqueConfig& technique, const SeqShape& micro_shape,
     bool include_decoder, std::int64_t head_outputs = 2);
 
-// Convenience sums over a contiguous block range [begin, end).
-struct RangeCost {
-  double fwd_seconds = 0.0;  // at the given device throughput
-  double bwd_seconds = 0.0;
-  std::uint64_t param_bytes = 0;
-  std::uint64_t trainable_bytes = 0;
-  std::uint64_t activation_bytes = 0;
-};
-RangeCost sum_range(const std::vector<BlockCost>& blocks, std::int64_t begin,
-                    std::int64_t end, const DeviceModel& device);
-
 }  // namespace pac::costmodel

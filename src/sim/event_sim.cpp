@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "planner/planner.hpp"
 
 namespace pac::sim {
 namespace {
@@ -22,12 +21,14 @@ struct RankState {
 
 }  // namespace
 
-SimResult simulate_minibatch(const SimConfig& config) {
-  const planner::PlannerInput& input = config.input;
-  const pipeline::ParallelPlan& plan = config.plan;
-  plan.validate(input.num_blocks(), input.num_devices);
-
+SimResult simulate_minibatch(const planner::PlannerInput& input,
+                             const pipeline::ParallelPlan& plan) {
   SimResult result;
+  // Validates the plan and checks memory with the planner's per-device
+  // model.
+  result.estimate = planner::evaluate_plan(input, plan);
+  if (!result.estimate.feasible) return result;
+
   const std::int64_t s = plan.num_stages();
   const std::int64_t M = plan.num_micro_batches;
 
@@ -35,24 +36,6 @@ SimResult simulate_minibatch(const SimConfig& config) {
   const planner::StagePricer pricer(input, M);
   std::vector<planner::StageLoad> loads;
   for (const auto& st : plan.stages) loads.push_back(pricer.load(st));
-
-  // ---- memory feasibility (the planner's per-device model) ----
-  {
-    planner::PlanEstimate est = planner::evaluate_plan(input, plan);
-    result.peak_memory_per_device = est.device_memory_bytes;
-    if (!est.feasible) {
-      result.oom = true;
-      result.oom_reason = est.note;
-      for (int r : plan.participating_ranks()) {
-        if (est.device_memory_bytes[static_cast<std::size_t>(r)] >
-            input.device_budget_bytes) {
-          result.oom_device = r;
-          break;
-        }
-      }
-      return result;
-    }
-  }
 
   // ---- build per-rank op lists (same routing as StageWorker) ----
   std::vector<RankState> ranks;
@@ -145,10 +128,8 @@ SimResult simulate_minibatch(const SimConfig& config) {
         const double start = std::max(rs.clock, input_ready);
         rs.clock = start + dur;
         rs.busy += dur;
-        if (config.record_trace) {
-          result.trace.push_back(OpTrace{rs.rank, rs.stage, micro, backward,
-                                         start, rs.clock});
-        }
+        result.trace.push_back(
+            OpTrace{rs.rank, rs.stage, micro, backward, start, rs.clock});
         if (!backward && rs.stage + 1 < s) {
           send_message(rs.rank, owner(rs.stage + 1, micro), rs.clock,
                        static_cast<double>(boundary(rs.stage).fwd_msg_bytes),
@@ -170,26 +151,23 @@ SimResult simulate_minibatch(const SimConfig& config) {
   // ---- gradient AllReduce within each stage group ----
   double makespan = 0.0;
   for (RankState& rs : ranks) makespan = std::max(makespan, rs.clock);
-  if (config.include_allreduce) {
-    double ar_extra = 0.0;
-    for (std::int64_t i = 0; i < s; ++i) {
-      const auto& st = plan.stages[static_cast<std::size_t>(i)];
-      const int g = static_cast<int>(st.devices.size());
-      if (g <= 1) continue;
-      const std::uint64_t trainable =
-          loads[static_cast<std::size_t>(i)].trainable_bytes;
-      const double ar = input.network.allreduce_seconds(trainable, g);
-      // Group members finish their ops, then AllReduce together.
-      double group_end = 0.0;
-      for (int r : st.devices) {
-        group_end = std::max(group_end,
-                             ranks[rank_index[r]].clock);
-      }
-      ar_extra = std::max(ar_extra, group_end + ar - makespan);
-      result.comm_bytes += input.network.allreduce_group_bytes(trainable, g);
+  double ar_extra = 0.0;
+  for (std::int64_t i = 0; i < s; ++i) {
+    const auto& st = plan.stages[static_cast<std::size_t>(i)];
+    const int g = static_cast<int>(st.devices.size());
+    if (g <= 1) continue;
+    const std::uint64_t trainable =
+        loads[static_cast<std::size_t>(i)].trainable_bytes;
+    const double ar = input.network.allreduce_seconds(trainable, g);
+    // Group members finish their ops, then AllReduce together.
+    double group_end = 0.0;
+    for (int r : st.devices) {
+      group_end = std::max(group_end, ranks[rank_index[r]].clock);
     }
-    if (ar_extra > 0.0) makespan += ar_extra;
+    ar_extra = std::max(ar_extra, group_end + ar - makespan);
+    result.comm_bytes += input.network.allreduce_group_bytes(trainable, g);
   }
+  if (ar_extra > 0.0) makespan += ar_extra;
 
   result.minibatch_seconds = makespan;
   double busy_sum = 0.0;
@@ -199,14 +177,13 @@ SimResult simulate_minibatch(const SimConfig& config) {
   return result;
 }
 
-std::string render_timeline(const SimConfig& config, int width) {
+std::string render_timeline(const planner::PlannerInput& input,
+                            const pipeline::ParallelPlan& plan, int width) {
   PAC_CHECK(width >= 16, "timeline width too small");
-  SimConfig traced = config;
-  traced.record_trace = true;
-  SimResult r = simulate_minibatch(traced);
+  const SimResult r = simulate_minibatch(input, plan);
   std::ostringstream os;
-  if (r.oom) {
-    os << "OOM: " << r.oom_reason << "\n";
+  if (!r.estimate.feasible) {
+    os << "OOM: " << r.estimate.note << "\n";
     return os.str();
   }
   const double span = r.minibatch_seconds;
@@ -216,7 +193,7 @@ std::string render_timeline(const SimConfig& config, int width) {
   };
   // Collect participating ranks in plan order.
   std::vector<int> ranks;
-  for (const auto& st : config.plan.stages) {
+  for (const auto& st : plan.stages) {
     ranks.insert(ranks.end(), st.devices.begin(), st.devices.end());
   }
   std::map<int, std::string> rows;

@@ -7,23 +7,18 @@
 // are serial compute resources, each directed link is a serial transfer
 // resource, forwards/backwards wait on the producing rank's message.
 // Output is the mini-batch makespan, the per-device busy fraction
-// (1 - bubble), each device's peak modeled memory (evaluate_plan's
-// per-device figure), and total traffic.  This is what regenerates the paper's Jetson-scale timing
-// numbers (Tables 2, Figs 8a/9a/11) without the hardware.
+// (1 - bubble), total traffic and the trace of every compute op, next to
+// the planner's own estimate of the plan (feasibility, per-device memory,
+// per-stage weights), which the simulator keeps rather than copies.  This
+// is what regenerates the paper's Jetson-scale timing numbers (Tables 2,
+// Figs 8a/9a/11) without the hardware.
 #pragma once
 
 #include "pipeline/plan.hpp"
 #include "pipeline/schedule.hpp"
-#include "planner/profile.hpp"
+#include "planner/planner.hpp"
 
 namespace pac::sim {
-
-struct SimConfig {
-  planner::PlannerInput input;  // input.schedule picks 1F1B or GPipe
-  pipeline::ParallelPlan plan;
-  bool include_allreduce = true;
-  bool record_trace = false;  // fill SimResult::trace for visualization
-};
 
 // One simulated compute op (for traces / Gantt rendering).
 struct OpTrace {
@@ -36,21 +31,25 @@ struct OpTrace {
 };
 
 struct SimResult {
-  bool oom = false;
-  int oom_device = -1;
-  std::string oom_reason;
-  double minibatch_seconds = 0.0;
+  // planner::evaluate_plan of the replayed plan.  When it is infeasible
+  // (a device over budget) nothing is replayed and the fields below stay
+  // zero.
+  planner::PlanEstimate estimate;
+  double minibatch_seconds = 0.0; // compute, messages and AllReduce
   double bubble_fraction = 0.0;   // 1 - mean busy/makespan over used devices
   std::uint64_t comm_bytes = 0;   // inter-device traffic (p2p + allreduce)
-  std::vector<std::uint64_t> peak_memory_per_device;
-  std::vector<OpTrace> trace;     // populated when record_trace is set
+  std::vector<OpTrace> trace;     // every compute op the replay ran
 };
 
-SimResult simulate_minibatch(const SimConfig& config);
+// input.schedule picks 1F1B or GPipe.
+SimResult simulate_minibatch(const planner::PlannerInput& input,
+                             const pipeline::ParallelPlan& plan);
 
 // ASCII Gantt chart of a simulated mini-batch: one row per device, time on
 // the horizontal axis.  Forward ops render as the micro-batch id in hex
 // (uppercase), backwards in lowercase, idle as '.', AllReduce as '*'.
-std::string render_timeline(const SimConfig& config, int width = 72);
+std::string render_timeline(const planner::PlannerInput& input,
+                            const pipeline::ParallelPlan& plan,
+                            int width = 72);
 
 }  // namespace pac::sim

@@ -21,14 +21,19 @@ const char* system_name(SystemKind kind) {
 
 namespace {
 
+// The testbed the header describes; the fp16 cache stores 2 bytes per
+// element (see costmodel::cache_bytes_per_sample).
+constexpr std::int64_t kSeq = 128;
+constexpr std::int64_t kPacMicroBatches = 16;
+constexpr std::uint64_t kCacheBytesPerElement = 2;
+
 std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
   return (a + b - 1) / b;
 }
 
 struct MinibatchSim {
-  SimResult sim;
   planner::PlannerInput input;
-  pipeline::ParallelPlan plan;
+  SimResult sim;  // sim.estimate: the plan, its memory and its weights
   std::int64_t samples_per_minibatch = 0;
 };
 
@@ -37,7 +42,6 @@ MinibatchSim simulate_system_minibatch(SystemKind kind,
                                        const ScenarioConfig& cfg,
                                        const model::TechniqueConfig& tc) {
   MinibatchSim out;
-  SimConfig sim_cfg;
   std::int64_t micros = 1;
   std::int64_t micro_batch = cfg.global_batch;
   int devices = cfg.num_devices;
@@ -60,65 +64,45 @@ MinibatchSim simulate_system_minibatch(SystemKind kind,
       out.samples_per_minibatch = cfg.global_batch;
       break;
     case SystemKind::kPac:
-      micros = std::min<std::int64_t>(cfg.global_batch,
-                                      cfg.pac_micro_batches);
+      micros = std::min<std::int64_t>(cfg.global_batch, kPacMicroBatches);
       micro_batch = std::max<std::int64_t>(1, cfg.global_batch / micros);
       out.samples_per_minibatch = cfg.global_batch;
       break;
   }
 
-  const costmodel::SeqShape micro_shape{micro_batch, cfg.seq, 16};
-  sim_cfg.input = planner::analytic_planner_input(
-      cfg.model, tc, micro_shape, cfg.device, cfg.network, devices, micros,
-      /*include_decoder=*/true);
+  const costmodel::SeqShape micro_shape{micro_batch, kSeq, 16};
+  out.input = planner::analytic_planner_input(
+      cfg.model, tc, micro_shape, costmodel::jetson_nano(),
+      costmodel::edge_lan(), devices, micros, /*include_decoder=*/true);
   if (kind == SystemKind::kEcoFl) {
-    sim_cfg.input.schedule = pipeline::ScheduleKind::kGPipe;
+    out.input.schedule = pipeline::ScheduleKind::kGPipe;
   }
-  out.input = sim_cfg.input;
 
-  const std::int64_t blocks = sim_cfg.input.num_blocks();
+  const std::int64_t blocks = out.input.num_blocks();
+  pipeline::ParallelPlan plan;
   switch (kind) {
     case SystemKind::kStandalone:
-      out.plan = pipeline::ParallelPlan::standalone(blocks, micros);
+      plan = pipeline::ParallelPlan::standalone(blocks, micros);
       break;
     case SystemKind::kEddl:
-      out.plan = pipeline::ParallelPlan::pure_data_parallel(blocks, devices,
-                                                            micros);
+      plan = pipeline::ParallelPlan::pure_data_parallel(blocks, devices,
+                                                        micros);
       break;
     case SystemKind::kEcoFl:
-      out.plan = pipeline::ParallelPlan::pure_pipeline(blocks, devices,
-                                                       micros);
+      plan = pipeline::ParallelPlan::pure_pipeline(blocks, devices, micros);
       break;
     case SystemKind::kPac: {
-      planner::PlanEstimate est = planner::plan_hybrid(sim_cfg.input);
+      planner::PlanEstimate est = planner::plan_hybrid(out.input);
       if (!est.feasible) {
-        out.sim.oom = true;
-        out.sim.oom_reason = est.note;
+        out.sim.estimate = std::move(est);
         return out;
       }
-      out.plan = est.plan;
+      plan = std::move(est.plan);
       break;
     }
   }
-  sim_cfg.plan = out.plan;
-  out.sim = simulate_minibatch(sim_cfg);
+  out.sim = simulate_minibatch(out.input, plan);
   return out;
-}
-
-// The planner input PAC's mini-batch simulation uses (the kPac case
-// above), exposed so the throttle model can re-price plans with a
-// degraded device scale.
-planner::PlannerInput pac_planner_input(const ScenarioConfig& cfg,
-                                        const model::TechniqueConfig& tc) {
-  const std::int64_t micros =
-      std::min<std::int64_t>(cfg.global_batch, cfg.pac_micro_batches);
-  const std::int64_t micro_batch =
-      std::max<std::int64_t>(1, cfg.global_batch / micros);
-  const costmodel::SeqShape micro_shape{micro_batch, cfg.seq, 16};
-  return planner::analytic_planner_input(cfg.model, tc, micro_shape,
-                                         cfg.device, cfg.network,
-                                         cfg.num_devices, micros,
-                                         /*include_decoder=*/true);
 }
 
 // Components of one phase-2 (cached DP) step, shared by the clean run and
@@ -135,18 +119,19 @@ Phase2Step pac_phase2_step(const ScenarioConfig& cfg,
                            const model::TechniqueConfig& tc) {
   Phase2Step out;
   out.cache_per_sample = costmodel::cache_bytes_per_sample(
-      cfg.model, cfg.seq, true, cfg.cache_bytes_per_element);
+      cfg.model, kSeq, true, kCacheBytesPerElement);
   const int d = cfg.num_devices;
   out.minibatch = cfg.per_device_batch * static_cast<std::int64_t>(d);
-  const costmodel::SeqShape dev_shape{cfg.per_device_batch, cfg.seq, 16};
+  const costmodel::SeqShape dev_shape{cfg.per_device_batch, kSeq, 16};
   const costmodel::Flops side = costmodel::model_flops(
       cfg.model, tc, dev_shape, /*include_decoder=*/true,
       /*cached_epoch=*/true);
-  out.compute_s = side.total() / cfg.device.effective_flops;
+  const costmodel::DeviceModel device = costmodel::jetson_nano();
+  out.compute_s = side.total() / device.effective_flops;
   out.reload_s = static_cast<double>(out.cache_per_sample) *
                  static_cast<double>(cfg.per_device_batch) * 8.0 /
-                 cfg.device.flash_read_bps;
-  out.ar_s = cfg.network.allreduce_seconds(
+                 device.flash_read_bps;
+  out.ar_s = costmodel::edge_lan().allreduce_seconds(
       costmodel::trainable_param_bytes(cfg.model, tc, true), d);
   return out;
 }
@@ -190,89 +175,16 @@ ScenarioResult simulate_system(SystemKind kind,
     return rec;
   }
 
-  // Modeled compute slowdown from partway through epoch 1 (PAC only).
-  if (kind == SystemKind::kPac && config.throttle_device >= 0 &&
-      config.throttle_device < config.num_devices &&
-      config.throttle_factor > 1.0) {
+  // Modeled compute slowdown from partway through epoch 1 (PAC only),
+  // applied to the clean run below.
+  const bool throttled = kind == SystemKind::kPac &&
+                         config.throttle_device >= 0 &&
+                         config.throttle_device < config.num_devices &&
+                         config.throttle_factor > 1.0;
+  if (throttled) {
     PAC_CHECK(config.throttle_at_epoch_fraction >= 0.0 &&
                   config.throttle_at_epoch_fraction <= 1.0,
               "throttle_at_epoch_fraction must be in [0, 1]");
-    ScenarioConfig clean_cfg = config;
-    clean_cfg.throttle_device = -1;
-    ScenarioResult out = simulate_system(kind, clean_cfg);
-    if (out.oom) return out;
-
-    const data::TaskInfo t_info = data::task_info(config.task);
-    const model::TechniqueConfig tc =
-        model::paper_technique_config(config.technique);
-    const std::int64_t samples = config.train_samples > 0
-                                     ? config.train_samples
-                                     : t_info.paper_train_samples;
-    const int epochs =
-        config.epochs > 0 ? config.epochs : t_info.paper_epochs;
-    const std::int64_t steps = ceil_div(samples, config.global_batch);
-    const bool cached = config.pac_use_cache &&
-                        config.technique == Technique::kParallelAdapters;
-    const Phase2Step p2 = pac_phase2_step(clean_cfg, tc);
-    const std::int64_t steps2 = ceil_div(samples, p2.minibatch);
-    const double d = static_cast<double>(config.num_devices);
-    const double f = config.throttle_factor;
-
-    // The calibration profile, with the degraded device priced in.
-    planner::PlannerInput hetero = pac_planner_input(clean_cfg, tc);
-    hetero.device_scales.assign(
-        static_cast<std::size_t>(config.num_devices), 1.0);
-    hetero.device_scales[static_cast<std::size_t>(config.throttle_device)] =
-        1.0 / f;
-    const double degraded_epoch =
-        static_cast<double>(steps) *
-        planner::evaluate_plan(hetero, out.plan).minibatch_seconds;
-
-    if (config.elastic_replan) {
-      // Detection + restart: the epoch fraction already run is wasted, the
-      // retry runs a plan the DP chose knowing the device's real speed.
-      out.recovery_seconds =
-          config.throttle_at_epoch_fraction * out.first_epoch_seconds;
-      planner::PlanEstimate replanned = planner::plan_hybrid(hetero);
-      if (replanned.feasible) {
-        out.plan = replanned.plan;
-        out.first_epoch_seconds =
-            static_cast<double>(steps) * replanned.minibatch_seconds;
-      } else {
-        out.first_epoch_seconds = degraded_epoch;
-      }
-      if (cached) {
-        // Throughput-weighted shards: aggregate speed d-1 + 1/f replaces
-        // d, and no device waits on the straggler's oversized share.
-        const double step_s =
-            p2.compute_s * d / (d - 1.0 + 1.0 / f) + p2.reload_s + p2.ar_s;
-        out.later_epoch_seconds = static_cast<double>(steps2) * step_s;
-      } else {
-        out.later_epoch_seconds = out.first_epoch_seconds;
-      }
-    } else {
-      // No elastic runtime: the slow device paces everything after onset.
-      out.first_epoch_seconds =
-          config.throttle_at_epoch_fraction * out.first_epoch_seconds +
-          (1.0 - config.throttle_at_epoch_fraction) * degraded_epoch;
-      if (cached) {
-        // Even shards: every lockstep AllReduce waits on the straggler's
-        // f-times-dilated compute.
-        const double step_s = p2.compute_s * f + p2.reload_s + p2.ar_s;
-        out.later_epoch_seconds = static_cast<double>(steps2) * step_s;
-      } else {
-        out.later_epoch_seconds = degraded_epoch;
-      }
-    }
-    out.total_hours =
-        (out.recovery_seconds + out.first_epoch_seconds +
-         out.redistribution_seconds +
-         static_cast<double>(epochs - 1) * out.later_epoch_seconds) /
-        3600.0;
-    out.seconds_per_sample =
-        out.total_hours * 3600.0 /
-        (static_cast<double>(samples) * static_cast<double>(epochs));
-    return out;
   }
 
   const data::TaskInfo info = data::task_info(config.task);
@@ -286,31 +198,27 @@ ScenarioResult simulate_system(SystemKind kind,
   ScenarioResult result;
   result.surviving_devices =
       kind == SystemKind::kStandalone ? 1 : config.num_devices;
-  MinibatchSim mb = simulate_system_minibatch(kind, config, tc);
-  result.plan = mb.plan;
-  if (mb.sim.oom) {
+  const MinibatchSim mb = simulate_system_minibatch(kind, config, tc);
+  const planner::PlanEstimate& est = mb.sim.estimate;
+  result.plan = est.plan;
+  result.peak_memory_per_device = est.device_memory_bytes;
+  if (!est.feasible) {
     result.oom = true;
-    result.oom_reason = mb.sim.oom_reason;
-    result.peak_memory_per_device = mb.sim.peak_memory_per_device;
+    result.oom_reason = est.note;
     return result;
   }
-  result.peak_memory_per_device = mb.sim.peak_memory_per_device;
   result.throughput_samples_per_s =
       static_cast<double>(mb.samples_per_minibatch) /
       mb.sim.minibatch_seconds;
 
   // Per-device weight bytes of the chosen plan (parameter bytes do not
   // depend on the micro shape the input was profiled at).
-  {
-    const planner::PlanEstimate est =
-        planner::evaluate_plan(mb.input, mb.plan);
-    result.weight_memory_per_device.assign(
-        static_cast<std::size_t>(config.num_devices), 0);
-    for (std::size_t s = 0; s < mb.plan.stages.size(); ++s) {
-      for (int r : mb.plan.stages[s].devices) {
-        result.weight_memory_per_device[static_cast<std::size_t>(r)] =
-            est.stage_weight_bytes[s];
-      }
+  result.weight_memory_per_device.assign(
+      static_cast<std::size_t>(config.num_devices), 0);
+  for (std::size_t s = 0; s < est.plan.stages.size(); ++s) {
+    for (int r : est.plan.stages[s].devices) {
+      result.weight_memory_per_device[static_cast<std::size_t>(r)] =
+          est.stage_weight_bytes[s];
     }
   }
 
@@ -320,13 +228,15 @@ ScenarioResult simulate_system(SystemKind kind,
 
   const bool cached = kind == SystemKind::kPac && config.pac_use_cache &&
                       config.technique == Technique::kParallelAdapters;
+  Phase2Step p2;
+  std::int64_t steps2 = 0;
   if (!cached) {
     result.later_epoch_seconds = result.first_epoch_seconds;
     result.total_hours = static_cast<double>(epochs) *
                          result.first_epoch_seconds / 3600.0;
   } else {
     // ---- phase transition: cache + parameter redistribution ----
-    const Phase2Step p2 = pac_phase2_step(config, tc);
+    p2 = pac_phase2_step(config, tc);
     const double total_cache_bytes =
         static_cast<double>(p2.cache_per_sample) *
         static_cast<double>(samples);
@@ -337,15 +247,74 @@ ScenarioResult simulate_system(SystemKind kind,
     const double outbound_per_device =
         total_cache_bytes / d * (1.0 - 1.0 / d);
     result.redistribution_seconds =
-        outbound_per_device * 8.0 / config.network.bandwidth_bps + p2.ar_s;
+        outbound_per_device * 8.0 / costmodel::edge_lan().bandwidth_bps +
+        p2.ar_s;
 
     // ---- cached epochs: pure DP over the side network ----
     const double step_s = p2.compute_s + p2.reload_s + p2.ar_s;
-    const std::int64_t steps2 = ceil_div(samples, p2.minibatch);
+    steps2 = ceil_div(samples, p2.minibatch);
     result.later_epoch_seconds = static_cast<double>(steps2) * step_s;
 
     result.total_hours =
         (result.first_epoch_seconds + result.redistribution_seconds +
+         static_cast<double>(epochs - 1) * result.later_epoch_seconds) /
+        3600.0;
+  }
+
+  if (throttled) {
+    // The calibration profile, with the degraded device priced in; every
+    // epoch-1 figure is an event replay, like the clean epoch's.
+    const double d = static_cast<double>(config.num_devices);
+    const double f = config.throttle_factor;
+    planner::PlannerInput hetero = mb.input;
+    hetero.device_scales.assign(
+        static_cast<std::size_t>(config.num_devices), 1.0);
+    hetero.device_scales[static_cast<std::size_t>(config.throttle_device)] =
+        1.0 / f;
+    const double degraded_epoch =
+        static_cast<double>(steps) *
+        simulate_minibatch(hetero, result.plan).minibatch_seconds;
+
+    if (config.elastic_replan) {
+      // Detection + restart: the epoch fraction already run is wasted, the
+      // retry runs a plan the DP chose knowing the device's real speed.
+      result.recovery_seconds =
+          config.throttle_at_epoch_fraction * result.first_epoch_seconds;
+      const planner::PlanEstimate replanned = planner::plan_hybrid(hetero);
+      if (replanned.feasible) {
+        result.plan = replanned.plan;
+        result.first_epoch_seconds =
+            static_cast<double>(steps) *
+            simulate_minibatch(hetero, replanned.plan).minibatch_seconds;
+      } else {
+        result.first_epoch_seconds = degraded_epoch;
+      }
+      if (cached) {
+        // Throughput-weighted shards: aggregate speed d-1 + 1/f replaces
+        // d, and no device waits on the straggler's oversized share.
+        const double step_s =
+            p2.compute_s * d / (d - 1.0 + 1.0 / f) + p2.reload_s + p2.ar_s;
+        result.later_epoch_seconds = static_cast<double>(steps2) * step_s;
+      } else {
+        result.later_epoch_seconds = result.first_epoch_seconds;
+      }
+    } else {
+      // No elastic runtime: the slow device paces everything after onset.
+      result.first_epoch_seconds =
+          config.throttle_at_epoch_fraction * result.first_epoch_seconds +
+          (1.0 - config.throttle_at_epoch_fraction) * degraded_epoch;
+      if (cached) {
+        // Even shards: every lockstep AllReduce waits on the straggler's
+        // f-times-dilated compute.
+        const double step_s = p2.compute_s * f + p2.reload_s + p2.ar_s;
+        result.later_epoch_seconds = static_cast<double>(steps2) * step_s;
+      } else {
+        result.later_epoch_seconds = degraded_epoch;
+      }
+    }
+    result.total_hours =
+        (result.recovery_seconds + result.first_epoch_seconds +
+         result.redistribution_seconds +
          static_cast<double>(epochs - 1) * result.later_epoch_seconds) /
         3600.0;
   }

@@ -16,6 +16,9 @@
 //                activation cache (pure DP over cached activations) after
 //                a one-off cache/parameter redistribution.
 //
+// Every system runs the paper's testbed: Jetson Nanos
+// (costmodel::jetson_nano) on the 128 Mbps edge LAN (costmodel::edge_lan),
+// 128-token sequences, and PAC mini-batches split into 16 micro-batches.
 // The activation cache is stored and shipped as fp16 (half the fp32
 // in-memory footprint); DESIGN.md records this substitution.
 #pragma once
@@ -37,15 +40,7 @@ struct ScenarioConfig {
   int num_devices = 8;
   std::int64_t global_batch = 16;      // Standalone / Eco-FL / PAC
   std::int64_t per_device_batch = 16;  // EDDL and PAC's cached phase
-  std::int64_t seq = 128;
-  std::int64_t pac_micro_batches = 16;
   bool pac_use_cache = true;
-  // Cache storage/wire precision in bytes per element: 4 = fp32, 2 = fp16
-  // (default — matches CacheConfig::dtype = kF16), 1 = int8 (adds the
-  // per-row scale overhead).  See costmodel::cache_bytes_per_sample.
-  std::uint64_t cache_bytes_per_element = 2;
-  costmodel::DeviceModel device = costmodel::jetson_nano();
-  costmodel::NetworkModel network = costmodel::edge_lan();
   // Overrides; <= 0 means "use the paper's numbers for the task".
   std::int64_t train_samples = -1;
   int epochs = -1;

@@ -350,10 +350,12 @@ TEST(RedistributionTest, ShardsConvergeToTargets) {
     }
   }
   std::vector<RedistStats> stats(world);
+  const std::vector<int> everyone = cluster.alive_ranks();
+  const auto sharding = modulo_sharding_over(everyone);
   cluster.run([&](dist::DeviceContext& ctx) {
     stats[static_cast<std::size_t>(ctx.rank)] = redistribute_cache(
-        ctx, *shards[static_cast<std::size_t>(ctx.rank)],
-        modulo_sharding(world));
+        ctx, *shards[static_cast<std::size_t>(ctx.rank)], sharding,
+        everyone);
   });
 
   for (std::int64_t s = 0; s < num_samples; ++s) {
@@ -397,7 +399,7 @@ TEST(RedistributionTest, SelfTargetedSamplesStayPut) {
   shards[0]->put_block(1, 0, make_block(2, 2, 2.0F));
   cluster.run([&](dist::DeviceContext& ctx) {
     redistribute_cache(ctx, *shards[static_cast<std::size_t>(ctx.rank)],
-                       modulo_sharding(2));
+                       modulo_sharding_over({0, 1}), {0, 1});
   });
   EXPECT_TRUE(shards[0]->complete(0));
   EXPECT_FALSE(shards[0]->complete(1));
@@ -432,7 +434,7 @@ TEST(RedistributionTest, SalvageSkipsSamplesTheDeadRankHadShipped) {
   const auto sharding = modulo_sharding_over({0, 1, 2});
   cluster.run([&](dist::DeviceContext& ctx) {
     redistribute_cache(ctx, *shards[static_cast<std::size_t>(ctx.rank)],
-                       sharding);
+                       sharding, {0, 1, 2});
   });
   // The kill: rank 2's shard is gone, and its log lacks the tombstones of
   // samples 0, 1, 3 and 4, which ranks 0 and 1 now hold.
@@ -469,7 +471,7 @@ TEST(RedistributionTest, BadTargetThrows) {
   EXPECT_THROW(
       cluster.run([&](dist::DeviceContext& ctx) {
         redistribute_cache(ctx, *shards[static_cast<std::size_t>(ctx.rank)],
-                           [](std::int64_t) { return 99; });
+                           [](std::int64_t) { return 99; }, {0, 1});
       }),
       InvalidArgument);
 }

@@ -135,6 +135,47 @@ TEST(SessionTest, PlanOnlyEntryPoint) {
   est.plan.validate(4 + 2, 3);
 }
 
+TEST(SessionTest, PlansWithTheInProcessNetwork) {
+  // The Session plans for the cluster it executes on, whose links are
+  // priced by costmodel::in_process_network().  On this profile the
+  // 128 Mbps edge LAN would make the adapter AllReduce dearer than the
+  // compute it saves and keep the model on one device.
+  std::vector<planner::BlockProfile> profile;
+  for (int i = 0; i < 4 + 2; ++i) {
+    planner::BlockProfile b;
+    b.name = "block" + std::to_string(i);
+    b.t_fwd = 1e-4;
+    b.t_bwd = 2e-4;
+    b.param_bytes = 64 * 1024;
+    b.trainable_bytes = 4 * 1024;
+    b.activation_bytes = 8 * 1024;
+    b.fwd_msg_bytes = 4 * 1024;
+    b.bwd_msg_bytes = 512;
+    profile.push_back(b);
+  }
+  auto ds = small_dataset(data::GlueTask::kSst2);
+  dist::EdgeCluster cluster(4, std::numeric_limits<std::uint64_t>::max());
+  SessionConfig cfg = small_session_config();
+  cfg.profile_override = profile;
+  const planner::PlanEstimate est = Session(cluster, ds, cfg).plan();
+
+  planner::PlannerInput input;
+  input.blocks = profile;
+  input.num_devices = 4;
+  input.num_micro_batches = cfg.num_micro_batches;
+  input.device_scales.assign(4, 1.0);
+  input.network = costmodel::in_process_network();
+  const planner::PlanEstimate want = planner::plan_hybrid(input);
+  ASSERT_TRUE(est.feasible);
+  EXPECT_EQ(est.note, want.note);
+  EXPECT_EQ(est.minibatch_seconds, want.minibatch_seconds);
+  EXPECT_EQ(est.plan.stages.size(), 1U);
+  EXPECT_EQ(est.plan.stages[0].devices.size(), 4U);
+
+  input.network = costmodel::edge_lan();
+  EXPECT_NE(planner::plan_hybrid(input).note, want.note);
+}
+
 TEST(SessionTest, HopelessBudgetThrowsAfterRetries) {
   // Weights alone exceed the budget: no batch size can help, so the
   // session exhausts its retries and rethrows the OOM.

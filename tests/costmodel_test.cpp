@@ -191,22 +191,6 @@ TEST(BlockCostTest, ParallelAdapterBlocksRetainOnlySideActivations) {
             full_blocks[1].activation_bytes / 10);
 }
 
-TEST(BlockCostTest, SumRangeAggregates) {
-  auto cfg = model::t5_base();
-  auto tc = model::paper_technique_config(Technique::kFull);
-  auto blocks = analytic_blocks(cfg, tc, SeqShape{2, 128}, true);
-  DeviceModel dev = jetson_nano();
-  auto whole = sum_range(blocks, 0,
-                         static_cast<std::int64_t>(blocks.size()), dev);
-  auto first = sum_range(blocks, 0, 5, dev);
-  auto rest = sum_range(blocks, 5,
-                        static_cast<std::int64_t>(blocks.size()), dev);
-  EXPECT_NEAR(whole.fwd_seconds, first.fwd_seconds + rest.fwd_seconds,
-              1e-9);
-  EXPECT_EQ(whole.param_bytes, first.param_bytes + rest.param_bytes);
-  EXPECT_THROW(sum_range(blocks, 3, 2, dev), InvalidArgument);
-}
-
 TEST(BlockCostTest, OomPatternMatchesTable2) {
   // The planner's OOM logic must reproduce Table 2's standalone column:
   // Full OOMs on every model; Adapters/LoRA fit on T5-Base only.

@@ -445,7 +445,7 @@ TEST(SimThrottleTest, ElasticReplanBeatsRidingOutTheStraggler) {
   // The elastic run pays the wasted epoch fraction explicitly.
   EXPECT_GT(elastic.recovery_seconds, 0.0);
   EXPECT_DOUBLE_EQ(rigid.recovery_seconds, 0.0);
-  // Determinism: the model is closed-form.
+  // Determinism: the model is a pure function of its config.
   const auto elastic2 = sim::simulate_system(sim::SystemKind::kPac, slow);
   (void)elastic2;
   const auto rigid2 = sim::simulate_system(sim::SystemKind::kPac, slow);

@@ -26,6 +26,17 @@ PlannerInput hetero_input(std::int64_t n, std::vector<double> scales,
   return input;
 }
 
+// The compute makespan of a simulated mini-batch: the end of its last
+// compute op, before the gradient AllReduce.
+double compute_makespan(const PlannerInput& input,
+                        const pipeline::ParallelPlan& plan) {
+  double end = 0.0;
+  for (const sim::OpTrace& op : sim::simulate_minibatch(input, plan).trace) {
+    end = std::max(end, op.end);
+  }
+  return end;
+}
+
 TEST(HeteroPlannerTest, SlowDeviceBoundsTheStage) {
   // Two devices, second at half speed, one stage over both: the slow
   // member's micro share bounds the stage time.
@@ -72,14 +83,12 @@ TEST(HeteroPlannerTest, HomogeneousScalesMatchDefault) {
 }
 
 TEST(HeteroSimTest, StragglerStretchesMakespan) {
-  sim::SimConfig cfg;
-  cfg.input = hetero_input(4, {1.0, 1.0, 1.0, 1.0}, 0.25, 0.5, 4);
-  cfg.plan = pipeline::ParallelPlan::pure_data_parallel(4, 4, 4);
-  cfg.include_allreduce = false;
-  const double t_equal = sim::simulate_minibatch(cfg).minibatch_seconds;
+  auto input = hetero_input(4, {1.0, 1.0, 1.0, 1.0}, 0.25, 0.5, 4);
+  const auto plan = pipeline::ParallelPlan::pure_data_parallel(4, 4, 4);
+  const double t_equal = compute_makespan(input, plan);
 
-  cfg.input.device_scales = {1.0, 1.0, 1.0, 0.25};  // one 4x-slow straggler
-  const double t_straggler = sim::simulate_minibatch(cfg).minibatch_seconds;
+  input.device_scales = {1.0, 1.0, 1.0, 0.25};  // one 4x-slow straggler
+  const double t_straggler = compute_makespan(input, plan);
   EXPECT_NEAR(t_straggler, t_equal * 4.0, 1e-9);
 }
 
@@ -87,19 +96,14 @@ TEST(HeteroSimTest, WeightedOwnershipBeatsBlindRoundRobin) {
   // One 4x-slow straggler in a data-parallel group: weight-proportional
   // micro assignment (planner-emitted) must beat blind round-robin.
   auto input = hetero_input(4, {1.0, 1.0, 1.0, 0.25}, 0.25, 0.5, 8);
-  sim::SimConfig cfg;
-  cfg.input = input;
-  cfg.include_allreduce = false;
 
   pipeline::ParallelPlan blind =
       pipeline::ParallelPlan::pure_data_parallel(4, 4, 8);
-  cfg.plan = blind;
-  const double t_blind = sim::simulate_minibatch(cfg).minibatch_seconds;
+  const double t_blind = compute_makespan(input, blind);
 
   pipeline::ParallelPlan weighted = blind;
   weighted.stages[0].device_weights = {1.0, 1.0, 1.0, 0.25};
-  cfg.plan = weighted;
-  const double t_weighted = sim::simulate_minibatch(cfg).minibatch_seconds;
+  const double t_weighted = compute_makespan(input, weighted);
   EXPECT_LT(t_weighted, t_blind * 0.75)
       << "blind " << t_blind << " vs weighted " << t_weighted;
 }

@@ -1,12 +1,11 @@
-// Activation-cache micro-benchmarks (google-benchmark): record, fetch,
-// disk spill/reload, and redistribution throughput.
+// Activation-cache micro-benchmarks (google-benchmark): record, fetch and
+// disk spill/reload throughput (redistribution is in micro_dist).
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
 #include <numeric>
 
 #include "cache/activation_cache.hpp"
-#include "cache/redistribution.hpp"
 
 namespace {
 
@@ -76,35 +75,6 @@ void BM_CacheDiskSpillReload(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_CacheDiskSpillReload);
-
-void BM_Redistribution(benchmark::State& state) {
-  const int world = static_cast<int>(state.range(0));
-  const std::int64_t samples = 32;
-  for (auto _ : state) {
-    state.PauseTiming();
-    dist::EdgeCluster cluster(world,
-                              std::numeric_limits<std::uint64_t>::max());
-    std::vector<std::unique_ptr<cache::ActivationCache>> shards;
-    Rng rng(4);
-    for (int r = 0; r < world; ++r) {
-      shards.push_back(
-          std::make_unique<cache::ActivationCache>(mem_cfg(world)));
-      Tensor block = Tensor::randn({8, 32}, rng);
-      for (std::int64_t s = 0; s < samples; ++s) {
-        shards.back()->put_block(s, r, block.clone());
-      }
-    }
-    const std::vector<int> everyone = cluster.alive_ranks();
-    const auto sharding = cache::modulo_sharding_over(everyone);
-    state.ResumeTiming();
-    cluster.run([&](dist::DeviceContext& ctx) {
-      cache::redistribute_cache(
-          ctx, *shards[static_cast<std::size_t>(ctx.rank)], sharding,
-          everyone);
-    });
-  }
-}
-BENCHMARK(BM_Redistribution)->Arg(2)->Arg(4);
 
 }  // namespace
 

@@ -16,6 +16,7 @@
 #include <thread>
 
 #include "cache/activation_cache.hpp"
+#include "cache/redistribution.hpp"
 #include "core/session.hpp"
 #include "data/dataset.hpp"
 #include "dist/cluster.hpp"
@@ -323,6 +324,61 @@ BENCHMARK(BM_CommCachePrefetch)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// ---------------------------------------------------------------------------
+// Cache redistribution: 32 samples re-sharded modulo `world` ranks.  Arg 1
+// picks the layout: 0 — fp32 RAM shards where rank r recorded block r of
+// every sample (a pipeline stage's share); 1 — int8 disk shards where rank
+// r recorded whole samples (a data-parallel rank's share), spilled, so
+// every shipped sample is reloaded from its log.
+// ---------------------------------------------------------------------------
+
+void BM_Redistribution(benchmark::State& state) {
+  const int world = static_cast<int>(state.range(0));
+  const bool disk = state.range(1) != 0;
+  const std::int64_t samples = 32;
+  const std::string dir = "/tmp/pac_bench_redistribution";
+  std::vector<std::unique_ptr<cache::ActivationCache>> shards;
+  for (auto _ : state) {
+    state.PauseTiming();
+    shards.clear();
+    std::filesystem::remove_all(dir);
+    dist::EdgeCluster cluster(world,
+                              std::numeric_limits<std::uint64_t>::max());
+    Rng rng(4);
+    for (int r = 0; r < world; ++r) {
+      cache::CacheConfig cfg;
+      cfg.num_blocks = world;
+      if (disk) {
+        cfg.disk_backed = true;
+        cfg.directory = dir + "/device_" + std::to_string(r);
+        cfg.dtype = quant::Dtype::kI8;
+      }
+      shards.push_back(std::make_unique<cache::ActivationCache>(cfg));
+      Tensor block = Tensor::randn({8, 32}, rng);
+      for (std::int64_t s = 0; s < samples; ++s) {
+        if (!disk) {
+          shards.back()->put_block(s, r, block);
+        } else if (s * world / samples == r) {
+          for (std::int64_t b = 0; b < world; ++b) {
+            shards.back()->put_block(s, b, block);
+          }
+        }
+      }
+    }
+    const std::vector<int> everyone = cluster.alive_ranks();
+    const auto sharding = cache::modulo_sharding_over(everyone);
+    state.ResumeTiming();
+    cluster.run([&](dist::DeviceContext& ctx) {
+      cache::redistribute_cache(
+          ctx, *shards[static_cast<std::size_t>(ctx.rank)], sharding,
+          everyone);
+    });
+  }
+  shards.clear();
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_Redistribution)->Args({2, 0})->Args({4, 0})->Args({4, 1});
 
 // ---------------------------------------------------------------------------
 // Quantized cache codec: encode + decode of one cached activation block

@@ -14,9 +14,10 @@
 #                    quantized-cache session with its cache/redistribution
 #                    byte counters), BM_AllReduce (direct and ring
 #                    schedules, in-proc, no link sleeps),
-#                    BM_CacheQuantizeRoundTrip (codec throughput per
-#                    dtype), and BM_ElasticReplan (straggler
-#                    verdict + planner re-run) -> BENCH_comm.json
+#                    BM_Redistribution (cache re-shard, fp32 RAM and
+#                    int8 disk shards), BM_CacheQuantizeRoundTrip (codec
+#                    throughput per dtype), and BM_ElasticReplan
+#                    (straggler verdict + planner re-run) -> BENCH_comm.json
 #   --suite service  micro_service BM_Service* (dispatcher control-plane
 #                    round trips, and the 16-job-burst makespan pair —
 #                    packed fleet vs max_concurrent_jobs=1 serial baseline,
@@ -50,7 +51,7 @@ case "$SUITE" in
     ;;
   comm)
     TARGET=micro_dist
-    FILTER="BM_Comm|BM_AllReduce|BM_CacheQuantize|BM_ElasticReplan"
+    FILTER="BM_Comm|BM_AllReduce|BM_Redistribution|BM_CacheQuantize|BM_ElasticReplan"
     OUT="${OUT:-BENCH_comm.json}"
     # Comm iterations are link-sleep dominated (~100 ms wall each), so a
     # longer window is needed for stable medians.

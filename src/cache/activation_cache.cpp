@@ -46,6 +46,18 @@ struct SpanBuf : std::streambuf {
   SpanBuf(char* data, std::size_t size) { setg(data, data, data + size); }
 };
 
+// The entry of `sample_id` in a shard's entry map (const or not); throws
+// CacheMissError if the shard does not hold it.
+template <typename Entries>
+auto find_sample(Entries& entries, std::int64_t sample_id) {
+  const auto it = entries.find(sample_id);
+  if (it == entries.end()) {
+    throw CacheMissError("sample " + std::to_string(sample_id) +
+                         " not in this cache shard");
+  }
+  return it;
+}
+
 }  // namespace
 
 struct ActivationCache::LogFile {
@@ -369,11 +381,7 @@ std::vector<Tensor> ActivationCache::fetch(
   // staging buffer when possible, reloading synchronously otherwise.
   std::map<std::int64_t, Entry> loaded;
   for (std::int64_t id : sample_ids) {
-    auto it = entries_.find(id);
-    if (it == entries_.end()) {
-      throw CacheMissError("sample " + std::to_string(id) +
-                           " not in this cache shard");
-    }
+    auto it = find_sample(entries_, id);
     if (!it->second.spilled || loaded.find(id) != loaded.end()) {
       if (!it->second.spilled) {
         obs::CounterRegistry::instance().add("cache.hits", 1);
@@ -405,11 +413,7 @@ std::vector<Tensor> ActivationCache::fetch(
   // dequantizing every entry straight into the batch rows.
   std::vector<const Entry*> sources;
   for (std::int64_t id : sample_ids) {
-    auto it = entries_.find(id);
-    if (it == entries_.end()) {
-      throw CacheMissError("sample " + std::to_string(id) +
-                           " not in this cache shard");
-    }
+    auto it = find_sample(entries_, id);
     if (it->second.spilled) {
       sources.push_back(&loaded.at(id));
     } else {
@@ -491,28 +495,43 @@ Tensor ActivationCache::get_block(std::int64_t sample_id,
 
 quant::QTensor ActivationCache::get_block_q(std::int64_t sample_id,
                                             std::int64_t block_index) const {
-  std::lock_guard<std::mutex> lk(mutex_);
-  auto it = entries_.find(sample_id);
-  if (it == entries_.end()) {
-    throw CacheMissError("sample " + std::to_string(sample_id) +
-                         " not in this cache shard");
-  }
   PAC_CHECK(block_index >= 0 && block_index < config_.num_blocks,
             "block index out of range");
-  Entry loaded;
-  const Entry* entry = &it->second;
-  if (entry->spilled) {
+  const auto b = static_cast<std::size_t>(block_index);
+  std::unique_lock<std::mutex> lk(mutex_);
+  const Entry& entry = find_sample(entries_, sample_id)->second;
+  if (entry.spilled) {
     // Spilled blocks are handed out exactly as stored on disk.
-    loaded = load_spilled(sample_id, extent_locked(*entry));
-    entry = &loaded;
+    const Extent extent = extent_locked(entry);
+    lk.unlock();
+    return std::move(*load_spilled(sample_id, extent).blocks.at(b));
   }
-  const auto& q = entry->blocks[static_cast<std::size_t>(block_index)];
-  if (!q.has_value()) {
+  if (!entry.blocks[b].has_value()) {
     throw CacheMissError("block " + std::to_string(block_index) +
                          " of sample " + std::to_string(sample_id) +
                          " not recorded");
   }
-  return *q;
+  return *entry.blocks[b];
+}
+
+std::vector<std::optional<quant::QTensor>> ActivationCache::take_sample(
+    std::int64_t sample_id) {
+  std::unique_lock<std::mutex> lk(mutex_);
+  Entry& entry = find_sample(entries_, sample_id)->second;
+  if (entry.spilled) {
+    const Extent extent = extent_locked(entry);
+    lk.unlock();
+    return load_spilled(sample_id, extent).blocks;
+  }
+  std::vector<std::optional<quant::QTensor>> out(entry.blocks.size());
+  for (std::size_t b = 0; b < out.size(); ++b) {
+    if (!entry.blocks[b].has_value()) continue;
+    refund(entry.blocks[b]->byte_size());
+    out[b] = std::move(entry.blocks[b]);
+    entry.blocks[b].reset();
+  }
+  entry.present = 0;
+  return out;
 }
 
 void ActivationCache::drop_sample(std::int64_t sample_id) {

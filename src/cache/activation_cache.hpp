@@ -21,9 +21,11 @@
 // quant::QTensor in the shard's dtype, written on insert and dequantized on
 // fetch (see tensor/quant.hpp for the formats).  A kF32 block is a
 // bit-exact copy of the recorded floats; fp16/int8 shrink RAM, the ledger
-// charge, the spill log and redistribution traffic 2-4x.  get_block_q/
+// charge, the spill log and redistribution traffic 2-4x.  take_sample/
 // put_block_q move blocks between shards in their stored representation —
-// redistribution never requantizes, so shipping a block is lossless.
+// redistribution never requantizes, so shipping a block is lossless, and
+// never copies: a RAM shard refunds a block's bytes as it ships, and a
+// spilled sample is read from the log once.
 //
 // Disk-backed shards additionally support prefetch(): a background reader
 // thread reloads the announced samples into a staging buffer while the
@@ -100,10 +102,19 @@ class ActivationCache : public pipeline::ActivationRecorder,
   // Stores an fp32 activation [T, H] in the shard dtype.
   void put_block(std::int64_t sample_id, std::int64_t block_index,
                  const Tensor& activation);
-  // The stored representation of a block, verbatim.  The lossless pair for
-  // shard-to-shard moves (redistribution, salvage).
+  // The stored representation of a block, verbatim (a copy; a spilled
+  // block is read from the log outside the shard's lock).
   quant::QTensor get_block_q(std::int64_t sample_id,
                              std::int64_t block_index) const;
+  // Moves a sample's held blocks out of the shard in their stored
+  // representation, indexed by block (nullopt where none is held); throws
+  // CacheMissError if the sample is absent.  The lossless source of
+  // shard-to-shard moves (redistribution, salvage).  A RAM entry gives up
+  // its blocks and refunds their bytes (ledger kCache included); a spilled
+  // entry is read from the log once, outside the lock.  Either way the
+  // entry stays until drop_sample, which writes a spilled one's tombstone.
+  std::vector<std::optional<quant::QTensor>> take_sample(
+      std::int64_t sample_id);
   // Stores a block in its wire representation.  A payload matching the
   // shard dtype is stored verbatim; another dtype is converted through
   // fp32 once.

@@ -1,9 +1,8 @@
 #include "cache/redistribution.hpp"
 
 #include <algorithm>
-#include <initializer_list>
 #include <map>
-#include <set>
+#include <optional>
 #include <vector>
 
 #include "pipeline/stage_worker.hpp"  // tag constants
@@ -12,12 +11,9 @@ namespace pac::cache {
 
 namespace {
 
-// A small fp32 control frame (count or header) as a kF32 QTensor.
-quant::QTensor floats(std::initializer_list<float> values) {
-  return quant::quantize_rows(std::data(values),
-                              {static_cast<std::int64_t>(values.size())},
-                              quant::Dtype::kF32);
-}
+// Sample ids and block indices ride the id frame as fp32, which holds
+// every integer below 2^24 exactly.
+constexpr std::int64_t kExactIds = std::int64_t{1} << 24;
 
 }  // namespace
 
@@ -26,67 +22,72 @@ RedistStats redistribute_cache(
     const std::function<int(std::int64_t)>& target_of_sample,
     const std::vector<int>& group) {
   RedistStats stats;
-  const int me = ctx.rank;
-  const int tag_count = pipeline::tags::kRedistCacheBase;
-  const int tag_header = pipeline::tags::kRedistCacheBase + 1;
-  const int tag_payload = pipeline::tags::kRedistCacheBase + 2;
-  const std::set<int> members(group.begin(), group.end());
-  PAC_CHECK(members.count(me) == 1,
+  const int tag_ids = pipeline::tags::kRedistCacheBase;
+  const int tag_payload = pipeline::tags::kRedistCacheBase + 1;
+  const auto me = std::find(group.begin(), group.end(), ctx.rank);
+  PAC_CHECK(me != group.end(),
             "redistribute_cache group must contain the calling rank");
+  const std::size_t g = group.size();
+  const auto i = static_cast<std::size_t>(me - group.begin());
 
-  // Partition held blocks by destination.
+  // Partition held blocks by destination, keeping held_blocks' order
+  // (ascending sample, then block), so a sample's blocks are adjacent.
   std::map<int, std::vector<std::pair<std::int64_t, std::int64_t>>> outgoing;
-  std::set<std::int64_t> shipped_samples;
   for (const auto& [sample, block] : shard.held_blocks()) {
     const int dst = target_of_sample(sample);
-    PAC_CHECK(members.count(dst) == 1,
+    PAC_CHECK(std::find(group.begin(), group.end(), dst) != group.end(),
               "redistribution target " << dst << " is not in the group");
-    if (dst == me) continue;
+    if (dst == ctx.rank) continue;
+    PAC_CHECK(sample >= 0 && sample < kExactIds,
+              "sample id " << sample << " does not fit the fp32 id frame");
     outgoing[dst].emplace_back(sample, block);
-    shipped_samples.insert(sample);
   }
 
-  // Announce counts, then stream items.  Sends never block, so issuing all
-  // sends before any recv is deadlock-free.  Every frame is a QTensor:
-  // payloads ship in the shard's stored representation (losslessly — no
-  // requantization on the move), and counts and headers as kF32 frames,
-  // whose wire bytes equal a plain fp32 send.
-  for (int peer : group) {
-    if (peer == me) continue;
-    const auto it = outgoing.find(peer);
-    const std::size_t n = it == outgoing.end() ? 0 : it->second.size();
-    ctx.comm.send_q(peer, tag_count, floats({static_cast<float>(n)}));
-    if (it == outgoing.end()) continue;
-    for (const auto& [sample, block] : it->second) {
-      ctx.comm.send_q(peer, tag_header,
-                      floats({static_cast<float>(sample),
-                              static_cast<float>(block)}));
-      quant::QTensor payload = shard.get_block_q(sample, block);
-      stats.payload_bytes_sent += payload.byte_size();
-      ++stats.items_sent;
-      ctx.comm.send_q(peer, tag_payload, std::move(payload));
+  // Round r ships to the member r places ahead, then receives from the one
+  // r places behind (schedule and frames: see the header).
+  std::vector<std::int64_t> shipped;
+  for (std::size_t r = 1; r < g; ++r) {
+    const int to = group[(i + r) % g];
+    const int from = group[(i + g - r) % g];
+    const auto& items = outgoing[to];
+    std::vector<float> ids;
+    ids.reserve(2 * items.size());
+    for (const auto& [sample, block] : items) {
+      ids.push_back(static_cast<float>(sample));
+      ids.push_back(static_cast<float>(block));
     }
-  }
+    ctx.comm.send_q(to, tag_ids,
+                    quant::quantize_rows(
+                        ids.data(), {static_cast<std::int64_t>(ids.size())},
+                        quant::Dtype::kF32));
+    std::vector<std::optional<quant::QTensor>> blocks;
+    for (const auto& [sample, block] : items) {
+      if (shipped.empty() || shipped.back() != sample) {
+        blocks = shard.take_sample(sample);
+        shipped.push_back(sample);
+      }
+      auto& payload = blocks.at(static_cast<std::size_t>(block));
+      PAC_CHECK(payload.has_value(), "block " << block << " of sample "
+                                              << sample << " left the shard");
+      stats.payload_bytes_sent += payload->byte_size();
+      ++stats.items_sent;
+      ctx.comm.send_q(to, tag_payload, std::move(*payload));
+    }
 
-  // Receive from every peer.
-  for (int peer : group) {
-    if (peer == me) continue;
-    const auto n = static_cast<std::int64_t>(
-        quant::dequantize(ctx.comm.recv_q(peer, tag_count)).at({0}));
-    for (std::int64_t i = 0; i < n; ++i) {
-      const Tensor header =
-          quant::dequantize(ctx.comm.recv_q(peer, tag_header));
-      const auto sample = static_cast<std::int64_t>(header.at({0}));
-      const auto block = static_cast<std::int64_t>(header.at({1}));
-      shard.put_block_q(sample, block, ctx.comm.recv_q(peer, tag_payload));
+    const quant::QTensor frame = ctx.comm.recv_q(from, tag_ids);
+    std::vector<float> in(static_cast<std::size_t>(frame.numel()));
+    quant::dequantize_into(frame, in.data());
+    PAC_CHECK(in.size() % 2 == 0, "odd-length redistribution id frame");
+    for (std::size_t k = 0; k < in.size(); k += 2) {
+      shard.put_block_q(static_cast<std::int64_t>(in[k]),
+                        static_cast<std::int64_t>(in[k + 1]),
+                        ctx.comm.recv_q(from, tag_payload));
       ++stats.items_received;
     }
   }
 
-  // Drop everything we shipped away.
-  for (std::int64_t sample : shipped_samples) {
-    shard.drop_sample(sample);
-  }
+  // Drop the shipped entries (a spilled one leaves its tombstone now).
+  for (std::int64_t sample : shipped) shard.drop_sample(sample);
   return stats;
 }
 

@@ -8,6 +8,23 @@
 // drops what it shipped.  The paper measures this at ~8 % of a 3-epoch
 // BART-Large/MRPC run; the traffic counters here and the event simulator
 // reproduce that accounting.
+//
+// Schedule: g-1 pairwise rounds over the g members of `group`.  In round
+// r, member i ships to member (i+r) mod g, then receives from member
+// (i-r) mod g.  Sends never wait for a receive, so no order of arrival
+// deadlocks, and a member starts round r+1 only once it has received all
+// of round r.
+//
+// Frames: per round and link, one kF32 id frame listing the shipped
+// (sample, block) pairs (empty when nothing ships; its length is the
+// count), then one payload frame per block in the shard's stored
+// representation, in id-frame order.  Ids ride as fp32, exact below 2^24,
+// so a larger sample id throws.
+//
+// Memory: every block leaves its shard by move (ActivationCache::
+// take_sample).  A RAM shard refunds a block's bytes (kCache) as it ships,
+// so a rank holds no copy of what it sends; a spilled sample is read from
+// the log once.  Shipped entries are dropped after the last round.
 #pragma once
 
 #include <cstdint>

@@ -62,7 +62,7 @@ inline constexpr int kLossReduce = 1300;
 inline constexpr int kEvalLogits = 1400;
 inline constexpr int kTrainableSync = 1600;
 inline constexpr int kResumeEpoch = 1700;
-inline constexpr int kRedistCacheBase = 2100;  // + destination rank
+inline constexpr int kRedistCacheBase = 2100;  // id frames; + 1 payloads
 }  // namespace tags
 
 class StageWorker {

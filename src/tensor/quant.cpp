@@ -242,7 +242,9 @@ QTensor quantize_rows(const float* src, Shape shape, Dtype dtype) {
   switch (dtype) {
     case Dtype::kF32: {
       q.data.resize(static_cast<std::size_t>(n) * 4);
-      std::memcpy(q.data.data(), src, q.data.size());
+      // An empty frame (a redistribution id frame with nothing to ship)
+      // has null pointers, which memcpy may not see even for 0 bytes.
+      if (n > 0) std::memcpy(q.data.data(), src, q.data.size());
       break;
     }
     case Dtype::kF16: {

@@ -5,11 +5,14 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <numeric>
 #include <thread>
+#include <tuple>
 
 #include "cache/activation_cache.hpp"
 #include "cache/redistribution.hpp"
+#include "obs/trace.hpp"
 #include "tensor/ops.hpp"
 
 namespace pac::cache {
@@ -474,6 +477,265 @@ TEST(RedistributionTest, BadTargetThrows) {
                            [](std::int64_t) { return 99; }, {0, 1});
       }),
       InvalidArgument);
+}
+
+// ---- redistribution by move -------------------------------------------------
+
+constexpr std::int64_t kMoveBlocks = 3;
+constexpr std::int64_t kMoveSamples = 13;
+
+// The layout the move tests record: an even sample is held whole by one
+// member (as a data-parallel rank records it, so a disk shard spills it),
+// an odd one has each block on a different member (as pipeline stages
+// record it, so it stays in RAM).
+int holder_of(const std::vector<int>& group, std::int64_t s, std::int64_t b) {
+  const auto g = static_cast<std::int64_t>(group.size());
+  return group[static_cast<std::size_t>(s % 2 == 0 ? (s / 2) % g
+                                                    : (s + b) % g)];
+}
+
+Tensor move_block(std::int64_t s, std::int64_t b) {
+  Rng rng(static_cast<std::uint64_t>(1000 + s * kMoveBlocks + b));
+  return Tensor::randn({3, 5}, rng);
+}
+
+// A 4-rank cluster whose ranks outside `group` are dead, one shard per
+// member (charging its ledger), holding the layout above.  `dir` names a
+// disk-backed shard's parent directory; empty means RAM shards.
+struct MoveRig {
+  MoveRig(const std::vector<int>& group, quant::Dtype dtype,
+          const std::string& dir)
+      : group(group), cluster(4, std::numeric_limits<std::uint64_t>::max()),
+        shards(4) {
+    for (int r = 0; r < 4; ++r) {
+      if (std::find(group.begin(), group.end(), r) == group.end()) {
+        cluster.mark_dead(r);
+        continue;
+      }
+      CacheConfig cfg = dir.empty()
+                            ? mem_cfg(kMoveBlocks)
+                            : disk_cfg(kMoveBlocks,
+                                       dir + "/device_" + std::to_string(r));
+      cfg.dtype = dtype;
+      cfg.ledger = &cluster.ledger(r);
+      shards[static_cast<std::size_t>(r)] =
+          std::make_unique<ActivationCache>(cfg);
+    }
+    for (std::int64_t s = 0; s < kMoveSamples; ++s) {
+      for (std::int64_t b = 0; b < kMoveBlocks; ++b) {
+        shard(holder_of(group, s, b)).put_block(s, b, move_block(s, b));
+      }
+    }
+  }
+  ActivationCache& shard(int r) { return *shards[static_cast<std::size_t>(r)]; }
+  std::function<int(std::int64_t)> target() const {
+    return modulo_sharding_over(group);
+  }
+  void redistribute() {
+    cluster.run([&](dist::DeviceContext& ctx) {
+      redistribute_cache(ctx, shard(ctx.rank), target(), group);
+    });
+  }
+
+  std::vector<int> group;
+  dist::EdgeCluster cluster;
+  std::vector<std::unique_ptr<ActivationCache>> shards;
+};
+
+const std::vector<std::vector<int>>& move_groups() {
+  static const std::vector<std::vector<int>> groups = {
+      {0, 1}, {0, 1, 2, 3}, {0, 2, 3}};
+  return groups;
+}
+
+std::string group_name(const std::vector<int>& group) {
+  std::string name = "group";
+  for (int r : group) name += "_" + std::to_string(r);
+  return name;
+}
+
+// Each case runs once per storage dtype and backend (RAM, disk).
+class RedistributionMoveTest
+    : public ::testing::TestWithParam<std::tuple<quant::Dtype, bool>> {
+ protected:
+  void SetUp() override {
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    root_ = (std::filesystem::temp_directory_path() / ("pac_redist_" + name))
+                .string();
+    std::filesystem::remove_all(root_);
+  }
+  void TearDown() override { std::filesystem::remove_all(root_); }
+
+  quant::Dtype dtype() const { return std::get<0>(GetParam()); }
+  std::string dir(const std::vector<int>& group) const {
+    return std::get<1>(GetParam()) ? root_ + "/" + group_name(group) : "";
+  }
+
+  std::string root_;
+};
+
+TEST_P(RedistributionMoveTest, EveryBlockArrivesAsRecorded) {
+  for (const auto& group : move_groups()) {
+    SCOPED_TRACE(group_name(group));
+    MoveRig rig(group, dtype(), dir(group));
+    rig.redistribute();
+    const auto target = rig.target();
+    for (std::int64_t s = 0; s < kMoveSamples; ++s) {
+      const int owner = target(s);
+      ASSERT_TRUE(rig.shard(owner).complete(s)) << "sample " << s;
+      for (std::int64_t b = 0; b < kMoveBlocks; ++b) {
+        const quant::QTensor want = quant::quantize(move_block(s, b), dtype());
+        const quant::QTensor got = rig.shard(owner).get_block_q(s, b);
+        EXPECT_EQ(got.dtype, want.dtype) << "sample " << s << " block " << b;
+        EXPECT_EQ(got.shape, want.shape) << "sample " << s << " block " << b;
+        EXPECT_EQ(got.data, want.data) << "sample " << s << " block " << b;
+        EXPECT_EQ(got.scales, want.scales) << "sample " << s << " block " << b;
+      }
+      for (int r : group) {
+        if (r == owner) continue;
+        const auto held = rig.shard(r).sample_ids();
+        EXPECT_EQ(std::count(held.begin(), held.end(), s), 0)
+            << "rank " << r << " kept sample " << s;
+      }
+    }
+  }
+}
+
+TEST_P(RedistributionMoveTest, EachLinkCarriesOneIdFrameAndOneFramePerBlock) {
+  for (const auto& group : move_groups()) {
+    SCOPED_TRACE(group_name(group));
+    MoveRig rig(group, dtype(), dir(group));
+    const auto target = rig.target();
+    std::map<std::pair<int, int>, std::uint64_t> blocks_on_link;
+    for (std::int64_t s = 0; s < kMoveSamples; ++s) {
+      for (std::int64_t b = 0; b < kMoveBlocks; ++b) {
+        const int from = holder_of(group, s, b);
+        const int to = target(s);
+        if (from != to) ++blocks_on_link[std::make_pair(from, to)];
+      }
+    }
+    rig.redistribute();
+    // Every ordered pair of members is one round's link; a link with
+    // nothing to ship still carries its (empty) id frame.
+    for (int from : group) {
+      for (int to : group) {
+        if (from == to) continue;
+        EXPECT_EQ(rig.cluster.last_transport()->stats(from, to).messages,
+                  1 + blocks_on_link[std::make_pair(from, to)])
+            << "link " << from << " -> " << to;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Storage, RedistributionMoveTest,
+    ::testing::Combine(::testing::Values(quant::Dtype::kF32,
+                                         quant::Dtype::kF16,
+                                         quant::Dtype::kI8),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(quant::dtype_name(std::get<0>(info.param))) +
+             (std::get<1>(info.param) ? "_disk" : "_ram");
+    });
+
+// A RAM shard refunds each block as it ships, before the round's receive
+// charges what arrives, so with every round balanced (each rank ships as
+// many samples to its round peer as it receives) no rank's cache charge —
+// which moves with memory_bytes() — ever exceeds what it held before.
+TEST(RedistributionTest, RamShardsNeverHoldMoreThanBeforeRedistribution) {
+  const std::vector<int> group = {0, 1, 2, 3};
+  dist::EdgeCluster cluster(4, std::numeric_limits<std::uint64_t>::max());
+  std::vector<std::unique_ptr<ActivationCache>> shards;
+  for (int r = 0; r < 4; ++r) {
+    shards.push_back(std::make_unique<ActivationCache>(
+        mem_cfg(kMoveBlocks, &cluster.ledger(r))));
+    // Rank r recorded samples [16r, 16r + 16) whole; 4 of them stay and 4
+    // go to each peer.
+    for (std::int64_t s = 16 * r; s < 16 * (r + 1); ++s) {
+      for (std::int64_t b = 0; b < kMoveBlocks; ++b) {
+        shards.back()->put_block(s, b, move_block(s, b));
+      }
+    }
+  }
+  std::vector<std::uint64_t> before;
+  for (int r = 0; r < 4; ++r) {
+    cluster.ledger(r).reset_peaks();
+    before.push_back(cluster.ledger(r).current(dist::MemClass::kCache));
+    EXPECT_EQ(shards[static_cast<std::size_t>(r)]->memory_bytes(),
+              before.back());
+  }
+  cluster.run([&](dist::DeviceContext& ctx) {
+    redistribute_cache(ctx, *shards[static_cast<std::size_t>(ctx.rank)],
+                       modulo_sharding_over(group), group);
+  });
+  for (int r = 0; r < 4; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    const auto& ledger = cluster.ledger(r);
+    EXPECT_LE(ledger.peak(dist::MemClass::kCache), before[i]) << "rank " << r;
+    EXPECT_EQ(ledger.current(dist::MemClass::kCache), before[i])
+        << "rank " << r;
+    EXPECT_EQ(shards[i]->memory_bytes(), before[i]) << "rank " << r;
+    EXPECT_EQ(shards[i]->sample_ids().size(), 16U) << "rank " << r;
+  }
+}
+
+// A shipped spilled sample is read from its spill log once, not once per
+// block; a spilled sample that stays is not read at all.
+TEST(RedistributionTest, ShippedSpilledSampleIsLoadedOnce) {
+  namespace fs = std::filesystem;
+  const std::string root =
+      (fs::temp_directory_path() / "pac_redist_spill_loads").string();
+  fs::remove_all(root);
+  for (quant::Dtype dtype : {quant::Dtype::kF32, quant::Dtype::kI8}) {
+    SCOPED_TRACE(quant::dtype_name(dtype));
+    const std::vector<int> group = {0, 1, 2, 3};
+    MoveRig rig(group, dtype, root);
+    const auto target = rig.target();
+    std::map<std::int64_t, int> want;  // sample -> loads
+    for (std::int64_t s = 0; s < kMoveSamples; s += 2) {  // the spilled ones
+      if (holder_of(group, s, 0) != target(s)) want[s] = 1;
+    }
+    ASSERT_FALSE(want.empty());
+    obs::TraceSession trace;
+    rig.redistribute();
+    std::map<std::int64_t, int> loads;
+    for (const auto& span : trace.spans()) {
+      if (std::string(span.name) == "cache_load") ++loads[span.args[0]];
+    }
+    EXPECT_EQ(loads, want);
+  }
+  fs::remove_all(root);
+}
+
+// Ids ride the id frame as fp32: the largest id below 2^24 lands on its
+// owner, and a larger one throws instead of landing on the wrong sample.
+TEST(RedistributionTest, SampleIdsBeyondTheExactFp32RangeThrow) {
+  const std::vector<int> group = {0, 1};
+  for (const std::int64_t id : {(std::int64_t{1} << 24) - 1,
+                                (std::int64_t{1} << 24) + 1}) {
+    dist::EdgeCluster cluster(2, std::numeric_limits<std::uint64_t>::max());
+    std::vector<std::unique_ptr<ActivationCache>> shards;
+    for (int r = 0; r < 2; ++r) {
+      shards.push_back(std::make_unique<ActivationCache>(mem_cfg(1)));
+    }
+    shards[0]->put_block(id, 0, make_block(2, 2, 1.0F));  // odd: owner 1
+    auto run = [&] {
+      cluster.run([&](dist::DeviceContext& ctx) {
+        redistribute_cache(ctx, *shards[static_cast<std::size_t>(ctx.rank)],
+                           modulo_sharding_over(group), group);
+      });
+    };
+    if (id < (std::int64_t{1} << 24)) {
+      run();
+      EXPECT_EQ(shards[1]->sample_ids(), (std::vector<std::int64_t>{id}));
+      EXPECT_TRUE(shards[0]->sample_ids().empty());
+    } else {
+      EXPECT_THROW(run(), InvalidArgument);
+    }
+  }
 }
 
 }  // namespace

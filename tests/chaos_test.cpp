@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <thread>
 
 #include "core/session.hpp"
@@ -163,12 +164,54 @@ TEST(ChaosTest, RankDeathMidEpochRecoversOntoSurvivors) {
   expect_same_trajectory(recovered, survivors, 1e-6);
 }
 
+TEST(ChaosTest, RankDeathInsideARedistributionRoundRestartsOntoSurvivors) {
+  // Reference: a fault-free run that never had device 3 to begin with.
+  SessionReport survivors =
+      run_with_faults(dist::FaultPlan{}, {}, /*pre_dead=*/{3});
+
+  // Op counts restart with each run's transport.  Rank 3 takes 24 ops in
+  // phase 1, then redistribution's three rounds: round 1 ships 5 blocks to
+  // rank 0 and receives 15 from rank 2 (ops 1-22), round 2 ships 10 blocks
+  // to rank 1 (ops 23-33) and receives an empty id frame.  Op 30 is the
+  // seventh block sent in round 2: round 1's moves are done and rank 1 is
+  // waiting for the rest.
+  dist::FaultPlan death;
+  death.seed = 0xDEAD3;
+  death.death_after_ops = {{3, 30}};
+  auto ds = small_dataset();
+  dist::EdgeCluster cluster(4, std::numeric_limits<std::uint64_t>::max());
+  cluster.set_fault_plan(death);
+  obs::TraceSession trace;
+  const SessionReport recovered =
+      Session(cluster, ds, chaos_session_config()).run();
+
+  EXPECT_EQ(recovered.rank_deaths, 1);
+  ASSERT_EQ(recovered.dead_ranks.size(), 1U);
+  EXPECT_EQ(recovered.dead_ranks[0], 3);
+  // The death hit the first attempt's redistribution: two redistribute
+  // spans per survivor (the failed attempt's and the restart's), one for
+  // rank 3.
+  std::map<std::int64_t, int> redistributions;
+  for (const auto& span : trace.spans()) {
+    if (std::string(span.name) == "redistribute") {
+      ++redistributions[span.args[0]];
+    }
+  }
+  EXPECT_EQ(redistributions,
+            (std::map<std::int64_t, int>{{0, 2}, {1, 2}, {2, 2}, {3, 1}}));
+  // The attempt restarts from scratch on the survivors.
+  expect_same_trajectory(recovered, survivors, 1e-6);
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_EQ(cluster.ledger(r).current_total(), 0U) << "rank " << r;
+  }
+}
+
 TEST(ChaosTest, RankDeathInPhase2ResumesFromLastCommittedEpoch) {
   // Kill rank 3 deep into the cached phase: recovery must restore the last
   // committed epoch, re-shard the dead device's cache onto the survivors,
   // and resume — not replay — the cached phase.  Op counts restart with
   // each run's transport, and every run before phase 2 stays under 110 ops
-  // per rank here (phase 1 22, redistribution 106).  Each cached epoch
+  // per rank here (phase 1 24, redistribution 56).  Each cached epoch
   // takes 20, so in this 8-epoch run op 124 falls in the first step of the
   // last cached epoch.
   auto ds = small_dataset();
@@ -200,8 +243,8 @@ TEST(ChaosTest, RankDeathInPhase2ResumesFromLastCommittedEpoch) {
 TEST(ChaosTest, Phase2DeathSalvagesCompressedDiskShardAndConverges) {
   // Same phase-2 kill schedule, but with an int8 disk-backed cache: the
   // dead device's blocks live in compressed spill files, so salvage and
-  // re-sharding move quantized bytes (get_block_q reloads the compressed
-  // shard from flash, redistribution ships it verbatim).  Recovery must
+  // re-sharding move quantized bytes (take_sample reloads each compressed
+  // sample from flash once, redistribution ships it verbatim).  Recovery must
   // converge exactly like the fp32 variant above.
   namespace fs = std::filesystem;
   const std::string dir =
@@ -516,7 +559,7 @@ TEST(ChaosTest, SplitClustersOverTcpResumePhase2FromTheSameEpoch) {
   cfg.epochs = 13;
   // Rank 0's op counts restart with each run's transport.  Phase 1 takes
   // 24 in one process and 270 split (it hands the trainables to the other
-  // side), redistribution 106, and each cached epoch 24, ending with the
+  // side), redistribution 56, and each cached epoch 24, ending with the
   // loss reduce: the sends to ranks 1, 2 and 3, then three receives.  Op
   // 285 is the send to rank 3 in cached epoch 11, past every earlier run.
   dist::FaultPlan death;
@@ -664,7 +707,7 @@ TEST(ChaosTest, StragglerMidPhase1TriggersReplanAndConverges) {
 }
 
 // Phase-2 placement: op counts restart with each run's transport, and a
-// throttle only dilates compute, so one armed during phase 1 (22 ops per
+// throttle only dilates compute, so one armed during phase 1 (24 ops per
 // rank here) would fire there, while one armed during redistribution has
 // no compute to slow.  Each cached epoch takes 20 ops, so a trigger at 84
 // lands in the first step of the fifth cached epoch.

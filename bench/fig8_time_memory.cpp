@@ -120,14 +120,14 @@ int main() {
       cfg.num_micro_batches = 2;
       cfg.epochs = epochs;
       cfg.run_eval = false;
-      auto factory = [technique, tiny_cfg] {
+      auto factory = [technique, tiny_cfg](const model::ModelParts& parts) {
         model::TechniqueConfig tc;
         tc.technique = technique;
         tc.adapter_reduction = 4;
         tc.pa_reduction = 4;
         tc.lora = nn::LoraSpec{4, 8.0F};
         return std::make_unique<model::Model>(tiny_cfg, tc,
-                                              model::TaskSpec{}, 99);
+                                              model::TaskSpec{}, 99, parts);
       };
       WallTimer t;
       run_baseline(cluster, ds, factory, cfg);

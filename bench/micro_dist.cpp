@@ -82,12 +82,12 @@ void run_schedule_bench(benchmark::State& state,
   dcfg.seq_len = 8;
   dcfg.vocab = 32;
   data::SyntheticGlueDataset ds(dcfg);
-  auto factory = [] {
+  auto factory = [](const model::ModelParts& parts) {
     model::TechniqueConfig tc;
     tc.technique = model::Technique::kParallelAdapters;
     tc.pa_reduction = 4;
     return std::make_unique<model::Model>(model::tiny(4, 16, 2, 32, 8), tc,
-                                          model::TaskSpec{}, 12);
+                                          model::TaskSpec{}, 12, parts);
   };
   for (auto _ : state) {
     dist::EdgeCluster cluster(2,
@@ -144,12 +144,12 @@ void run_comm_pipeline_bench(benchmark::State& state, CommBackend backend,
   dcfg.seq_len = 32;
   dcfg.vocab = 32;
   data::SyntheticGlueDataset ds(dcfg);
-  auto factory = [] {
+  auto factory = [](const model::ModelParts& parts) {
     model::TechniqueConfig tc;
     tc.technique = model::Technique::kParallelAdapters;
     tc.pa_reduction = 4;
     return std::make_unique<model::Model>(model::tiny(12, 64, 2, 32, 32), tc,
-                                          model::TaskSpec{}, 12);
+                                          model::TaskSpec{}, 12, parts);
   };
   pipeline::StageAssignment s0{0, 13, {0}, {}};
   pipeline::StageAssignment s1{13, 14, {1}, {}};
@@ -222,11 +222,11 @@ void BM_CommPipelineEpochNoLink(benchmark::State& state) {
   dcfg.seq_len = 16;
   dcfg.vocab = 64;
   data::SyntheticGlueDataset ds(dcfg);
-  auto factory = [] {
+  auto factory = [](const model::ModelParts& parts) {
     model::TechniqueConfig tc;
     tc.technique = model::Technique::kParallelAdapters;
     return std::make_unique<model::Model>(model::tiny(6, 48, 4, 64, 16), tc,
-                                          model::TaskSpec{}, 12);
+                                          model::TaskSpec{}, 12, parts);
   };
   pipeline::RunConfig cfg;
   cfg.plan.stages = {pipeline::StageAssignment{0, 4, {0, 1}, {}},

@@ -37,7 +37,7 @@ double train_and_eval(data::GlueTask task, Technique technique) {
   cfg.num_micro_batches = 2;
   cfg.epochs = 25;
   cfg.lr = 4e-3F;
-  auto factory = [technique, info] {
+  auto factory = [technique, info](const model::ModelParts& parts) {
     model::TechniqueConfig tc;
     tc.technique = technique;
     // Reductions scaled for the tiny hidden size (k=8 at h=1024 gives
@@ -47,7 +47,7 @@ double train_and_eval(data::GlueTask task, Technique technique) {
     tc.lora = nn::LoraSpec{4, 8.0F};
     return std::make_unique<model::Model>(
         model::tiny(4, 32, 2, 64, 16), tc,
-        model::TaskSpec{info.kind, info.num_classes}, 31337);
+        model::TaskSpec{info.kind, info.num_classes}, 31337, parts);
   };
   return run_baseline(cluster, ds, factory, cfg).eval_metric;
 }

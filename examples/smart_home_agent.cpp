@@ -18,7 +18,8 @@ namespace {
 
 using namespace pac;
 
-std::unique_ptr<model::Model> make_agent_model(model::Technique technique) {
+std::unique_ptr<model::Model> make_agent_model(
+    model::Technique technique, const model::ModelParts& parts) {
   model::TechniqueConfig tc;
   tc.technique = technique;
   tc.pa_reduction = 8;
@@ -27,7 +28,7 @@ std::unique_ptr<model::Model> make_agent_model(model::Technique technique) {
   return std::make_unique<model::Model>(
       model::tiny(/*layers=*/6, /*hidden=*/48, /*heads=*/2, /*vocab=*/64,
                   /*max_seq=*/16),
-      tc, model::TaskSpec{model::TaskKind::kClassification, 2}, 2024);
+      tc, model::TaskSpec{model::TaskKind::kClassification, 2}, 2024, parts);
 }
 
 }  // namespace
@@ -57,7 +58,9 @@ int main() {
     cfg.batch_size = 16;
     try {
       run_baseline(hub, dataset,
-                   [] { return make_agent_model(model::Technique::kFull); },
+                   [](const model::ModelParts& parts) {
+                     return make_agent_model(model::Technique::kFull, parts);
+                   },
                    cfg);
       std::printf("standalone full FT: unexpectedly fit\n");
     } catch (const DeviceOomError& e) {
@@ -76,7 +79,9 @@ int main() {
     cfg.num_micro_batches = 4;
     try {
       run_baseline(cluster, dataset,
-                   [] { return make_agent_model(model::Technique::kFull); },
+                   [](const model::ModelParts& parts) {
+                     return make_agent_model(model::Technique::kFull, parts);
+                   },
                    cfg);
       std::printf("EDDL full FT: unexpectedly fit\n");
     } catch (const DeviceOomError& e) {

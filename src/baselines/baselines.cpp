@@ -32,8 +32,9 @@ pipeline::RunResult run_baseline(dist::EdgeCluster& cluster,
                                  const data::Dataset& dataset,
                                  const pipeline::ModelFactory& factory,
                                  const BaselineConfig& config) {
-  // Probe the block count from a throwaway replica.
-  const std::int64_t num_blocks = factory()->num_blocks();
+  // Probe the block count from a replica that builds no block.
+  const std::int64_t num_blocks =
+      factory(model::ModelParts::none())->num_blocks();
   pipeline::RunConfig run;
   run.plan = baseline_plan(config.system, num_blocks, cluster.size(),
                            config.num_micro_batches);

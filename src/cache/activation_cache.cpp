@@ -152,10 +152,10 @@ void ActivationCache::put_locked(std::int64_t sample_id,
     q = quant::quantize(quant::dequantize(q), config_.dtype);
   }
   Entry& entry = entries_[sample_id];
+  PAC_CHECK(!entry.spilled, "put_block on spilled sample " << sample_id);
   if (entry.blocks.empty()) {
     entry.blocks.resize(static_cast<std::size_t>(config_.num_blocks));
   }
-  PAC_CHECK(!entry.spilled, "put_block on spilled sample " << sample_id);
   auto& slot = entry.blocks[static_cast<std::size_t>(block_index)];
   PAC_CHECK(!slot.has_value(), "duplicate record for sample "
                                    << sample_id << " block " << block_index);
@@ -188,7 +188,7 @@ void ActivationCache::maybe_spill(std::int64_t sample_id, Entry& entry) {
   std::uint64_t freed = 0;
   w.write_u32(static_cast<std::uint32_t>(config_.dtype));
   w.write_u64(static_cast<std::uint64_t>(config_.num_blocks));
-  for (auto& slot : entry.blocks) {
+  for (const auto& slot : entry.blocks) {
     const quant::QTensor& q = *slot;
     w.write_u64(static_cast<std::uint64_t>(q.shape[0]));
     w.write_u64(static_cast<std::uint64_t>(q.shape[1]));
@@ -197,8 +197,11 @@ void ActivationCache::maybe_spill(std::int64_t sample_id, Entry& entry) {
     w.write_u64(static_cast<std::uint64_t>(q.data.size()));
     w.write_bytes(q.data.data(), q.data.size());
     freed += q.byte_size();
-    slot.reset();
   }
+  // The record holds the blocks now: free the slots too, so a spilled
+  // entry keeps only its extent (every spilled-entry path checks
+  // `spilled` before it indexes a slot).
+  std::vector<std::optional<quant::QTensor>>().swap(entry.blocks);
   header.bytes = spill_buf_.size() - sizeof(header);
   std::memcpy(spill_buf_.data(), &header, sizeof(header));
   entry.offset = append_locked(spill_buf_.data(), spill_buf_.size()) +

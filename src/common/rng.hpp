@@ -42,6 +42,18 @@ class Rng {
     return dist(engine_);
   }
 
+  // Advance the engine exactly as `n` calls of uniform() / normal() would
+  // (how many engine words a draw takes never depends on its bounds or
+  // scale), keeping no values.  A rank that does not build a module skips
+  // its initializer's draws this way, so the modules it does build draw
+  // the same values as in a whole-model build.
+  void skip_uniform(std::int64_t n) {
+    for (std::int64_t i = 0; i < n; ++i) uniform();
+  }
+  void skip_normal(std::int64_t n) {
+    for (std::int64_t i = 0; i < n; ++i) normal();
+  }
+
   std::mt19937_64& engine() { return engine_; }
 
   // Derives an independent child seed; used to give each model component its

@@ -27,15 +27,15 @@ pipeline::ModelFactory Session::make_factory(
   const SessionConfig& cfg = config_;
   const model::TaskSpec task = task_;
   if (overrides == nullptr) {
-    return [cfg, task] {
+    return [cfg, task](const model::ModelParts& parts) {
       return std::make_unique<model::Model>(cfg.model, cfg.technique, task,
-                                            cfg.model_seed);
+                                            cfg.model_seed, parts);
     };
   }
   const std::map<std::string, Tensor> values = *overrides;  // by value
-  return [cfg, task, values] {
+  return [cfg, task, values](const model::ModelParts& parts) {
     auto m = std::make_unique<model::Model>(cfg.model, cfg.technique, task,
-                                            cfg.model_seed);
+                                            cfg.model_seed, parts);
     model::apply_parameter_overrides(*m, values);
     return m;
   };
@@ -45,7 +45,7 @@ std::vector<planner::BlockProfile> Session::profile() {
   if (config_.profile_override.has_value()) {
     return *config_.profile_override;
   }
-  auto m = make_factory(nullptr)();
+  auto m = make_factory(nullptr)(model::ModelParts{});
   const std::int64_t micro_rows = std::max<std::int64_t>(
       1, config_.batch_size / std::max<std::int64_t>(
                                   1, config_.num_micro_batches));

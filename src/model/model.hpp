@@ -17,8 +17,12 @@
 // The cached-activation phase (paper §4.2/§5.2) runs the side network alone
 // from a per-sample list of backbone activations [b_0 .. b_L]:
 // forward_cached / backward_cached skip the backbone entirely.
+//
+// A rank builds only the parts it runs (ModelParts): a pipeline rank its
+// stage's blocks, a phase-2 replica the side network and the head.
 #pragma once
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <vector>
@@ -44,12 +48,38 @@ struct TaskSpec {
   }
 };
 
+// The parts of a Model that one rank builds: the blocks in
+// [block_begin, block_end), and of those, with `backbone` false, only the
+// Parallel Adapter side network and the head (a phase-2 replica, whose
+// backbone activations come from the cache).  A part left out holds no
+// tensors, but its initializer still draws its values from the seed's
+// stream and discards them, so every part that is built holds the same
+// bits as in a whole-model build.  Calling into a part that was not built
+// fails a PAC_CHECK that names its block.
+struct ModelParts {
+  std::int64_t block_begin = 0;
+  std::int64_t block_end = std::numeric_limits<std::int64_t>::max();
+  bool backbone = true;
+
+  bool has_block(std::int64_t block) const {
+    return block >= block_begin && block < block_end;
+  }
+  static ModelParts blocks(std::int64_t begin, std::int64_t end) {
+    return {begin, end, true};
+  }
+  static ModelParts none() { return blocks(0, 0); }
+  static ModelParts side_network() {
+    return {0, std::numeric_limits<std::int64_t>::max(), false};
+  }
+};
+
 class Model {
  public:
   Model(ModelConfig config, TechniqueConfig technique, TaskSpec task,
-        std::uint64_t seed);
+        std::uint64_t seed, ModelParts parts = {});
 
   // ---- pipeline view ----
+  // Every block of the model, built or not (see ModelParts).
   std::vector<PipelineBlock*> blocks();
   std::int64_t num_blocks() const {
     return static_cast<std::int64_t>(blocks_.size());
@@ -102,12 +132,16 @@ class Model {
   friend class EncoderBlock;
   friend class HeadBlock;
 
+  // Freezes the backbone parts this rank built; `forward_only` also stops
+  // them retaining contexts.
+  void freeze_backbone(bool forward_only);
+
   ModelConfig config_;
   TechniqueConfig technique_;
   TaskSpec task_;
   std::int64_t side_width_ = 0;
 
-  // Backbone.
+  // Backbone.  Here and below, a part this rank did not build is null.
   std::unique_ptr<nn::Embedding> embedding_;
   std::vector<std::unique_ptr<nn::TransformerEncoderLayer>> layers_;
 

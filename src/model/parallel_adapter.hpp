@@ -31,6 +31,12 @@ class ParallelAdapterBlock {
  public:
   ParallelAdapterBlock(std::string name, std::int64_t hidden, std::int64_t r,
                        Rng& rng);
+  // Draws from `rng` what the constructor draws, building nothing.
+  static void skip_init(std::int64_t hidden, std::int64_t r, Rng& rng) {
+    nn::Linear::skip_init(hidden, r, rng);
+    nn::Linear::skip_init(r, r, rng);
+    nn::Linear::skip_init(r, r, rng);
+  }
 
   // a_i given (b_i, a_{i-1}).
   Tensor forward(const Tensor& backbone_act, const Tensor& prev_state);

@@ -18,6 +18,11 @@ class MultiHeadAttention : public Module {
  public:
   MultiHeadAttention(std::string name, std::int64_t hidden,
                      std::int64_t num_heads, Rng& rng, bool causal = false);
+  // Draws from `rng` what the constructor draws (Wq, Wk, Wv, Wo), building
+  // nothing.
+  static void skip_init(std::int64_t hidden, Rng& rng) {
+    for (int i = 0; i < 4; ++i) Linear::skip_init(hidden, hidden, rng);
+  }
 
   // Self-attention: queries, keys and values all from x.
   Tensor forward(const Tensor& x) override;

@@ -15,6 +15,12 @@ class Embedding : public Module {
  public:
   Embedding(std::string name, std::int64_t vocab, std::int64_t max_seq,
             std::int64_t hidden, Rng& rng);
+  // Draws from `rng` what the constructor draws, building nothing.
+  static void skip_init(std::int64_t vocab, std::int64_t max_seq,
+                        std::int64_t hidden, Rng& rng) {
+    rng.skip_normal(vocab * hidden);
+    rng.skip_normal(max_seq * hidden);
+  }
 
   Tensor forward(const Tensor& ids) override;
   Tensor backward(const Tensor& dy) override;

@@ -14,6 +14,11 @@ class FeedForward : public Module {
  public:
   FeedForward(std::string name, std::int64_t hidden, std::int64_t ffn_dim,
               Rng& rng, Activation act = Activation::kRelu);
+  // Draws from `rng` what the constructor draws, building nothing.
+  static void skip_init(std::int64_t hidden, std::int64_t ffn_dim, Rng& rng) {
+    Linear::skip_init(hidden, ffn_dim, rng);
+    Linear::skip_init(ffn_dim, hidden, rng);
+  }
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& dy) override;

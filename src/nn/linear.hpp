@@ -22,10 +22,20 @@ class Linear : public Module {
   // Kaiming-uniform init on the weight, zero bias.
   Linear(std::string name, std::int64_t in_features,
          std::int64_t out_features, Rng& rng, bool bias = true);
+  // Draws from `rng` what the constructor draws, building nothing.
+  static void skip_init(std::int64_t in_features, std::int64_t out_features,
+                        Rng& rng) {
+    rng.skip_uniform(in_features * out_features);
+  }
 
   // Adds a LoRA bypass; freezes the base weight/bias.  A ~ N(0, 0.02), B = 0
   // (the standard init making the bypass a no-op at step 0).
   void enable_lora(const LoraSpec& spec, Rng& rng);
+  // Draws from `rng` what enable_lora draws, building nothing.
+  static void skip_lora(const LoraSpec& spec, std::int64_t in_features,
+                        Rng& rng) {
+    rng.skip_normal(spec.rank * in_features);
+  }
   bool lora_enabled() const { return lora_rank_ > 0; }
 
   Tensor forward(const Tensor& x) override;

@@ -26,6 +26,12 @@ class BottleneckAdapter : public Module {
  public:
   BottleneckAdapter(std::string name, std::int64_t hidden,
                     std::int64_t bottleneck, Rng& rng);
+  // Draws from `rng` what the constructor draws, building nothing.
+  static void skip_init(std::int64_t hidden, std::int64_t bottleneck,
+                        Rng& rng) {
+    Linear::skip_init(hidden, bottleneck, rng);
+    Linear::skip_init(bottleneck, hidden, rng);
+  }
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& dy) override;
@@ -58,6 +64,17 @@ class TransformerEncoderLayer : public Module {
                           std::int64_t num_heads, std::int64_t ffn_dim,
                           Rng& rng, Activation act = Activation::kRelu,
                           float dropout_p = 0.0F);
+  // Draws from `rng` what the constructor draws, in member order (the
+  // attention weights, the attention dropout's seed, the FFN weights, the
+  // FFN dropout's seed), building nothing.  attach_adapter's draws are
+  // BottleneckAdapter::skip_init's; attach_lora's are two
+  // Linear::skip_lora(spec, hidden).
+  static void skip_init(std::int64_t hidden, std::int64_t ffn_dim, Rng& rng) {
+    MultiHeadAttention::skip_init(hidden, rng);
+    rng.fork();
+    FeedForward::skip_init(hidden, ffn_dim, rng);
+    rng.fork();
+  }
 
   // Train/eval switch for the dropout branches (contexts are orthogonal).
   void set_dropout_training(bool training) {

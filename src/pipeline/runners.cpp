@@ -104,6 +104,15 @@ int reporting_rank(const dist::EdgeCluster& cluster,
   return group[0];
 }
 
+// The blocks `rank` runs under `plan`: its stage's, or none when the plan
+// leaves it idle.
+model::ModelParts stage_parts(const ParallelPlan& plan, int rank) {
+  const int stage = plan.stage_of_rank(rank);
+  if (stage < 0) return model::ModelParts::none();
+  const StageAssignment& st = plan.stages[static_cast<std::size_t>(stage)];
+  return model::ModelParts::blocks(st.block_begin, st.block_end);
+}
+
 // Parameter names ride the tensor-only transport as float-encoded bytes:
 // [length, byte0, byte1, ...].  Bytes are exactly representable in fp32.
 Tensor encode_name(const std::string& name) {
@@ -201,7 +210,8 @@ RunResult run_training(dist::EdgeCluster& cluster,
   };
 
   cluster.run([&](dist::DeviceContext& ctx) {
-    std::unique_ptr<model::Model> model = factory();
+    std::unique_ptr<model::Model> model =
+        factory(stage_parts(config.plan, ctx.rank));
     model->set_training_mode(true);
     StageWorker worker(ctx, *model, config.plan, config.schedule);
     if (!worker.participates()) {
@@ -379,7 +389,12 @@ RunResult run_cached_data_parallel(
   PAC_CHECK(total_samples > 0, "cached training with no samples");
 
   cluster.run([&](dist::DeviceContext& ctx) {
-    std::unique_ptr<model::Model> model = factory();
+    // Training reads the backbone's activations from the cache; only the
+    // rank that runs the live eval needs the backbone itself.
+    const bool evaluates = config.run_eval && ctx.rank == leader;
+    std::unique_ptr<model::Model> model =
+        factory(evaluates ? model::ModelParts{}
+                          : model::ModelParts::side_network());
     PAC_CHECK(model->uses_parallel_adapters(),
               "cached data-parallel phase requires Parallel Adapters");
     model->set_training_mode(true);
@@ -388,8 +403,11 @@ RunResult run_cached_data_parallel(
     const ActivationSource* source =
         sources[static_cast<std::size_t>(ctx.rank)];
 
-    // Ledger: phase 2 holds only the trainable side network + head (the
-    // backbone weights are released — the paper's key memory saving).
+    // Ledger: phase 2 holds only the trainable side network + head, and
+    // every rank but the eval rank builds nothing else (the paper's key
+    // memory saving: the backbone weights are released).  The eval rank
+    // also holds the frozen backbone for its live eval; those bytes are
+    // not charged.
     nn::ParameterList trainable = model->trainable_parameters();
     std::uint64_t weight_bytes = 0;
     std::uint64_t grad_bytes = 0;

@@ -7,8 +7,8 @@
 //
 // `run_cached_data_parallel` executes PAC's phase 2: every device trains
 // the Parallel Adapter side network from cached activations with pure data
-// parallelism; the backbone is never touched (its weights are not even
-// charged to the ledger — the paper's "release the LLM parameters" win).
+// parallelism; the backbone is never touched, and only the rank that runs
+// the live eval builds it (the paper's "release the LLM parameters" win).
 #pragma once
 
 #include <functional>
@@ -27,7 +27,11 @@
 
 namespace pac::pipeline {
 
-using ModelFactory = std::function<std::unique_ptr<model::Model>()>;
+// Builds the parts of the model that one rank runs.  The runners derive the
+// parts from the plan, so each rank holds only its stage's blocks (or, in
+// phase 2, the side network); see model::ModelParts.
+using ModelFactory =
+    std::function<std::unique_ptr<model::Model>(const model::ModelParts&)>;
 
 // Epoch-boundary recovery state shared between a phase-2 run and the
 // session that may have to resume it after a device death.  As each epoch

@@ -328,13 +328,13 @@ data::SyntheticGlueDataset tiny_dataset() {
 pipeline::ModelFactory tiny_factory(
     model::Technique technique = model::Technique::kParallelAdapters,
     const model::ModelConfig& config = model::tiny(4, 16, 2, 32, 8)) {
-  return [technique, config] {
+  return [technique, config](const model::ModelParts& parts) {
     model::TechniqueConfig tc;
     tc.technique = technique;
     tc.pa_reduction = 4;
     return std::make_unique<model::Model>(
         config, tc, model::TaskSpec{model::TaskKind::kClassification, 2},
-        4242);
+        4242, parts);
   };
 }
 
@@ -693,7 +693,7 @@ TEST(AsyncCommTest, SingleGradBucketIsReducedInlineOnTheRankThread) {
     const pipeline::ModelFactory factory =
         tiny_factory(c.technique, c.config);
     pipeline::RunConfig cfg;
-    cfg.plan = hybrid_2x2(factory()->num_blocks());
+    cfg.plan = hybrid_2x2(factory({})->num_blocks());
     cfg.batch_size = 8;
     cfg.epochs = 1;
     cfg.lr = 5e-3F;
@@ -702,7 +702,7 @@ TEST(AsyncCommTest, SingleGradBucketIsReducedInlineOnTheRankThread) {
     // Grad bytes every rank of the plan reduces per mini-batch.
     std::int64_t group_grad_bytes = 0;
     {
-      auto model = factory();
+      auto model = factory({});
       const auto blocks = model->blocks();
       for (const pipeline::StageAssignment& st : cfg.plan.stages) {
         std::int64_t stage_bytes = 0;

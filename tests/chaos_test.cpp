@@ -357,11 +357,11 @@ TEST(ChaosTest, AsyncRankDeathMidOverlapRecovers) {
 // (charged to its ledger) across the optimizer step.
 
 pipeline::ModelFactory chaos_model_factory() {
-  return [] {
+  return [](const model::ModelParts& parts) {
     const SessionConfig cfg = chaos_session_config();
     return std::make_unique<model::Model>(
         cfg.model, cfg.technique,
-        model::TaskSpec{model::TaskKind::kClassification, 2}, 4242);
+        model::TaskSpec{model::TaskKind::kClassification, 2}, 4242, parts);
   };
 }
 

@@ -242,14 +242,15 @@ TEST(BaselineTest, AllBaselinesTrainAllTechniques) {
       cfg.epochs = 1;
       cfg.batch_size = 8;
       cfg.num_micro_batches = 2;
-      auto factory = [technique] {
+      auto factory = [technique](const model::ModelParts& parts) {
         model::TechniqueConfig tc;
         tc.technique = technique;
         tc.adapter_reduction = 4;
         tc.pa_reduction = 4;
         tc.lora = nn::LoraSpec{2, 4.0F};
         return std::make_unique<model::Model>(model::tiny(2, 16, 2, 32, 8),
-                                              tc, model::TaskSpec{}, 11);
+                                              tc, model::TaskSpec{}, 11,
+                                              parts);
       };
       auto result = run_baseline(cluster, ds, factory, cfg);
       EXPECT_EQ(result.epoch_losses.size(), 1U)

@@ -120,12 +120,12 @@ TEST(FuzzTest, RandomPlansTrainCorrectlyExecuted) {
   dcfg.vocab = 32;
   data::SyntheticGlueDataset ds(dcfg);
 
-  auto factory = [] {
+  auto factory = [](const model::ModelParts& parts) {
     model::TechniqueConfig tc;
     tc.technique = model::Technique::kParallelAdapters;
     tc.pa_reduction = 4;
     return std::make_unique<model::Model>(model::tiny(4, 16, 2, 32, 8), tc,
-                                          model::TaskSpec{}, 777);
+                                          model::TaskSpec{}, 777, parts);
   };
 
   // Reference: single device.

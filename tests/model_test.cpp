@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "model/model.hpp"
@@ -316,6 +319,160 @@ TEST(ModelTest, ParallelAdaptersBackwardTouchesOnlySideAndHeadGrads) {
     }
   }
   EXPECT_TRUE(any_nonzero);
+}
+
+// ---- stage-only builds (ModelParts) ----------------------------------------
+
+TechniqueConfig small_technique(Technique t) {
+  TechniqueConfig tc;
+  tc.technique = t;
+  tc.adapter_reduction = 4;
+  tc.pa_reduction = 4;
+  return tc;
+}
+
+// Parameters of blocks [begin, end) of `m`, in block order.
+nn::ParameterList block_params(Model& m, std::int64_t begin,
+                               std::int64_t end) {
+  nn::ParameterList out;
+  const auto blocks = m.blocks();
+  for (std::int64_t b = begin; b < end; ++b) {
+    blocks[static_cast<std::size_t>(b)]->collect_parameters(out);
+  }
+  return out;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) ==
+             0;
+}
+
+// The message of the InvalidArgument that `fn` throws ("" if none).
+template <typename Fn>
+std::string check_failure(Fn fn) {
+  try {
+    fn();
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+class StageOnlyBuildTest : public ::testing::TestWithParam<Technique> {};
+
+TEST_P(StageOnlyBuildTest, EachStageHoldsTheWholeModelsBlocksBitForBit) {
+  const TechniqueConfig tc = small_technique(GetParam());
+  const ModelConfig cfg = tiny(4, 16, 2, 32, 8);  // 6 blocks
+  Model whole(cfg, tc, TaskSpec{}, 31);
+  const std::vector<std::pair<std::int64_t, std::int64_t>> stages{
+      {0, 2}, {2, 4}, {4, 6}};
+  for (const auto& [begin, end] : stages) {
+    SCOPED_TRACE("blocks " + std::to_string(begin) + ".." +
+                 std::to_string(end));
+    Model stage(cfg, tc, TaskSpec{}, 31, ModelParts::blocks(begin, end));
+    EXPECT_EQ(stage.num_blocks(), whole.num_blocks());
+    const nn::ParameterList want = block_params(whole, begin, end);
+    const nn::ParameterList got = stage.parameters();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i]->name(), want[i]->name());
+      EXPECT_EQ(got[i]->trainable(), want[i]->trainable()) << want[i]->name();
+      EXPECT_EQ(got[i]->value_bytes(), want[i]->value_bytes());
+      EXPECT_EQ(got[i]->grad_bytes(), want[i]->grad_bytes());
+      EXPECT_TRUE(same_bits(got[i]->value(), want[i]->value()))
+          << want[i]->name();
+    }
+  }
+  EXPECT_TRUE(
+      Model(cfg, tc, TaskSpec{}, 31, ModelParts::none()).parameters().empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTechniques, StageOnlyBuildTest,
+                         ::testing::Values(Technique::kFull,
+                                           Technique::kAdapters,
+                                           Technique::kLora,
+                                           Technique::kParallelAdapters,
+                                           Technique::kInference),
+                         [](const auto& info) {
+                           return technique_name(info.param);
+                         });
+
+TEST(StageOnlyBuildTest, TouchingABlockThatWasNotBuiltThrows) {
+  const ModelConfig cfg = tiny(4, 16, 2, 32, 8);
+  Model stage(cfg, small_technique(Technique::kParallelAdapters), TaskSpec{},
+              31, ModelParts::blocks(2, 4));
+  const auto blocks = stage.blocks();
+  FlowState in;
+  in.tokens = make_tokens(2, 8, 3, 32);
+  EXPECT_NE(check_failure([&] { blocks[0]->forward(in); }).find("embedding"),
+            std::string::npos);
+  in.hidden = Tensor::zeros({2, 8, 16});
+  in.adapter = Tensor::zeros({2, 8, 4});
+  EXPECT_NE(check_failure([&] { blocks[1]->forward(in); })
+                .find("encoder_layer_0"),
+            std::string::npos);
+  EXPECT_NE(check_failure([&] { blocks[5]->forward(in); }).find("head"),
+            std::string::npos);
+  EXPECT_NO_THROW(blocks[2]->forward(in));
+
+  Model side(cfg, small_technique(Technique::kParallelAdapters), TaskSpec{},
+             31, ModelParts::side_network());
+  EXPECT_NE(check_failure([&] { side.forward(in.tokens); }).find("embedding"),
+            std::string::npos);
+  EXPECT_THROW(Model(cfg, small_technique(Technique::kLora), TaskSpec{}, 31,
+                     ModelParts::side_network()),
+               InvalidArgument);
+}
+
+TEST(StageOnlyBuildTest, SideOnlyReplicaMatchesAWholePhaseTwoReplica) {
+  const ModelConfig cfg = tiny(4, 16, 2, 32, 8);
+  const TechniqueConfig tc = small_technique(Technique::kParallelAdapters);
+  // Phase-1 result: trainable values moved off their initial values.
+  Model trained(cfg, tc, TaskSpec{}, 31);
+  std::map<std::string, Tensor> overrides;
+  for (nn::Parameter* p : trained.trainable_parameters()) {
+    Tensor v = p->value().clone();
+    v.scale_(1.5F);
+    overrides[p->name()] = v;
+  }
+  // The cached backbone activations of one batch.
+  std::vector<Tensor> cached;
+  FlowState state;
+  state.tokens = make_tokens(2, 8, 4, 32);
+  const auto blocks = trained.blocks();
+  for (std::size_t i = 0; i + 1 < blocks.size(); ++i) {
+    state = blocks[i]->forward(state);
+    cached.push_back(state.hidden.clone());
+  }
+
+  Model whole(cfg, tc, TaskSpec{}, 31);
+  Model side(cfg, tc, TaskSpec{}, 31, ModelParts::side_network());
+  apply_parameter_overrides(whole, overrides);
+  apply_parameter_overrides(side, overrides);
+  // The side replica holds nothing but the trainables.
+  EXPECT_EQ(side.parameters().size(), side.trainable_parameters().size());
+  const nn::ParameterList want = whole.trainable_parameters();
+  const nn::ParameterList got = side.trainable_parameters();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i]->name(), want[i]->name());
+    EXPECT_TRUE(same_bits(got[i]->value(), want[i]->value()))
+        << want[i]->name();
+  }
+  // Cached steps agree bit for bit, grads included (phase 2 flattens the
+  // grads in trainable_parameters() order).
+  Tensor logits_whole = whole.forward_cached(cached);
+  Tensor logits_side = side.forward_cached(cached);
+  EXPECT_TRUE(same_bits(logits_side, logits_whole));
+  const nn::LossResult r = nn::softmax_cross_entropy(logits_whole, {0, 1});
+  whole.backward_cached(r.dlogits);
+  side.backward_cached(r.dlogits);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(same_bits(got[i]->grad(), want[i]->grad()))
+        << want[i]->name();
+  }
 }
 
 }  // namespace

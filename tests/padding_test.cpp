@@ -173,12 +173,12 @@ TEST(PaddedModelTest, DistributedParityWithPadding) {
   dcfg.seq_len = 8;
   dcfg.vocab = 32;
   data::SyntheticGlueDataset ds(dcfg);  // no real pads, but ids==0 occur
-  auto factory = [] {
+  auto factory = [](const model::ModelParts& parts) {
     model::TechniqueConfig tc;
     tc.technique = Technique::kParallelAdapters;
     tc.pa_reduction = 4;
     return std::make_unique<model::Model>(padded_config(), tc,
-                                          model::TaskSpec{}, 888);
+                                          model::TaskSpec{}, 888, parts);
   };
   pipeline::RunConfig cfg;
   cfg.plan = pipeline::ParallelPlan::standalone(5, 2);

@@ -193,14 +193,14 @@ data::SyntheticGlueDataset parity_dataset() {
 }
 
 ModelFactory parity_factory(Technique technique) {
-  return [technique] {
+  return [technique](const model::ModelParts& parts) {
     model::TechniqueConfig tc;
     tc.technique = technique;
     tc.adapter_reduction = 4;
     tc.pa_reduction = 4;
     return std::make_unique<model::Model>(
         model::tiny(4, 16, 2, 32, 8), tc,
-        model::TaskSpec{model::TaskKind::kClassification, 2}, 4242);
+        model::TaskSpec{model::TaskKind::kClassification, 2}, 4242, parts);
   };
 }
 
